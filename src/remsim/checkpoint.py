@@ -3,13 +3,16 @@
 One file per checkpoint: a canonical JSON manifest line, a separator byte,
 then the concatenated field arrays as little-endian float64 in manifest
 order.  Reload followed by re-save is byte-identical, which is what the
-determinism contract of the pipeline is tested against.
+determinism contract of the pipeline is tested against.  Writes go through a
+temporary file and ``os.replace``, so no reader ever sees a partial file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -63,15 +66,24 @@ class StageCheckpoint:
 
 
 def write_checkpoint(ckpt: StageCheckpoint, path) -> None:
+    """Write atomically: a temporary file in the target directory replaces
+    ``path`` only once complete, so a failed write leaves the old file."""
+    path = Path(path)
     manifest = json.dumps(ckpt.manifest(), sort_keys=True, separators=(",", ":"))
-    with open(path, "wb") as fh:
-        fh.write(manifest.encode())
-        fh.write(_SEPARATOR)
-        for name in FIELD_NAMES:
-            arr = np.ascontiguousarray(ckpt.fields[name], dtype="<f8")
-            if arr.shape != (ckpt.ny, ckpt.nx):
-                raise CheckpointError(f"field {name} has shape {arr.shape}")
-            fh.write(arr.tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(manifest.encode())
+            fh.write(_SEPARATOR)
+            for name in FIELD_NAMES:
+                arr = np.ascontiguousarray(ckpt.fields[name], dtype="<f8")
+                if arr.shape != (ckpt.ny, ckpt.nx):
+                    raise CheckpointError(f"field {name} has shape {arr.shape}")
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_manifest(path) -> dict:

@@ -1,9 +1,17 @@
-"""Single-phase Darcy pressure solver (TPFA finite volume).
+"""TPFA finite-volume pressure operator and the single-phase Darcy solver.
 
-Used by Stages 2-4: Dirichlet heads on the lateral boundaries, no-flow top
-and bottom, optional well sources, spatially varying permeability and
-viscosity.  Face transmissibilities use the harmonic mean of the cell
-mobilities, which keeps the scheme locally conservative.
+:class:`TpfaSystem` is the one pressure system of the simulator: the
+stage-1 IMPES pressure step and the single-phase solve of Stages 2-4 both
+hand it face transmissibilities, known face fluxes (gravity, capillarity)
+and cellwise boundary and source terms.  The matrix is symmetric positive
+definite; with the cells numbered along the shorter grid side its
+half-bandwidth is ``min(nx, ny)``, so it is solved by a banded Cholesky
+factorization (LAPACK ``pbsv``).
+
+:func:`solve_pressure` (Stages 2-4): Dirichlet heads on the lateral
+boundaries, no-flow top and bottom, optional well sources, spatially varying
+permeability and viscosity.  Face transmissibilities use the harmonic mean
+of the cell mobilities, which keeps the scheme locally conservative.
 """
 
 from __future__ import annotations
@@ -11,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, solveh_banded
 
 
 class SolverError(RuntimeError):
@@ -53,6 +60,66 @@ def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * a * b / (a + b)
 
 
+class TpfaSystem:
+    """Five-point TPFA pressure system on a (ny, nx) cell grid.
+
+    Row ``o`` reads ``sum_f t_f (p_o - p_nb) + d_o p_o = b_o + sum_f +-k_f``:
+    ``t_x`` (ny, nx-1) and ``t_y`` (ny-1, nx) are the interior face
+    transmissibilities; ``k_x``/``k_y`` (same shapes) are known face fluxes
+    (gravity, capillarity) from the lower-index cell of each face to the
+    other, entering the right-hand side as ``+k`` at the first and ``-k`` at
+    the second; ``d`` and ``b`` (ny, nx) are the cellwise diagonal and
+    right-hand-side terms of Dirichlet boundary faces and sources.
+    """
+
+    def __init__(self, t_x, t_y, k_x, k_y, d, b):
+        self.t_x, self.t_y = t_x, t_y
+        self.diag = np.zeros_like(d)
+        self.diag[:, :-1] += t_x
+        self.diag[:, 1:] += t_x
+        self.diag[:-1, :] += t_y
+        self.diag[1:, :] += t_y
+        self.diag += d
+        self.rhs = np.zeros_like(b)
+        self.rhs[:, :-1] += k_x
+        self.rhs[:, 1:] -= k_x
+        self.rhs[:-1, :] += k_y
+        self.rhs[1:, :] -= k_y
+        self.rhs += b
+
+    def apply(self, p: np.ndarray) -> np.ndarray:
+        """Matrix-vector product through the five-point stencil."""
+        ap = self.diag * p
+        ap[:, :-1] -= self.t_x * p[:, 1:]
+        ap[:, 1:] -= self.t_x * p[:, :-1]
+        ap[:-1, :] -= self.t_y * p[1:, :]
+        ap[1:, :] -= self.t_y * p[:-1, :]
+        return ap
+
+    def solve(self) -> np.ndarray:
+        """Banded Cholesky solve; raises SolverError if not positive definite."""
+        transpose = self.diag.shape[1] > self.diag.shape[0]
+        if transpose:  # number the cells along y, the shorter side
+            inner, outer, diag, rhs = self.t_y.T, self.t_x.T, self.diag.T, self.rhs.T
+        else:
+            inner, outer, diag, rhs = self.t_x, self.t_y, self.diag, self.rhs
+        rows, cols = diag.shape
+        # LAPACK lower band storage, ab[m, i] = A[i + m, i], in Fortran order
+        # so that pbsv factors it in place instead of copying it
+        ab = np.zeros((rows * cols, cols + 1)).T
+        ab[0] = diag.ravel()
+        band1 = np.zeros((rows, cols))
+        band1[:, :-1] = -inner
+        ab[1] = band1.ravel()
+        ab[cols, : rows * cols - cols] = -outer.ravel()
+        try:
+            p = solveh_banded(ab, rhs.ravel(), overwrite_ab=True, lower=True, check_finite=False)
+        except LinAlgError as err:
+            raise SolverError(f"pressure system is not positive definite: {err}") from err
+        p = p.reshape(rows, cols)
+        return p.T.copy() if transpose else p
+
+
 def solve_pressure(
     grid,
     k_field: np.ndarray,
@@ -77,70 +144,35 @@ def solve_pressure(
     lam = k_field / mu_field
     if mobility_scale is not None:
         lam = lam * mobility_scale
-
-    n = nx * ny
-    idx = np.arange(n).reshape(ny, nx)
     yc = grid.yc
-
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n)
-    diag = np.zeros(n)
-
-    def add_face(o, nb, t, grav):
-        # outflow o->nb: F = -t * (p_nb - p_o + grav); sum of outflows = Q_o
-        rows.append(o)
-        cols.append(nb)
-        vals.append(-t)
-        np.add.at(diag, o, t)
-        np.add.at(rhs, o, t * grav)
-
-    # interior x-faces
-    t_x = _harmonic(lam[:, :-1], lam[:, 1:]) * dy / dx
-    o, nb = idx[:, :-1].ravel(), idx[:, 1:].ravel()
-    tx = t_x.ravel()
-    zero = np.zeros_like(tx)
-    add_face(o, nb, tx, zero)
-    add_face(nb, o, tx, zero)
-
-    # interior y-faces: gravity term rho*g*(z_nb - z_o)
-    t_y = _harmonic(lam[:-1, :], lam[1:, :]) * dx / dy
-    o, nb = idx[:-1, :].ravel(), idx[1:, :].ravel()
-    ty = t_y.ravel()
-    add_face(o, nb, ty, np.full_like(ty, rho * g * dy))
-    add_face(nb, o, ty, np.full_like(ty, -rho * g * dy))
+    lam_fx = _harmonic(lam[:, :-1], lam[:, 1:])
+    lam_fy = _harmonic(lam[:-1, :], lam[1:, :])
+    t_x = lam_fx * dy / dx
+    t_y = lam_fy * dx / dy
 
     # lateral Dirichlet boundaries (boundary face at the cell-center elevation)
-    for side, head in (("left", bc.head_left), ("right", bc.head_right)):
-        if head is None:
-            continue
-        cells = idx[:, 0] if side == "left" else idx[:, -1]
-        lam_b = lam[:, 0] if side == "left" else lam[:, -1]
-        t_b = lam_b * dy / (dx / 2.0)
-        p_b = rho * g * (head - yc)
-        np.add.at(diag, cells, t_b)
-        np.add.at(rhs, cells, t_b * p_b)
-
+    d = np.zeros((ny, nx))
+    b = np.zeros((ny, nx))
+    for col, head in ((0, bc.head_left), (-1, bc.head_right)):
+        if head is not None:
+            t_b = lam[:, col] * dy / (dx / 2.0)
+            d[:, col] += t_b
+            b[:, col] += t_b * (rho * g * (head - yc))
     for (i, j), rate in bc.well_sources.items():
-        rhs[idx[j, i]] += rate
+        b[j, i] += rate
 
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(diag)
-    a = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    p = spla.spsolve(a, rhs)
-    scale = max(np.abs(rhs).max(), np.abs(a @ p).max(), 1e-300)
-    residual = np.abs(a @ p - rhs).max() / scale
-    if not np.isfinite(p).all() or residual > rtol:
+    # y-faces carry the gravity term rho*g*(z_nb - z_o)
+    system = TpfaSystem(t_x, t_y, np.zeros_like(t_x), t_y * (rho * g * dy), d, b)
+    pm = system.solve()
+    ap = system.apply(pm)
+    scale = max(np.abs(system.rhs).max(), np.abs(ap).max(), 1e-300)
+    residual = np.abs(ap - system.rhs).max() / scale
+    if not np.isfinite(pm).all() or residual > rtol:
         raise SolverError(f"pressure solve residual {residual:.3e} exceeds {rtol:.1e}")
 
-    pm = p.reshape(ny, nx)
     qx = np.zeros((ny, nx + 1))
     qy = np.zeros((ny + 1, nx))
-    lam_fx = _harmonic(lam[:, :-1], lam[:, 1:])
     qx[:, 1:-1] = -lam_fx * (pm[:, 1:] - pm[:, :-1]) / dx
-    lam_fy = _harmonic(lam[:-1, :], lam[1:, :])
     qy[1:-1, :] = -lam_fy * ((pm[1:, :] - pm[:-1, :]) / dy + rho * g)
     if bc.head_left is not None:
         p_b = rho * g * (bc.head_left - yc)

@@ -1,8 +1,8 @@
 """Stage orchestration: checkpoint resolution, snapshot export, audits.
 
 Exit-code taxonomy (shared with the CLI):
-  0 success, 2 configuration error, 3 missing prerequisite checkpoint,
-  4 solver failure, 5 mass-balance audit failure.
+  0 success, 2 configuration error, 3 missing, corrupt or foreign
+  prerequisite checkpoint, 4 solver failure, 5 mass-balance audit failure.
 """
 
 from __future__ import annotations
@@ -103,6 +103,11 @@ def run(
             raise CheckpointError(
                 f"{path}: grid {prev.nx}x{prev.ny} does not match config "
                 f"{scn.grid.nx}x{scn.grid.ny}"
+            )
+        if (prev.config_hash, prev.seed) != (config.config_hash, seed):
+            raise CheckpointError(
+                f"{path}: written by config {prev.config_hash} with seed {prev.seed}, "
+                f"not by this run's config {config.config_hash} with seed {seed}"
             )
 
     runners = {1: run_stage1, 2: run_stage2, 3: run_stage3, 4: run_stage4}

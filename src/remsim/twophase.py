@@ -1,8 +1,9 @@
 """Stage 1: simultaneous water/TCE flow (IMPES) with Brooks-Corey closure.
 
 Pressure is solved implicitly for the water phase with the capillary and
-gravity contributions treated explicitly; saturations are then advanced
-with phase-potential-upwinded fluxes.  An entry-pressure interface rule
+gravity contributions treated explicitly, through the banded-Cholesky TPFA
+operator of :mod:`remsim.flow`; saturations are then advanced with
+phase-potential-upwinded fluxes.  An entry-pressure interface rule
 blocks NAPL from invading a finer layer until the upstream capillary
 pressure exceeds the receiving layer's entry pressure.
 """
@@ -13,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage as ndi
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .flow import SolverError, _harmonic
+from .flow import SolverError, TpfaSystem, _harmonic
 from .grid import MaterialMap
 
 
@@ -121,7 +120,7 @@ def interface_block_mask(pd_up, pd_recv, pc_up, lith_up, lith_recv):
 # ---------------------------------------------------------------------------
 
 class ImpesStepper:
-    """Owns assembly scratch for repeated IMPES sub-steps on one grid."""
+    """Face permeabilities and audit state for repeated IMPES sub-steps on one grid."""
 
     def __init__(
         self,
@@ -136,8 +135,6 @@ class ImpesStepper:
         self.fluids = fluids
         self.bc = bc
         self.numerics = numerics
-        nx, ny = grid.nx, grid.ny
-        self.idx = np.arange(nx * ny).reshape(ny, nx)
         k = material.k
         self.kfx = _harmonic(k[:, :-1], k[:, 1:]) * grid.dy / grid.dx
         self.kfy = _harmonic(k[:-1, :], k[1:, :]) * grid.dx / grid.dy
@@ -203,73 +200,41 @@ class ImpesStepper:
     def _solve_pressure(self, state, pc, krw, fx, fy):
         """Implicit total-velocity pressure solve; returns new pw."""
         g, f = self.grid, self.fluids
-        nx, ny = g.nx, g.ny
-        n = nx * ny
-        idx = self.idx
         lw_x, ln_x, gw_x, gn_x = fx
         lw_y, ln_y, gw_y, gn_y = fy
 
-        rows, cols, vals = [], [], []
-        diag = np.zeros(n)
-        rhs = np.zeros(n)
-
-        def pair(o, nb, t, known):
-            # outflow o->nb: F = -t (p_nb - p_o) - known
-            # row o: t p_o - t p_nb = Q_o + known
-            rows.append(o)
-            cols.append(nb)
-            vals.append(-t)
-            np.add.at(diag, o, t)
-            np.add.at(rhs, o, known)
-
-        # x-faces
-        o, nb = idx[:, :-1].ravel(), idx[:, 1:].ravel()
-        t = (lw_x + ln_x).ravel()
-        known = (lw_x * gw_x + ln_x * gn_x).ravel()
-        pair(o, nb, t, known)
-        pair(nb, o, t, -known)
-        # y-faces
-        o, nb = idx[:-1, :].ravel(), idx[1:, :].ravel()
-        t = (lw_y + ln_y).ravel()
-        known = (lw_y * gw_y + ln_y * gn_y).ravel()
-        pair(o, nb, t, known)
-        pair(nb, o, t, -known)
-
+        d = np.zeros((g.ny, g.nx))
+        b = np.zeros((g.ny, g.nx))
         any_dirichlet = False
         yc = g.yc
-        for side, head in (("left", self.bc.head_left), ("right", self.bc.head_right)):
+        for col, head in ((0, self.bc.head_left), (-1, self.bc.head_right)):
             if head is None:
                 continue
             any_dirichlet = True
-            col = 0 if side == "left" else -1
-            cells = idx[:, col]
             lam_b = self.material.k[:, col] * krw[:, col] / f.mu_w * g.dy / (g.dx / 2.0)
-            p_b = f.rho_w * f.g * (head - yc)
-            np.add.at(diag, cells, lam_b)
-            np.add.at(rhs, cells, lam_b * p_b)
+            d[:, col] += lam_b
+            b[:, col] += lam_b * (f.rho_w * f.g * (head - yc))
         if self.bc.top_pressure is not None:
             any_dirichlet = True
-            cells = idx[-1, :]
             lam_b = self.material.k[-1, :] * krw[-1, :] / f.mu_w * g.dx / (g.dy / 2.0)
-            np.add.at(diag, cells, lam_b)
-            np.add.at(rhs, cells, lam_b * self.bc.top_pressure)
+            d[-1, :] += lam_b
+            b[-1, :] += lam_b * self.bc.top_pressure
         if not any_dirichlet:
             raise SolverError("two-phase pressure system needs a Dirichlet boundary")
 
         if self.bc.napl_source is not None:
-            rhs += (self.bc.napl_source * g.cell_volume).ravel()
+            b += self.bc.napl_source * g.cell_volume
 
-        rows.append(np.arange(n))
-        cols.append(np.arange(n))
-        vals.append(diag)
-        a = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
+        # face outflow o->nb: F = -t (p_nb - p_o) - known
+        system = TpfaSystem(
+            lw_x + ln_x, lw_y + ln_y,
+            lw_x * gw_x + ln_x * gn_x, lw_y * gw_y + ln_y * gn_y,
+            d, b,
         )
-        p = spla.spsolve(a, rhs)
+        p = system.solve()
         if not np.isfinite(p).all():
             raise SolverError("two-phase pressure solve produced non-finite values")
-        return p.reshape(ny, nx)
+        return p
 
     def _napl_fluxes(self, pw, fx, fy):
         """Per-face NAPL volumetric fluxes (m^3/s), positive owner->neighbor."""

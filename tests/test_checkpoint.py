@@ -77,3 +77,14 @@ class TestErrors:
         ck.fields["sn"] = np.zeros((2, 2))
         with pytest.raises(CheckpointError, match="sn"):
             write_checkpoint(ck, tmp_path / "bad.ckpt")
+
+    def test_failed_write_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "s1.ckpt"
+        write_checkpoint(make_ckpt(), path)
+        before = path.read_bytes()
+        ck = make_ckpt(stage=2)
+        ck.fields["k"] = np.zeros((2, 2))
+        with pytest.raises(CheckpointError, match="k"):
+            write_checkpoint(ck, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s1.ckpt"]

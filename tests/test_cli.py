@@ -49,6 +49,12 @@ class TestExitCodes:
         code = main(["--config", str(cfg_file), "--stage", "2", "--out", str(tmp_path)])
         assert code == 3
 
+    def test_foreign_checkpoint_returns_3(self, cfg_file, tmp_path):
+        assert main(["--config", str(cfg_file), "--stage", "1", "--out", str(tmp_path)]) == 0
+        code = main(["--config", str(cfg_file), "--stage", "2", "--out", str(tmp_path),
+                     "--seed", "5"])
+        assert code == 3
+
     def test_vtk_export(self, cfg_file, tmp_path):
         code = main([
             "--config", str(cfg_file), "--stage", "1", "--out", str(tmp_path),

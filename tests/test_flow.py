@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from remsim.flow import FlowBC, SolverError, hydrostatic_state, mass_balance_error, solve_pressure
+from remsim.flow import (
+    FlowBC,
+    SolverError,
+    TpfaSystem,
+    hydrostatic_state,
+    mass_balance_error,
+    solve_pressure,
+)
 from remsim.grid import build_grid
 
 RHO, G, MU = 1000.0, 9.81, 1e-3
@@ -98,6 +107,67 @@ class TestDarcy:
             mobility_scale=np.full_like(k, 0.5),
         )
         np.testing.assert_allclose(half.qx, 0.5 * base.qx, rtol=1e-10)
+
+
+def random_system(nx, ny, seed):
+    """Heterogeneous transmissibilities, face fluxes and Dirichlet/source terms."""
+    rng = np.random.default_rng(seed)
+    t_x = np.exp(rng.normal(0.0, 1.0, (ny, nx - 1)))
+    t_y = np.exp(rng.normal(0.0, 1.0, (ny - 1, nx)))
+    k_x = rng.normal(0.0, 1.0, t_x.shape)
+    k_y = rng.normal(0.0, 1.0, t_y.shape)
+    d = np.zeros((ny, nx))
+    d[:, 0] = np.exp(rng.normal(0.0, 1.0, ny))
+    b = rng.normal(0.0, 1.0, (ny, nx))
+    return t_x, t_y, k_x, k_y, d, b
+
+
+def sparse_oracle(t_x, t_y, k_x, k_y, d, b):
+    """The same system assembled face by face and solved with SuperLU."""
+    ny, nx = d.shape
+    a = sp.lil_matrix((nx * ny, nx * ny))
+    rhs = b.ravel().copy()
+    idx = np.arange(nx * ny).reshape(ny, nx)
+    for owners, neighbors, ts, ks in ((idx[:, :-1], idx[:, 1:], t_x, k_x),
+                                      (idx[:-1, :], idx[1:, :], t_y, k_y)):
+        for o, nb, t, k in zip(owners.ravel(), neighbors.ravel(), ts.ravel(), ks.ravel()):
+            a[o, o] += t
+            a[nb, nb] += t
+            a[o, nb] -= t
+            a[nb, o] -= t
+            rhs[o] += k
+            rhs[nb] -= k
+    a.setdiag(a.diagonal() + d.ravel())
+    return spla.spsolve(a.tocsc(), rhs).reshape(ny, nx)
+
+
+class TestTpfaSystem:
+    @pytest.mark.parametrize("nx, ny", [(12, 5), (5, 12), (1, 20)])
+    def test_matches_sparse_oracle(self, nx, ny):
+        terms = random_system(nx, ny, seed=nx * 100 + ny)
+        system = TpfaSystem(*terms)
+        p = system.solve()
+        expected = sparse_oracle(*terms)
+        assert p.shape == (ny, nx)
+        assert np.abs(p - expected).max() <= 1e-12 * np.abs(expected).max()
+        np.testing.assert_allclose(system.apply(p), system.rhs, atol=1e-12 * np.abs(system.rhs).max())
+
+    def test_isolated_zero_transmissibility_cell(self):
+        t_x, t_y, k_x, k_y, d, b = random_system(6, 4, seed=1)
+        # cell (2, 3) loses every face: its row of the matrix is all zero
+        t_x[2, 2:4] = 0.0
+        t_y[1:3, 3] = 0.0
+        with pytest.raises(SolverError, match="positive definite"):
+            TpfaSystem(t_x, t_y, k_x, k_y, d, b).solve()
+
+    def test_residual_gate(self):
+        g = build_grid((10.0, 5.0), (0.5, 0.5))
+        rng = np.random.default_rng(7)
+        k = 1e-12 * np.exp(rng.normal(0, 0.5, (g.ny, g.nx)))
+        mu = np.full_like(k, MU)
+        solve_pressure(g, k, mu, FlowBC(6.0, 5.0), rho=RHO, g=G)
+        with pytest.raises(SolverError, match="residual"):
+            solve_pressure(g, k, mu, FlowBC(6.0, 5.0), rho=RHO, g=G, rtol=0.0)
 
 
 class TestHydrostatic:

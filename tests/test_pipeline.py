@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from remsim.checkpoint import read_checkpoint
+from remsim.checkpoint import CheckpointError, read_checkpoint
 from remsim.config import ConfigError, RunConfig
 from remsim.pipeline import (
     EXIT_AUDIT,
@@ -90,8 +90,6 @@ class TestRun:
             run(fast_cfg, [3], tmp_path / "empty")
 
     def test_grid_mismatch_rejected(self, fast_cfg, tmp_path):
-        from remsim.checkpoint import CheckpointError
-
         out = tmp_path / "out"
         run(fast_cfg, [1], out)
         finer = RunConfig.from_text(
@@ -99,6 +97,17 @@ class TestRun:
         )
         with pytest.raises(CheckpointError, match="grid"):
             run(finer, [2], out)
+
+    def test_foreign_checkpoint_rejected(self, fast_cfg, tmp_path):
+        out = tmp_path / "out"
+        run(fast_cfg, [1], out, seed=0, export=None)
+        with pytest.raises(CheckpointError, match="seed 0"):
+            run(fast_cfg, [2], out, seed=1, export=None)
+        other = RunConfig.from_text(fast_config_text().replace("stage2_duration = 20 day",
+                                                               "stage2_duration = 21 day"))
+        with pytest.raises(CheckpointError, match=fast_cfg.config_hash):
+            run(other, [2], out, seed=0, export=None)
+        assert not checkpoint_path(out, 2).exists()
 
     def test_separate_checkpoint_dir(self, fast_cfg, tmp_path):
         ck_dir = tmp_path / "ckpts"
