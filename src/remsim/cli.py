@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .checkpoint import CheckpointError
@@ -36,16 +35,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="checkpoint directory (default: the output directory)")
     p.add_argument("--export", choices=["csv", "vtk"], default="csv",
                    help="snapshot format (default: csv)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="BLAS/solver thread budget; 1 is the deterministic reference")
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
     try:
         stages = parse_stage_selection(args.stage)
         config = RunConfig.from_file(args.config) if args.config else RunConfig.default()

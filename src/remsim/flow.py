@@ -183,25 +183,3 @@ def solve_pressure(
 
     return FlowField(pressure=pm, qx=qx, qy=qy)
 
-
-def hydrostatic_state(grid, water_table_head: float, rho: float = 1000.0, g: float = 9.81) -> FlowField:
-    """Fully saturated hydrostatic state: p = rho g (h - y), zero fluxes."""
-    _, yv = grid.cell_centers()
-    return FlowField(
-        pressure=rho * g * (water_table_head - yv),
-        qx=np.zeros((grid.ny, grid.nx + 1)),
-        qy=np.zeros((grid.ny + 1, grid.nx)),
-    )
-
-
-def mass_balance_error(flow: FlowField, grid, bc: FlowBC) -> float:
-    """Relative closure of boundary + well fluxes against internal divergence."""
-    div = flow.divergence(grid.dx, grid.dy)
-    src = np.zeros_like(div)
-    for (i, j), rate in bc.well_sources.items():
-        src[j, i] += rate
-    influx = np.abs(flow.qx[:, 0]).sum() * grid.dy + np.abs(flow.qx[:, -1]).sum() * grid.dy
-    influx += sum(abs(r) for r in bc.well_sources.values())
-    if influx == 0:
-        return float(np.abs(div - src).max())
-    return float(np.abs(div - src).max() / influx)

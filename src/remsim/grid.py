@@ -18,9 +18,6 @@ UPPER_SAND = 0
 LOWER_SAND = 1
 CLAY = 2
 
-LITHOLOGY_NAMES = {UPPER_SAND: "upper_sand", LOWER_SAND: "lower_sand", CLAY: "clay"}
-
-
 @dataclass(frozen=True)
 class MaterialProps:
     """Hydrogeological properties of one lithological unit."""
@@ -33,21 +30,6 @@ class MaterialProps:
     bc_lambda: float
     specific_area: float = 4.99e3
     solid_density: float = 2600.0
-
-
-@dataclass(frozen=True)
-class Faces:
-    """Flat face connectivity: interior faces first, then boundary faces."""
-
-    owner: np.ndarray      # flat cell index
-    neighbor: np.ndarray   # flat cell index, -1 on boundary faces
-    normal: np.ndarray     # 0 for x-normal, 1 for y-normal
-    area: np.ndarray       # face area per unit thickness (m)
-    tag: np.ndarray        # '' interior, else left/right/top/bottom
-
-    @property
-    def n_interior(self) -> int:
-        return int(np.count_nonzero(self.neighbor >= 0))
 
 
 @dataclass(frozen=True)
@@ -86,44 +68,6 @@ class Grid:
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, Y) center coordinate arrays, each shaped (ny, nx)."""
         return np.meshgrid(self.xc, self.yc)
-
-    def faces(self) -> Faces:
-        nx, ny = self.nx, self.ny
-        idx = np.arange(nx * ny).reshape(ny, nx)
-
-        owners, neighbors, normals, areas, tags = [], [], [], [], []
-        # interior x-faces between (i,j) and (i+1,j)
-        owners.append(idx[:, :-1].ravel())
-        neighbors.append(idx[:, 1:].ravel())
-        normals.append(np.zeros((nx - 1) * ny, dtype=int))
-        areas.append(np.full((nx - 1) * ny, self.dy))
-        tags.append(np.full((nx - 1) * ny, "", dtype=object))
-        # interior y-faces between (i,j) and (i,j+1)
-        owners.append(idx[:-1, :].ravel())
-        neighbors.append(idx[1:, :].ravel())
-        normals.append(np.ones(nx * (ny - 1), dtype=int))
-        areas.append(np.full(nx * (ny - 1), self.dx))
-        tags.append(np.full(nx * (ny - 1), "", dtype=object))
-        # boundary faces
-        for tag, cells, normal, area in (
-            ("left", idx[:, 0], 0, self.dy),
-            ("right", idx[:, -1], 0, self.dy),
-            ("bottom", idx[0, :], 1, self.dx),
-            ("top", idx[-1, :], 1, self.dx),
-        ):
-            owners.append(cells.ravel())
-            neighbors.append(np.full(cells.size, -1))
-            normals.append(np.full(cells.size, normal))
-            areas.append(np.full(cells.size, area))
-            tags.append(np.full(cells.size, tag, dtype=object))
-
-        return Faces(
-            owner=np.concatenate(owners),
-            neighbor=np.concatenate(neighbors),
-            normal=np.concatenate(normals),
-            area=np.concatenate(areas),
-            tag=np.concatenate(tags),
-        )
 
 
 def build_grid(domain_extent: tuple[float, float], resolution: tuple[float, float]) -> Grid:
@@ -179,9 +123,6 @@ class MaterialMap:
         _, yv = self.grid.cell_centers()
         return yv > self.split_elevation if upper else yv <= self.split_elevation
 
-    def pore_volume(self) -> float:
-        return float(np.sum(self.porosity) * self.grid.cell_volume)
-
 
 def assign_lithology(grid: Grid, cfg: RunConfig) -> MaterialMap:
     """Two sand layers split at ``cfg.split_elevation`` plus clay lens rectangles."""
@@ -224,17 +165,15 @@ class WellSpec:
     screen_length: float
     mode: str
     velocity: float = 0.0          # injection Darcy velocity at screen (m/s)
-    species: dict = field(default_factory=dict)  # injected concentrations kg/m^3
 
     @classmethod
-    def from_cfg(cls, w: WellCfg, species: dict | None = None) -> "WellSpec":
+    def from_cfg(cls, w: WellCfg) -> "WellSpec":
         return cls(
             x=w.x,
             depth=w.depth,
             screen_length=w.screen_length,
             mode=w.mode,
             velocity=w.velocity,
-            species=dict(species or {}),
         )
 
     def screen_area(self) -> float:

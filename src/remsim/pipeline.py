@@ -14,7 +14,15 @@ from .checkpoint import CheckpointError, StageCheckpoint, read_checkpoint, write
 from .config import ConfigError, RunConfig
 from .export import write_csv, write_series_csv, write_vtk
 from .scenario import Scenario
-from .stages import DAY, StageResult, run_stage1, run_stage2, run_stage3, run_stage4
+from .stages import (
+    DAY,
+    LEDGER_TERMS,
+    StageResult,
+    run_stage1,
+    run_stage2,
+    run_stage3,
+    run_stage4,
+)
 
 AUDIT_TOLERANCE = 5e-3
 
@@ -57,9 +65,12 @@ class RunResult:
 
 def _audit_lines(stage: int, res: StageResult) -> list[str]:
     lines = [f"stage {stage} audit:"]
-    for name, err in res.audit.items():
+    for name, ledger in res.ledger.items():
+        err = ledger.closure()
         status = "ok" if err <= AUDIT_TOLERANCE else "FAIL"
         lines.append(f"  {name:8s} closure error {err:.3e}  [{status}]")
+        lines.append("    " + "  ".join(f"{term} {getattr(ledger, term):.6e}"
+                                        for term in LEDGER_TERMS) + "  kg/m")
     return lines
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import LinearNDInterpolator
-from scipy.spatial import cKDTree
 
 from .grid import CLAY, Grid, MaterialMap
 
@@ -74,42 +72,3 @@ def generate_log_normal_field(
         k[mask] = props.k_mean * np.exp(sigma * (zl - zl.mean()))
     return k
 
-
-class FieldFileError(ValueError):
-    """Raised for malformed or out-of-domain field sample files."""
-
-
-def import_field(grid: Grid, path, mode: str = "nearest") -> np.ndarray:
-    """Read (x, y, k) samples and map them onto cell centers.
-
-    ``mode`` is "nearest" or "bilinear"; bilinear falls back to nearest
-    outside the convex hull of the samples so every cell is covered.
-    """
-    try:
-        data = np.loadtxt(path, ndmin=2)
-    except ValueError as err:
-        raise FieldFileError(f"malformed field file {path}: {err}") from err
-    if data.shape[1] != 3 or data.shape[0] == 0:
-        raise FieldFileError(f"field file {path} must hold (x, y, k) triplets")
-    x, y, v = data.T
-    if (x < 0).any() or (x > grid.width).any() or (y < 0).any() or (y > grid.height).any():
-        raise FieldFileError("field sample coordinates outside the domain")
-
-    xv, yv = grid.cell_centers()
-    pts = np.column_stack([xv.ravel(), yv.ravel()])
-    tree = cKDTree(np.column_stack([x, y]))
-    _, nearest_idx = tree.query(pts)
-    nearest = v[nearest_idx]
-    if mode == "nearest":
-        out = nearest
-    elif mode == "bilinear":
-        if data.shape[0] < 3:
-            out = nearest  # too few samples to triangulate
-        else:
-            interp = LinearNDInterpolator(np.column_stack([x, y]), v)
-            out = interp(pts)
-            hole = np.isnan(out)
-            out[hole] = nearest[hole]
-    else:
-        raise ValueError(f"unknown interpolation mode {mode!r}")
-    return out.reshape(grid.ny, grid.nx)

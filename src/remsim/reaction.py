@@ -34,11 +34,6 @@ class KineticParams:
         return self.k_sa * self.specific_area
 
 
-def degradation_rate(c, rho_m, params: KineticParams):
-    """Instantaneous -dc/dt (kg/(m^3 s))."""
-    return params.rate_coefficient * np.asarray(rho_m) * np.asarray(c)
-
-
 def reactive_step(c, rho_m, params: KineticParams, dt: float):
     """Exact update of (c, rho_m) over dt.  Returns (c', rho_m').
 
@@ -67,9 +62,3 @@ def reactive_step(c, rho_m, params: KineticParams, dt: float):
     rho_new = np.maximum(a + x * c_new, 0.0)
     return np.maximum(c_new, 0.0), rho_new
 
-
-def unreacted_fraction(c, pv, m_ref: float) -> float:
-    """Aqueous contaminant mass in the domain relative to a reference mass."""
-    if m_ref <= 0:
-        raise ValueError("reference mass must be positive")
-    return float((np.asarray(c) * np.asarray(pv)).sum() / m_ref)

@@ -1,4 +1,4 @@
-"""Cell-centered advection-dispersion transport with pluggable sinks.
+"""Cell-centered advection-dispersion transport and NAPL dissolution.
 
 One kernel drives the aqueous TCE plume (Stage 2), CMC and aqueous nZVI
 (Stages 3-4).  Advection is first-order upwind, dispersion is the scalar
@@ -85,20 +85,25 @@ class TransportKernel:
                 out[j, i] += -rate
         with np.errstate(divide="ignore"):
             self.stable_dt = float(cfl * np.where(out > 0, self.pv / out, np.inf).min())
-        self.boundary_export = 0.0  # net advected mass out of the domain (kg)
 
-    def step(self, c: np.ndarray, dt: float, well_conc: dict | None = None) -> np.ndarray:
-        """Advance by dt (sub-stepping internally); returns the new field."""
+    def step(
+        self, c: np.ndarray, dt: float, well_conc: dict | None = None
+    ) -> tuple[np.ndarray, float]:
+        """Advance by dt (sub-stepping internally).  Returns the new field and
+        the net mass (kg per m of thickness) advected out of the domain."""
         n_sub = max(1, int(np.ceil(dt / self.stable_dt))) if np.isfinite(self.stable_dt) else 1
         sub = dt / n_sub
         well_conc = well_conc or {}
+        exported = 0.0
         for _ in range(n_sub):
-            c = self._substep(c, sub, well_conc)
+            c, exported = self._substep(c, sub, well_conc, exported)
         if c.min() < -1e-12:
             raise TransportError(f"negative concentration {c.min():.3e}")
-        return c
+        return c, exported
 
-    def _substep(self, c, dt, well_conc):
+    def _substep(self, c, dt, well_conc, exported):
+        """One explicit sub-step; adds its boundary outflow to the running
+        total ``exported`` and returns ``(c', exported')``."""
         m = self.pv * c
         fxi = self.fx[:, 1:-1]
         flux_x = fxi * np.where(fxi > 0, c[:, :-1], c[:, 1:]) - self.gx * (c[:, 1:] - c[:, :-1])
@@ -112,44 +117,22 @@ class TransportKernel:
         for f, col in ((self.fx[:, 0], 0), (-self.fx[:, -1], -1)):
             bflux = f * c[:, col]           # positive = into the domain
             m[:, col] += dt * bflux
-            self.boundary_export -= dt * float(bflux.sum())
+            exported -= dt * float(bflux.sum())
         for f, row in ((self.fy[0, :], 0), (-self.fy[-1, :], -1)):
             bflux = f * c[row, :]
             m[row, :] += dt * bflux
-            self.boundary_export -= dt * float(bflux.sum())
+            exported -= dt * float(bflux.sum())
         for (i, j), rate in self.well_sources.items():
             if rate > 0:
                 m[j, i] += dt * rate * well_conc.get((i, j), 0.0)
             else:
                 m[j, i] += dt * rate * c[j, i]
-        return m / self.pv
-
-
-def advect_disperse_step(c, flow, theta, grid, params, dt, source_fn=None, cfl=0.9):
-    """One-shot functional form of the kernel; ``source_fn(c) -> dc/dt``
-    is applied explicitly after transport."""
-    kernel = TransportKernel(grid, theta, flow, params, cfl=cfl)
-    c = kernel.step(c, dt)
-    if source_fn is not None:
-        c = c + dt * source_fn(c)
-        if c.min() < -1e-12:
-            raise TransportError(f"negative concentration {c.min():.3e}")
-    return c
+        return m / self.pv, exported
 
 
 # ---------------------------------------------------------------------------
 # NAPL dissolution (stagnant-film / LEA)
 # ---------------------------------------------------------------------------
-
-def dissolution_flux(sn, c, params: DissolutionParams):
-    """Unclipped volumetric transfer rate q = Kl (Cs - c) where NAPL exists."""
-    return np.where(np.asarray(sn) > 0, params.kl * (params.cs - np.asarray(c)), 0.0)
-
-
-def deplete_source(sn, q, theta, rho_n, dt):
-    """NAPL saturation decrease for a given transfer rate, floored at zero."""
-    return np.maximum(sn - q * dt / (theta * rho_n), 0.0)
-
 
 def dissolution_substep(c, sn, rho_n, params: DissolutionParams, dt):
     """Analytic relaxation of c toward Cs with exact NAPL mass transfer.

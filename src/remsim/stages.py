@@ -7,7 +7,14 @@ Stage 3  CMC-nZVI injection with filtration and clogging feedback
 Stage 4  contaminant degradation on the emplaced iron
 
 The stages communicate only through :class:`StageCheckpoint`, so any stage
-can restart from a file produced by the previous one.
+can restart from a file produced by the previous one.  Stages 2-4 share one
+operator-split schedule (:func:`_march`) and one field state: a copy of the
+incoming checkpoint's ``fields`` dict whose entries the runner replaces as
+the stage advances and hands on to the outgoing checkpoint.
+
+Every stage keeps a :class:`Ledger` for each species it moves: initial,
+injected, dissolved, exported, degraded and final mass.  ``audit_report.txt``
+prints every term with the ledger's relative closure error.
 """
 
 from __future__ import annotations
@@ -39,18 +46,51 @@ from .twophase import (
 
 DAY = 86400.0
 
+# outer operator-split steps of stages 2, 3 and 4 (s)
+STAGE2_DT = 1.0 * DAY
+STAGE3_DT = 300.0
+STAGE4_DT = 1.0 * DAY
+
+LEDGER_TERMS = ("initial", "injected", "dissolved", "exported", "degraded", "final")
+
+
+@dataclass
+class Ledger:
+    """Mass of one species over a stage (kg per metre of thickness)."""
+
+    initial: float = 0.0
+    injected: float = 0.0
+    dissolved: float = 0.0        # from the NAPL phase
+    exported: float = 0.0         # net, across the open domain boundaries
+    degraded: float = 0.0
+    final: float = 0.0
+    napl: float = 0.0             # NAPL mass available to dissolve at the start
+
+    def closure(self) -> float:
+        """|initial + injected + dissolved - final - exported - degraded|
+        relative to the mass the stage started with or could receive."""
+        gap = (self.initial + self.injected + self.dissolved) - (
+            self.final + self.degraded + self.exported
+        )
+        return abs(gap) / max(self.initial + self.injected + self.napl, 1e-300)
+
 
 @dataclass
 class StageResult:
     stage: int
     checkpoint: StageCheckpoint
     diagnostics: dict
-    audit: dict                      # name -> relative closure error
+    ledger: dict                     # species -> Ledger
     snapshots: list = field(default_factory=list)   # (t_stage, {name: array})
     series: list = field(default_factory=list)      # rows of time series
 
+    @property
+    def audit(self) -> dict:
+        """Species -> relative closure error of its ledger."""
+        return {name: ledger.closure() for name, ledger in self.ledger.items()}
 
-def _make_checkpoint(scn: Scenario, stage: int, clock: float, **fields) -> StageCheckpoint:
+
+def _make_checkpoint(scn: Scenario, stage: int, clock: float, fields: dict) -> StageCheckpoint:
     g = scn.grid
     return StageCheckpoint(
         stage=stage,
@@ -70,6 +110,23 @@ def _chunks(duration: float, marks) -> list[float]:
     return sorted(times)
 
 
+def _march(duration: float, marks, dt_max: float, step):
+    """The operator-split schedule of stages 2-4.
+
+    Walks the chunks of :func:`_chunks` in outer steps
+    ``dt = min(dt_max, t_stop - t)``; ``step(t, dt)`` advances every operator
+    of the stage from t to t + dt.  Yields each chunk's stop time.
+    """
+    t = 0.0
+    for t_stop in _chunks(duration, marks):
+        while t < t_stop - 1e-6:
+            dt = min(dt_max, t_stop - t)
+            step(t, dt)
+            t += dt
+        t = t_stop
+        yield t
+
+
 def _water_mobility(sw, material):
     """Water relative permeability with trapped NAPL (mobility scale)."""
     se = np.clip((sw - material.swr) / (1.0 - material.swr - material.snr), 0.0, 1.0)
@@ -77,13 +134,32 @@ def _water_mobility(sw, material):
     return np.maximum(krw, 1e-6)
 
 
+def _darcy(scn: Scenario, f: dict, mu, mobility, sources=None):
+    """Aqueous Darcy flow under the ambient heads on the current ``f["k"]``;
+    stores the pressure in the field state."""
+    cfg = scn.config
+    flow = solve_pressure(
+        scn.grid, f["k"], mu, FlowBC(cfg.head_left, cfg.head_right, well_sources=sources or {}),
+        rho=scn.fluids.rho_w, g=scn.fluids.g, mobility_scale=mobility,
+    )
+    f["pw"] = flow.pressure
+    return flow
+
+
+def _transport(kernel: TransportKernel, f: dict, ledger: dict, dt: float, well_conc=None):
+    """Advect and disperse every ledger species over dt and book its export."""
+    for name, entry in ledger.items():
+        f["c_" + name], exported = kernel.step(f["c_" + name], dt, (well_conc or {}).get(name))
+        entry.exported += exported
+
+
 # ---------------------------------------------------------------------------
 # Stage 1
 # ---------------------------------------------------------------------------
 
-def run_stage1(scn: Scenario, duration: float | None = None) -> StageResult:
+def run_stage1(scn: Scenario) -> StageResult:
     cfg, g, m = scn.config, scn.grid, scn.material
-    duration = cfg.stage_durations[0] if duration is None else duration
+    duration = cfg.stage_durations[0]
     numerics = Numerics(se_clamp=cfg.se_clamp, cfl=cfg.two_phase_cfl)
     # equal lateral heads: ambient groundwater flow is off during the release
     head0 = g.height
@@ -112,107 +188,79 @@ def run_stage1(scn: Scenario, duration: float | None = None) -> StageResult:
         if abs(t - (duration - 10.0 * DAY)) < 1.0:
             sn_near_end = state.sn.copy()
 
-    injected = stepper_on.injected_mass
-    in_domain = stepper_off.napl_mass(state)
-    audit = {"napl": abs(in_domain - injected) / max(injected, 1e-300)}
+    # the release starts NAPL-free
+    ledger = {"napl": Ledger(injected=stepper_on.injected_mass,
+                             final=stepper_off.napl_mass(state))}
     stats = source_zone_stats(state.sn, m, g, scn.fluids.rho_n, cfg.pool_threshold)
-    ckpt = _make_checkpoint(
-        scn, 1, t,
-        sw=state.sw, sn=state.sn, pw=state.pw,
-        theta_m=m.porosity.copy(), k=m.k.copy(),
-    )
+    ckpt = _make_checkpoint(scn, 1, t, {
+        "sw": state.sw, "sn": state.sn, "pw": state.pw,
+        "theta_m": m.porosity.copy(), "k": m.k.copy(),
+    })
     diagnostics = {
-        "injected_mass": injected,
-        "napl_mass": in_domain,
         "source_zone": stats,
         "near_static_max_dsn": float(np.abs(state.sn - sn_near_end).max()),
         "series_header": ["t", "napl_mass", "pool_fraction", "ganglia_fraction",
                           "upper_fraction", "lower_fraction"],
     }
-    return StageResult(1, ckpt, diagnostics, audit, snapshots, series)
+    return StageResult(1, ckpt, diagnostics, ledger, snapshots, series)
 
 
 # ---------------------------------------------------------------------------
 # Stage 2
 # ---------------------------------------------------------------------------
 
-def run_stage2(scn: Scenario, ckpt: StageCheckpoint, duration: float | None = None,
-               dt_outer: float = 1.0 * DAY) -> StageResult:
+def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     cfg, g, m = scn.config, scn.grid, scn.material
-    duration = cfg.stage_durations[1] if duration is None else duration
-    f = ckpt.fields
-    sn = f["sn"].copy()
-    sw = f["sw"].copy()
-    c = f["c_tce"].copy()
-    theta = f["theta_m"].copy()
-    k = f["k"].copy()
+    rho_n = scn.fluids.rho_n
+    f = dict(ckpt.fields)
 
-    flow = solve_pressure(
-        g, k, np.full_like(k, scn.fluids.mu_w),
-        FlowBC(cfg.head_left, cfg.head_right),
-        rho=scn.fluids.rho_w, g=scn.fluids.g,
-        mobility_scale=_water_mobility(sw, m),
-    )
+    flow = _darcy(scn, f, np.full_like(f["k"], scn.fluids.mu_w), _water_mobility(f["sw"], m))
     tp = TransportParams(cfg.diffusion, cfg.dispersivity)
     dp = DissolutionParams(cfg.mass_transfer, cfg.solubility)
-    kernel = TransportKernel(g, theta, flow, tp, cfl=cfg.transport_cfl)
-    pv = theta * g.cell_volume
+    kernel = TransportKernel(g, f["theta_m"], flow, tp, cfl=cfg.transport_cfl)
+    pv = f["theta_m"] * g.cell_volume
 
-    napl0 = float((pv * sn).sum()) * scn.fluids.rho_n
-    aq0 = float((pv * c).sum())
+    def mass(c):
+        return float((pv * c).sum())
+
+    napl0 = mass(f["sn"]) * rho_n
+    ledger = {"tce": Ledger(initial=mass(f["c_tce"]), napl=napl0)}
     mon = scn.monitoring_cells()
     marks = set(cfg.snapshots[1])
     snapshots, series = [], []
-    t = 0.0
-    while t < duration - 1e-6:
-        t_stop = min(duration, min((s for s in marks if s > t + 1e-6), default=duration))
-        while t < t_stop - 1e-6:
-            dt = min(dt_outer, t_stop - t)
-            c = kernel.step(c, dt)
-            c, sn = dissolution_substep(c, sn, scn.fluids.rho_n, dp, dt)
-            t += dt
-            napl_mass = float((pv * sn).sum()) * scn.fluids.rho_n
-            series.append([t, napl_mass, napl_mass / max(napl0, 1e-300)]
-                          + [probe(c, cell) for cell in mon.values()])
-        t = t_stop
-        if t in marks:
-            snapshots.append((t, {"c_tce": c.copy(), "sn": sn.copy()}))
 
-    napl_end = float((pv * sn).sum()) * scn.fluids.rho_n
-    aq_end = float((pv * c).sum())
-    dissolved = napl0 - napl_end
-    closure = abs((aq0 + dissolved) - (aq_end + kernel.boundary_export))
-    audit = {"tce": closure / max(napl0 + aq0, 1e-300)}
-    ckpt_out = _make_checkpoint(
-        scn, 2, ckpt.clock + t,
-        sw=sw, sn=sn, pw=flow.pressure, c_tce=c, theta_m=theta, k=k,
-        s_bulk=f["s_bulk"].copy(), c_cmc=f["c_cmc"].copy(), c_nzvi=f["c_nzvi"].copy(),
-    )
+    def step(t, dt):
+        _transport(kernel, f, ledger, dt)
+        f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, dp, dt)
+        napl_mass = mass(f["sn"]) * rho_n
+        series.append([t + dt, napl_mass, napl_mass / max(napl0, 1e-300)]
+                      + [probe(f["c_tce"], cell) for cell in mon.values()])
+
+    for t in _march(cfg.stage_durations[1], marks, STAGE2_DT, step):
+        if t in marks:
+            snapshots.append((t, {"c_tce": f["c_tce"], "sn": f["sn"]}))
+
+    napl_end = mass(f["sn"]) * rho_n
+    ledger["tce"].dissolved = napl0 - napl_end
+    ledger["tce"].final = mass(f["c_tce"])
     diagnostics = {
-        "napl_initial": napl0,
         "napl_final": napl_end,
         "undissolved_fraction": napl_end / max(napl0, 1e-300),
         "flow": flow,
         "series_header": ["t", "napl_mass", "napl_fraction", *mon],
     }
-    return StageResult(2, ckpt_out, diagnostics, audit, snapshots, series)
+    ckpt_out = _make_checkpoint(scn, 2, ckpt.clock + t, f)
+    return StageResult(2, ckpt_out, diagnostics, ledger, snapshots, series)
 
 
 # ---------------------------------------------------------------------------
 # Stage 3
 # ---------------------------------------------------------------------------
 
-def run_stage3(scn: Scenario, ckpt: StageCheckpoint, duration: float | None = None,
-               dt_outer: float = 300.0) -> StageResult:
+def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     cfg, g, m = scn.config, scn.grid, scn.material
-    duration = cfg.stage_durations[2] if duration is None else duration
-    f = ckpt.fields
-    sn = f["sn"].copy()
-    sw = f["sw"].copy()
-    c_tce = f["c_tce"].copy()
-    c_cmc = f["c_cmc"].copy()
-    c_nzvi = f["c_nzvi"].copy()
-    s_bulk = f["s_bulk"].copy()
+    rho_n, cv = scn.fluids.rho_n, g.cell_volume
+    f = dict(ckpt.fields)
     theta0 = m.porosity
     k0 = m.k
     a0_field = np.full_like(k0, cfg.a0)
@@ -233,84 +281,64 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint, duration: float | None = No
 
     # clean-bed collector diameter is frozen at the pre-injection state
     dc = nz.collector_diameter(k0, theta0)
-    theta_m, k, _ = nz.clogging_update(s_bulk, k0, theta0, a0_field, clog, cfg.particle_density)
+    f["theta_m"], f["k"], _ = nz.clogging_update(
+        f["s_bulk"], k0, theta0, a0_field, clog, cfg.particle_density
+    )
 
     sources = scn.injection_sources()
-    conc_nzvi = {cell: cfg.nzvi_concentration for cell in sources}
-    conc_cmc = {cell: cfg.cmc_concentration for cell in sources}
+    conc = {
+        "nzvi": {cell: cfg.nzvi_concentration for cell in sources},
+        "cmc": {cell: cfg.cmc_concentration for cell in sources},
+    }
     q_total = sum(sources.values())
-    mobility = _water_mobility(sw, m)
+    mobility = _water_mobility(f["sw"], m)
     well = scn.wells["injection"]
     screen = (well.x, g.height - well.depth)
     iw, jw = scn.well_cells["injection"][0]
-    flux_reversed = False
+    diagnostics = {"flux_reversed": False}
 
     marks = set(cfg.snapshots[2])
     snapshots, series = [], []
-    injected = {"nzvi": 0.0, "cmc": 0.0}
-    exported = {"nzvi": 0.0, "cmc": 0.0}
-    nzvi0 = float((theta_m * c_nzvi + s_bulk).sum()) * g.cell_volume
-    cmc0 = float((theta_m * c_cmc).sum()) * g.cell_volume
-    napl0 = float((theta_m * sn).sum()) * g.cell_volume * scn.fluids.rho_n
-    tce0 = float((theta_m * c_tce).sum()) * g.cell_volume
-    t = 0.0
-    while t < duration - 1e-6:
-        t_stop = min(duration, min((s for s in marks if s > t + 1e-6), default=duration))
-        while t < t_stop - 1e-6:
-            dt = min(dt_outer, t_stop - t)
-            mu = nz.cmc_viscosity(c_cmc, cmcp)
-            flow = solve_pressure(
-                g, k, mu, FlowBC(cfg.head_left, cfg.head_right, well_sources=sources),
-                rho=scn.fluids.rho_w, g=scn.fluids.g, mobility_scale=mobility,
-            )
-            # background flow is +x; injection pushes the upgradient faces back
-            if flow.qx[jw, max(iw - 2, 0): iw + 1].min() < 0:
-                flux_reversed = True
-            kernel = TransportKernel(
-                g, theta_m, flow, tp, cfl=cfg.transport_cfl, well_sources=sources
-            )
-            c_cmc = kernel.step(c_cmc, dt, conc_cmc)
-            exported["cmc"] += kernel.boundary_export
-            kernel.boundary_export = 0.0
-            c_nzvi = kernel.step(c_nzvi, dt, conc_nzvi)
-            exported["nzvi"] += kernel.boundary_export
-            kernel.boundary_export = 0.0
-            c_tce = kernel.step(c_tce, dt)
-            injected["cmc"] += q_total * cfg.cmc_concentration * dt
-            injected["nzvi"] += q_total * cfg.nzvi_concentration * dt
+    napl0 = float((f["theta_m"] * f["sn"]).sum()) * cv * rho_n
+    ledger = {
+        "nzvi": Ledger(initial=float((f["theta_m"] * f["c_nzvi"] + f["s_bulk"]).sum()) * cv),
+        "cmc": Ledger(initial=float((f["theta_m"] * f["c_cmc"]).sum()) * cv),
+        "tce": Ledger(initial=float((f["theta_m"] * f["c_tce"]).sum()) * cv, napl=napl0),
+    }
 
-            c_tce, sn = dissolution_substep(c_tce, sn, scn.fluids.rho_n, dp, dt)
-            katt = nz.attachment_rate(dc, theta_m, flow.velocity_magnitude(), mu, nzp)
-            c_nzvi, s_bulk = nz.deposit_step(c_nzvi, s_bulk, katt, theta_m, dt)
-            theta_m, k, _ = nz.clogging_update(
-                s_bulk, k0, theta0, a0_field, clog, cfg.particle_density
-            )
-            t += dt
-        t = t_stop
-        roi = nz.radius_of_influence(s_bulk, g, screen, cfg.roi_threshold)
-        series.append([t, roi, float(s_bulk.max()), float(1.0 - (k / k0).min())])
+    def step(t, dt):
+        mu = nz.cmc_viscosity(f["c_cmc"], cmcp)
+        flow = _darcy(scn, f, mu, mobility, sources)
+        # background flow is +x; injection pushes the upgradient faces back
+        if flow.qx[jw, max(iw - 2, 0): iw + 1].min() < 0:
+            diagnostics["flux_reversed"] = True
+        kernel = TransportKernel(
+            g, f["theta_m"], flow, tp, cfl=cfg.transport_cfl, well_sources=sources
+        )
+        _transport(kernel, f, ledger, dt, conc)
+        ledger["cmc"].injected += q_total * cfg.cmc_concentration * dt
+        ledger["nzvi"].injected += q_total * cfg.nzvi_concentration * dt
+
+        f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, dp, dt)
+        katt = nz.attachment_rate(dc, f["theta_m"], flow.velocity_magnitude(), mu, nzp)
+        f["c_nzvi"], f["s_bulk"] = nz.deposit_step(f["c_nzvi"], f["s_bulk"], katt, f["theta_m"], dt)
+        f["theta_m"], f["k"], _ = nz.clogging_update(
+            f["s_bulk"], k0, theta0, a0_field, clog, cfg.particle_density
+        )
+
+    for t in _march(cfg.stage_durations[2], marks, STAGE3_DT, step):
+        roi = nz.radius_of_influence(f["s_bulk"], g, screen, cfg.roi_threshold)
+        series.append([t, roi, float(f["s_bulk"].max()), float(1.0 - (f["k"] / k0).min())])
         if t in marks:
-            snapshots.append(
-                (t, {"c_nzvi": c_nzvi.copy(), "s_bulk": s_bulk.copy(),
-                     "c_cmc": c_cmc.copy(), "k": k.copy()})
-            )
+            snapshots.append((t, {name: f[name] for name in ("c_nzvi", "s_bulk", "c_cmc", "k")}))
 
-    audit = {}
-    for name, c_end, s_end, exp in (
-        ("nzvi", c_nzvi, s_bulk, exported["nzvi"]),
-        ("cmc", c_cmc, None, exported["cmc"]),
-    ):
-        m0 = nzvi0 if name == "nzvi" else cmc0
-        m_end = float((theta_m * c_end).sum()) * g.cell_volume
-        if s_end is not None:
-            m_end += float(s_end.sum()) * g.cell_volume
-        closure = abs(m0 + injected[name] - (m_end + exp))
-        audit[name] = closure / max(injected[name], 1e-300)
-    # TCE closure over the (short) injection window
-    napl_end = float((theta_m * sn).sum()) * g.cell_volume * scn.fluids.rho_n
-    tce_end = float((theta_m * c_tce).sum()) * g.cell_volume
+    theta_m, s_bulk = f["theta_m"], f["s_bulk"]
+    ledger["nzvi"].final = float((theta_m * f["c_nzvi"]).sum()) * cv + float(s_bulk.sum()) * cv
+    ledger["cmc"].final = float((theta_m * f["c_cmc"]).sum()) * cv
+    ledger["tce"].final = float((theta_m * f["c_tce"]).sum()) * cv
+    ledger["tce"].dissolved = napl0 - float((theta_m * f["sn"]).sum()) * cv * rho_n
 
-    diagnostics = {
+    diagnostics.update({
         "roi": nz.radius_of_influence(s_bulk, g, screen, cfg.roi_threshold),
         "roi_upper": nz.radius_of_influence(
             s_bulk, g, screen, cfg.roi_threshold, m.layer_mask(upper=True)
@@ -318,109 +346,76 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint, duration: float | None = No
         "roi_lower": nz.radius_of_influence(
             s_bulk, g, screen, cfg.roi_threshold, m.layer_mask(upper=False)
         ),
-        "flux_reversed": flux_reversed,
-        "max_k_reduction": float(1.0 - (k / k0).min()),
+        "max_k_reduction": float(1.0 - (f["k"] / k0).min()),
         "max_theta_reduction": float(1.0 - (theta_m / theta0).min()),
-        "retained_mass": float(s_bulk.sum()) * g.cell_volume,
-        "injected_nzvi": injected["nzvi"],
-        "tce_drift": abs((tce0 + (napl0 - napl_end)) - tce_end),
+        "retained_mass": float(s_bulk.sum()) * cv,
         "series_header": ["t", "roi", "max_s_bulk", "max_k_reduction"],
-    }
-    ckpt_out = _make_checkpoint(
-        scn, 3, ckpt.clock + t,
-        sw=sw, sn=sn, pw=flow.pressure, c_tce=c_tce, c_cmc=c_cmc,
-        c_nzvi=c_nzvi, s_bulk=s_bulk, theta_m=theta_m, k=k,
-        rho_m=s_bulk / theta_m,
-    )
-    return StageResult(3, ckpt_out, diagnostics, audit, snapshots, series)
+    })
+    f["rho_m"] = s_bulk / theta_m
+    ckpt_out = _make_checkpoint(scn, 3, ckpt.clock + t, f)
+    return StageResult(3, ckpt_out, diagnostics, ledger, snapshots, series)
 
 
 # ---------------------------------------------------------------------------
 # Stage 4
 # ---------------------------------------------------------------------------
 
-def run_stage4(scn: Scenario, ckpt: StageCheckpoint, duration: float | None = None,
-               dt_outer: float = 1.0 * DAY, reactive: bool = True) -> StageResult:
+def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> StageResult:
+    """Degradation stage; ``reactive=False`` leaves out the reaction operator."""
     cfg, g, m = scn.config, scn.grid, scn.material
-    duration = cfg.stage_durations[3] if duration is None else duration
-    f = ckpt.fields
-    sn = f["sn"].copy()
-    sw = f["sw"].copy()
-    c_tce = f["c_tce"].copy()
-    c_cmc = f["c_cmc"].copy()
-    theta_m = f["theta_m"].copy()
-    k = f["k"].copy()
-    rho_m = f["rho_m"].copy()
+    rho_n = scn.fluids.rho_n
+    f = dict(ckpt.fields)
 
-    kin = KineticParams(
-        k_sa=cfg.k_sa if reactive else 0.0,
-        specific_area=cfg.alpha_s,
-        stoichiometry=cfg.stoichiometry,
-    )
+    kin = KineticParams(k_sa=cfg.k_sa, specific_area=cfg.alpha_s, stoichiometry=cfg.stoichiometry)
     cmcp = nz.CmcParams(cfg.cmc_concentration, cfg.cmc_viscosity, scn.fluids.mu_w)
     tp = TransportParams(cfg.diffusion, cfg.dispersivity)
     dp = DissolutionParams(cfg.mass_transfer, cfg.solubility)
-    mobility = _water_mobility(sw, m)
-    pv = theta_m * g.cell_volume
+    mobility = _water_mobility(f["sw"], m)
+    pv = f["theta_m"] * g.cell_volume
 
-    iron0 = float((rho_m * pv).sum())
-    napl0 = float((pv * sn).sum()) * scn.fluids.rho_n
-    aq0 = float((pv * c_tce).sum())
+    def mass(c):
+        return float((pv * c).sum())
+
+    iron0 = mass(f["rho_m"])
+    napl0 = mass(f["sn"]) * rho_n
+    ledger = {"tce": Ledger(initial=mass(f["c_tce"]), napl=napl0),
+              "cmc": Ledger(initial=mass(f["c_cmc"]))}
     mon = scn.monitoring_cells()
     marks = set(cfg.snapshots[3])
     snapshots, series = [], []
-    degraded = 0.0
-    exported = 0.0
-    t = 0.0
-    while t < duration - 1e-6:
-        t_stop = min(duration, min((s for s in marks if s > t + 1e-6), default=duration))
-        while t < t_stop - 1e-6:
-            dt = min(dt_outer, t_stop - t)
-            mu = nz.cmc_viscosity(c_cmc, cmcp)
-            flow = solve_pressure(
-                g, k, mu, FlowBC(cfg.head_left, cfg.head_right),
-                rho=scn.fluids.rho_w, g=scn.fluids.g, mobility_scale=mobility,
-            )
-            kernel = TransportKernel(g, theta_m, flow, tp, cfl=cfg.transport_cfl)
-            c_tce = kernel.step(c_tce, dt)
-            exported += kernel.boundary_export   # TCE-only; CMC export untracked
-            kernel.boundary_export = 0.0
-            c_cmc = kernel.step(c_cmc, dt)
-            c_tce, sn = dissolution_substep(c_tce, sn, scn.fluids.rho_n, dp, dt)
-            pre = float((pv * c_tce).sum())
-            c_tce, rho_m = reactive_step(c_tce, rho_m, kin, dt)
-            degraded += pre - float((pv * c_tce).sum())
-            t += dt
-            iron_frac = float((rho_m * pv).sum()) / max(iron0, 1e-300)
-            series.append([t, iron_frac] + [probe(c_tce, cell) for cell in mon.values()])
-        t = t_stop
-        if t in marks:
-            snapshots.append((t, {"c_tce": c_tce.copy(), "rho_m": rho_m.copy()}))
 
-    napl_end = float((pv * sn).sum()) * scn.fluids.rho_n
-    aq_end = float((pv * c_tce).sum())
-    dissolved = napl0 - napl_end
-    closure = abs((aq0 + dissolved) - (aq_end + degraded + exported))
-    audit = {"tce": closure / max(aq0 + napl0, 1e-300)}
-    s_bulk = rho_m * theta_m
-    ckpt_out = _make_checkpoint(
-        scn, 4, ckpt.clock + t,
-        sw=sw, sn=sn, pw=flow.pressure, c_tce=c_tce, c_cmc=c_cmc,
-        c_nzvi=f["c_nzvi"].copy(), s_bulk=s_bulk, rho_m=rho_m,
-        theta_m=theta_m, k=k,
-    )
+    def step(t, dt):
+        mu = nz.cmc_viscosity(f["c_cmc"], cmcp)
+        flow = _darcy(scn, f, mu, mobility)
+        kernel = TransportKernel(g, f["theta_m"], flow, tp, cfl=cfg.transport_cfl)
+        _transport(kernel, f, ledger, dt)
+        f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, dp, dt)
+        if reactive:
+            pre = mass(f["c_tce"])
+            f["c_tce"], f["rho_m"] = reactive_step(f["c_tce"], f["rho_m"], kin, dt)
+            ledger["tce"].degraded += pre - mass(f["c_tce"])
+        iron_frac = mass(f["rho_m"]) / max(iron0, 1e-300)
+        series.append([t + dt, iron_frac] + [probe(f["c_tce"], cell) for cell in mon.values()])
+
+    for t in _march(cfg.stage_durations[3], marks, STAGE4_DT, step):
+        if t in marks:
+            snapshots.append((t, {"c_tce": f["c_tce"], "rho_m": f["rho_m"]}))
+
+    ledger["tce"].dissolved = napl0 - mass(f["sn"]) * rho_n
+    for name in ledger:
+        ledger[name].final = mass(f["c_" + name])
+    f["s_bulk"] = f["rho_m"] * f["theta_m"]
+    ckpt_out = _make_checkpoint(scn, 4, ckpt.clock + t, f)
     diagnostics = {
         "iron_initial": iron0,
-        "iron_final": float((rho_m * pv).sum()),
-        "degraded_mass": degraded,
+        "iron_final": mass(f["rho_m"]),
+        "degraded_mass": ledger["tce"].degraded,
         "series_header": ["t", "iron_fraction", *mon],
     }
-    return StageResult(4, ckpt_out, diagnostics, audit, snapshots, series)
+    return StageResult(4, ckpt_out, diagnostics, ledger, snapshots, series)
 
 
-def run_transport_continuation(scn: Scenario, ckpt: StageCheckpoint,
-                               duration: float | None = None,
-                               dt_outer: float = 1.0 * DAY) -> StageResult:
+def run_transport_continuation(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     """Post-injection evolution with the reaction operator removed entirely:
     the no-remediation trajectory a zeroed rate constant must reproduce."""
-    return run_stage4(scn, ckpt, duration, dt_outer, reactive=False)
+    return run_stage4(scn, ckpt, reactive=False)

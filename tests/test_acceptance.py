@@ -157,7 +157,7 @@ def test_criterion_02_advection_dispersion_analytic(capsys):
     while t < t_end:
         dt = min(kernel.stable_dt, t_end - t)
         c[0, 0] = c0                                  # Dirichlet inlet
-        c = kernel.step(c, dt)
+        c, _ = kernel.step(c, dt)
         t += dt
     c[0, 0] = c0
 
@@ -195,7 +195,7 @@ def test_criterion_03_filtration_column_steady_state(capsys):
     while t < t_end:
         dt = min(kernel.stable_dt, t_end - t)
         c[0, 0] = 1.0                                 # Dirichlet inlet
-        c = kernel.step(c, dt)
+        c, _ = kernel.step(c, dt)
         c, s = deposit_step(c, s, katt, theta, dt)
         t += dt
     c[0, 0] = 1.0

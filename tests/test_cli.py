@@ -18,7 +18,6 @@ class TestParser:
         assert args.out == "out"
         assert args.seed == 0
         assert args.export == "csv"
-        assert args.threads == 1
 
     def test_export_choices(self):
         with pytest.raises(SystemExit):

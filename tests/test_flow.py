@@ -3,14 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from remsim.flow import (
-    FlowBC,
-    SolverError,
-    TpfaSystem,
-    hydrostatic_state,
-    mass_balance_error,
-    solve_pressure,
-)
+from remsim.flow import FlowBC, SolverError, TpfaSystem, solve_pressure
 from remsim.grid import build_grid
 
 RHO, G, MU = 1000.0, 9.81, 1e-3
@@ -19,6 +12,19 @@ CM_PER_DAY = 100.0 * 86400.0
 
 def uniform(grid, k=1e-12):
     return np.full((grid.ny, grid.nx), k), np.full((grid.ny, grid.nx), MU)
+
+
+def mass_balance_error(flow, grid, bc: FlowBC) -> float:
+    """Relative closure of boundary + well fluxes against internal divergence."""
+    div = flow.divergence(grid.dx, grid.dy)
+    src = np.zeros_like(div)
+    for (i, j), rate in bc.well_sources.items():
+        src[j, i] += rate
+    influx = np.abs(flow.qx[:, 0]).sum() * grid.dy + np.abs(flow.qx[:, -1]).sum() * grid.dy
+    influx += sum(abs(r) for r in bc.well_sources.values())
+    if influx == 0:
+        return float(np.abs(div - src).max())
+    return float(np.abs(div - src).max() / influx)
 
 
 class TestDarcy:
@@ -171,21 +177,20 @@ class TestTpfaSystem:
 
 
 class TestHydrostatic:
+    """Equal lateral heads: the Darcy solve must return the hydrostatic state."""
+
     def test_pressure_profile(self):
         g = build_grid((35.0, 12.0), (0.2, 0.2))
-        flow = hydrostatic_state(g, 12.0, rho=RHO, g=G)
+        k, mu = uniform(g)
+        flow = solve_pressure(g, k, mu, FlowBC(12.0, 12.0), rho=RHO, g=G)
         # p at the lowest cell center (y = 0.1): rho g (12 - 0.1)
-        assert flow.pressure[0, 0] == pytest.approx(RHO * G * 11.9)
-        assert flow.pressure[-1, 0] == pytest.approx(RHO * G * 0.1)
+        np.testing.assert_allclose(flow.pressure[0], RHO * G * 11.9, rtol=1e-10)
+        np.testing.assert_allclose(flow.pressure[-1], RHO * G * 0.1, rtol=1e-8)
         assert RHO * G * 12.0 == pytest.approx(1.177e5, rel=1e-3)
 
     def test_head_shift_linearity(self):
         g = build_grid((35.0, 12.0), (0.2, 0.2))
-        a = hydrostatic_state(g, 12.0, rho=RHO, g=G)
-        b = hydrostatic_state(g, 13.0, rho=RHO, g=G)
-        np.testing.assert_allclose(b.pressure - a.pressure, RHO * G * 1.0)
-
-    def test_zero_fluxes(self):
-        g = build_grid((35.0, 12.0), (0.2, 0.2))
-        flow = hydrostatic_state(g, 12.0)
-        assert not flow.qx.any() and not flow.qy.any()
+        k, mu = uniform(g)
+        a = solve_pressure(g, k, mu, FlowBC(12.0, 12.0), rho=RHO, g=G)
+        b = solve_pressure(g, k, mu, FlowBC(13.0, 13.0), rho=RHO, g=G)
+        np.testing.assert_allclose(b.pressure - a.pressure, RHO * G * 1.0, rtol=1e-8)

@@ -28,8 +28,6 @@ class TestBuildGrid:
     def test_tiny(self):
         g = build_grid((1.0, 1.0), (0.5, 0.5))
         assert (g.nx, g.ny) == (2, 2)
-        faces = g.faces()
-        assert faces.n_interior == 4
 
     def test_fine(self):
         g = build_grid((35.0, 12.0), (0.1, 0.1))
@@ -43,11 +41,6 @@ class TestBuildGrid:
     def test_nonpositive_rejected(self):
         with pytest.raises(ConfigError):
             build_grid((35.0, 12.0), (0.0, 0.2))
-
-    def test_boundary_tags(self):
-        faces = build_grid((1.0, 1.0), (0.5, 0.5)).faces()
-        boundary = faces.tag[faces.neighbor < 0]
-        assert sorted(set(boundary)) == ["bottom", "left", "right", "top"]
 
 
 class TestLithology:
@@ -92,13 +85,6 @@ class TestLithology:
         a = assign_lithology(g, cfg)
         b = assign_lithology(g, cfg)
         assert (a.lithology == b.lithology).all()
-
-    def test_pore_volume(self, cfg):
-        g = build_grid((cfg.width, cfg.height), (cfg.dx, cfg.dy))
-        m = assign_lithology(g, cfg)
-        assert m.pore_volume() == pytest.approx(
-            float(np.sum(m.porosity)) * g.cell_volume
-        )
 
 
 class TestWells:

@@ -116,7 +116,7 @@ class TestAttachment:
         while t < t_end:
             dt = min(kernel.stable_dt, t_end - t)
             c[0, 0] = 1.0
-            c = kernel.step(c, dt)
+            c, _ = kernel.step(c, dt)
             c, s = deposit_step(c, s, katt, theta, dt)
             t += dt
         c[0, 0] = 1.0

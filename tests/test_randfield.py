@@ -3,12 +3,7 @@ import pytest
 
 from remsim.config import RunConfig
 from remsim.grid import CLAY, assign_lithology, build_grid
-from remsim.randfield import (
-    FieldFileError,
-    FieldSpec,
-    generate_log_normal_field,
-    import_field,
-)
+from remsim.randfield import FieldSpec, generate_log_normal_field
 
 
 @pytest.fixture(scope="module")
@@ -81,44 +76,3 @@ class TestGenerate:
         assert corr(2) > corr(25)
         assert abs(corr(100)) < 0.4
 
-
-class TestImport:
-    def test_identity_mapping(self, tmp_path):
-        g = build_grid((1.0, 1.0), (0.5, 0.5))
-        xv, yv = g.cell_centers()
-        vals = np.array([[1.0, 2.0], [3.0, 4.0]])
-        samples = np.column_stack([xv.ravel(), yv.ravel(), vals.ravel()])
-        path = tmp_path / "field.txt"
-        np.savetxt(path, samples)
-        out = import_field(g, path, mode="nearest")
-        np.testing.assert_allclose(out, vals)
-
-    def test_constant_file(self, tmp_path):
-        g = build_grid((1.0, 1.0), (0.5, 0.5))
-        path = tmp_path / "field.txt"
-        np.savetxt(path, [[0.25, 0.25, 7.0], [0.75, 0.75, 7.0]])
-        assert (import_field(g, path) == 7.0).all()
-
-    def test_bilinear_within_sample_range(self, tmp_path):
-        g = build_grid((10.0, 10.0), (0.5, 0.5))
-        rng = np.random.default_rng(0)
-        xs, ys = np.meshgrid(np.linspace(0, 10, 10), np.linspace(0, 10, 10))
-        vs = rng.uniform(1.0, 2.0, xs.shape)
-        path = tmp_path / "coarse.txt"
-        np.savetxt(path, np.column_stack([xs.ravel(), ys.ravel(), vs.ravel()]))
-        out = import_field(g, path, mode="bilinear")
-        assert out.min() >= vs.min() - 1e-12 and out.max() <= vs.max() + 1e-12
-
-    def test_malformed_file(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("not numbers at all\n")
-        g = build_grid((1.0, 1.0), (0.5, 0.5))
-        with pytest.raises(FieldFileError):
-            import_field(g, path)
-
-    def test_out_of_domain_sample(self, tmp_path):
-        path = tmp_path / "far.txt"
-        np.savetxt(path, [[99.0, 99.0, 1.0]])
-        g = build_grid((1.0, 1.0), (0.5, 0.5))
-        with pytest.raises(FieldFileError):
-            import_field(g, path)

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from remsim.reaction import (
-    KineticParams,
-    degradation_rate,
-    reactive_step,
-    unreacted_fraction,
-)
+from remsim.reaction import KineticParams, reactive_step
 
 # 2.6e-3 L/h/m^2 in SI, 23 m^2/g in SI
 K_SA = 2.6e-3 * 1e-3 / 3600.0
@@ -19,10 +14,6 @@ class TestRateCoefficient:
     def test_hand_value_per_hour(self):
         # K * (1 kg/m^3 iron) = 0.0598 1/h
         assert PARAMS.rate_coefficient * 3600.0 == pytest.approx(0.0598, rel=1e-3)
-
-    def test_instantaneous_rate(self):
-        got = degradation_rate(1.27, 2.0, PARAMS)
-        assert got == pytest.approx(PARAMS.rate_coefficient * 2.0 * 1.27, rel=1e-12)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -98,13 +89,3 @@ class TestReactiveStep:
             assert float(c) <= prev_c and float(r) <= prev_r
             prev_c, prev_r = float(c), float(r)
 
-
-class TestUnreactedFraction:
-    def test_basic(self):
-        c = np.array([[1.0, 0.5]])
-        pv = np.array([[2.0, 2.0]])
-        assert unreacted_fraction(c, pv, 6.0) == pytest.approx(0.5, rel=1e-12)
-
-    def test_bad_reference(self):
-        with pytest.raises(ValueError):
-            unreacted_fraction(np.zeros((2, 2)), np.ones((2, 2)), 0.0)

@@ -8,9 +8,6 @@ from remsim.solute import (
     DissolutionParams,
     TransportKernel,
     TransportParams,
-    advect_disperse_step,
-    deplete_source,
-    dissolution_flux,
     dissolution_substep,
     probe,
 )
@@ -44,7 +41,7 @@ class TestKernel:
         while t < t_end:
             dt = min(kernel.stable_dt, t_end - t)
             c[0, 0] = c0  # Dirichlet inlet at the first cell center
-            c = kernel.step(c, dt)
+            c, _ = kernel.step(c, dt)
             t += dt
         c[0, 0] = c0
         x = g.xc - g.xc[0]
@@ -60,7 +57,7 @@ class TestKernel:
         c = np.zeros((g.ny, g.nx))
         c[10, 10] = 5.0
         m0 = float((kernel.pv * c).sum())
-        c = kernel.step(c, 1e6)
+        c, _ = kernel.step(c, 1e6)
         assert float((kernel.pv * c).sum()) == pytest.approx(m0, rel=1e-12)
         assert c.max() < 5.0 and c.min() >= 0.0
 
@@ -70,7 +67,7 @@ class TestKernel:
         kernel = TransportKernel(g, theta, uniform_flow(g), TransportParams(1e-7, 0.0))
         c = np.zeros((g.ny, g.nx))
         c[10, 10] = 1.0
-        c = kernel.step(c, 1e6)
+        c, _ = kernel.step(c, 1e6)
         np.testing.assert_allclose(c[10, 9], c[10, 11], rtol=1e-12)
         np.testing.assert_allclose(c[9, 10], c[11, 10], rtol=1e-12)
 
@@ -81,9 +78,21 @@ class TestKernel:
         c = np.zeros((g.ny, g.nx))
         c[0, 2] = 3.0
         m0 = float((kernel.pv * c).sum())
-        c = kernel.step(c, 5e5)  # many pore volumes: everything washes out
+        c, exported = kernel.step(c, 5e5)  # many pore volumes: everything washes out
         assert c.max() < 1e-10
-        assert kernel.boundary_export == pytest.approx(m0, rel=1e-9)
+        assert exported == pytest.approx(m0, rel=1e-9)
+
+    def test_export_is_per_step(self):
+        g = build_grid((10.0, 0.5), (0.5, 0.5))
+        theta = np.ones((g.ny, g.nx))
+        kernel = TransportKernel(g, theta, uniform_flow(g, qx=1e-4), TransportParams(0.0, 0.0))
+        c = np.zeros((g.ny, g.nx))
+        c[0, -1] = 3.0
+        m0 = float((kernel.pv * c).sum())
+        c, first = kernel.step(c, 2e3)
+        c, second = kernel.step(c, 5e5)
+        assert 0.0 < first < m0
+        assert first + second == pytest.approx(m0, rel=1e-9)
 
     def test_well_injection_adds_mass(self):
         g = build_grid((5.0, 5.0), (0.5, 0.5))
@@ -93,7 +102,7 @@ class TestKernel:
             g, theta, uniform_flow(g), TransportParams(0.0, 0.0),
             well_sources={(3, 4): rate},
         )
-        c = kernel.step(np.zeros((g.ny, g.nx)), dt, well_conc={(3, 4): conc})
+        c, _ = kernel.step(np.zeros((g.ny, g.nx)), dt, well_conc={(3, 4): conc})
         assert float((kernel.pv * c).sum()) == pytest.approx(rate * conc * dt, rel=1e-12)
         assert c[4, 3] > 0 and np.count_nonzero(c) == 1
 
@@ -105,7 +114,7 @@ class TestKernel:
             well_sources={(3, 4): -2e-5},
         )
         c0 = np.full((g.ny, g.nx), 1.0)
-        c = kernel.step(c0.copy(), 1e3)
+        c, _ = kernel.step(c0.copy(), 1e3)
         assert c[4, 3] < 1.0
         assert np.count_nonzero(c < 1.0) == 1
 
@@ -114,18 +123,6 @@ class TestKernel:
             TransportParams(-1e-9, 0.02)
         with pytest.raises(ValueError):
             TransportParams(1e-9, -0.02)
-
-    def test_functional_wrapper_matches_kernel(self):
-        g = build_grid((5.0, 0.5), (0.5, 0.5))
-        theta = np.ones((g.ny, g.nx))
-        flow = uniform_flow(g, qx=1e-5)
-        c0 = np.zeros((g.ny, g.nx))
-        c0[0, 3] = 1.0
-        params = TransportParams(1e-9, 0.02)
-        a = advect_disperse_step(c0.copy(), flow, theta, g, params, 1e4)
-        kernel = TransportKernel(g, theta, flow, params)
-        b = kernel.step(c0.copy(), 1e4)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestDissolution:
@@ -150,7 +147,6 @@ class TestDissolution:
 
     def test_no_napl_no_flux(self):
         p = DissolutionParams(kl=1e-2)
-        assert dissolution_flux(np.array(0.0), np.array(0.5), p) == 0.0
         c1, sn1 = dissolution_substep(
             np.array([[0.4]]), np.array([[0.0]]), 1470.0, p, 1e5
         )
@@ -163,10 +159,6 @@ class TestDissolution:
         )
         assert c1[0, 0] == pytest.approx(1.27, rel=1e-14)
         assert sn1[0, 0] == pytest.approx(0.3, rel=1e-14)
-
-    def test_deplete_source_floor(self):
-        sn = deplete_source(np.array(0.01), np.array(1.0), 0.4, 1470.0, 1e5)
-        assert sn == 0.0
 
     def test_negative_kl_rejected(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,73 @@
+import numpy as np
+import pytest
+
+from remsim import stages
+from remsim.config import RunConfig
+from remsim.pipeline import run
+from remsim.scenario import Scenario
+from remsim.stages import LEDGER_TERMS, Ledger, run_stage4, run_transport_continuation
+from tests.test_pipeline import fast_config_text
+
+SPECIES = {1: {"napl"}, 2: {"tce"}, 3: {"nzvi", "cmc", "tce"}, 4: {"tce", "cmc"}}
+
+
+@pytest.fixture(scope="module")
+def fast_run(tmp_path_factory):
+    cfg = RunConfig.from_text(fast_config_text())
+    return run(cfg, [1, 2, 3, 4], tmp_path_factory.mktemp("out"), seed=0, export=None)
+
+
+class TestLedgers:
+    def test_audit_names_every_species_moved(self, fast_run):
+        for stage, species in SPECIES.items():
+            assert set(fast_run.results[stage].audit) == species
+
+    def test_every_ledger_closes(self, fast_run):
+        for stage, res in fast_run.results.items():
+            for name, err in res.audit.items():
+                assert err <= 1e-4, (stage, name, err)
+
+    def test_report_prints_every_term(self, fast_run):
+        lines = fast_run.report.splitlines()
+        for stage in SPECIES:
+            assert f"stage {stage} audit:" in lines
+        terms = [line for line in lines if line.startswith("    initial ")]
+        assert len(terms) == sum(len(s) for s in SPECIES.values())
+        for line in terms:
+            assert line.split()[::2] == [*LEDGER_TERMS, "kg/m"]
+
+
+class TestClosure:
+    def test_balanced_ledger_closes(self):
+        ledger = Ledger(initial=2.0, injected=1.0, dissolved=0.5,
+                        exported=0.75, degraded=0.25, final=2.5, napl=1.5)
+        assert ledger.closure() == 0.0
+
+    def test_missing_export_reports_leak(self):
+        # 0.75 kg/m left across the boundary but was never booked
+        ledger = Ledger(initial=2.0, injected=1.0, dissolved=0.5,
+                        degraded=0.25, final=2.5, napl=1.5)
+        assert ledger.closure() == pytest.approx(0.75 / 4.5, rel=1e-12)
+
+    def test_empty_ledger_is_closed(self):
+        assert Ledger().closure() == 0.0
+
+
+class TestContinuation:
+    def test_matches_zero_rate_without_reaction(self, fast_run, monkeypatch):
+        text = fast_config_text()
+        assert "k_sa = 2.6e-3 L/h/m^2" in text
+        scn = Scenario.build(RunConfig.from_text(text), 0)
+        scn0 = Scenario.build(RunConfig.from_text(
+            text.replace("k_sa = 2.6e-3 L/h/m^2", "k_sa = 0 L/h/m^2")), 0)
+        ckpt3 = fast_run.results[3].checkpoint
+        null_run = run_stage4(scn0, ckpt3)
+
+        def no_reaction(*args):
+            raise AssertionError("the continuation ran the reaction operator")
+
+        monkeypatch.setattr(stages, "reactive_step", no_reaction)
+        continuation = run_transport_continuation(scn, ckpt3)
+        assert continuation.ledger["tce"].degraded == 0.0
+        for name, field in null_run.checkpoint.fields.items():
+            np.testing.assert_array_equal(field, continuation.checkpoint.fields[name])
