@@ -41,7 +41,9 @@ def write_vtk(path, grid, fields: dict[str, np.ndarray]) -> None:
         arr = np.asarray(arr)
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(" ".join(f"{v:.10g}" for v in row) for row in arr)
+        # one %-format per row: the same text as f"{v:.10g}" per value, faster
+        row_format = " ".join(["%.10g"] * arr.shape[-1])
+        lines.extend(row_format % tuple(row) for row in arr.tolist())
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -6,7 +6,15 @@ hand it face transmissibilities, known face fluxes (gravity, capillarity)
 and cellwise boundary and source terms.  The matrix is symmetric positive
 definite; with the cells numbered along the shorter grid side its
 half-bandwidth is ``min(nx, ny)``, so it is solved by a banded Cholesky
-factorization (LAPACK ``pbsv``).
+factorization.
+
+A run solves sequences of such systems (one per IMPES sub-step or operator
+split step) whose mobility changes only in part of the grid: around the NAPL
+body in Stage 1, inside the CMC plume and the clogged zone in Stages 3-4.
+:class:`FactorCache` carries the factors from one solve of a sequence to the
+next and re-factors only the contiguous span of grid columns (along the
+longer side) whose matrix entries differ bitwise from the last full solve;
+the unchanged strips on either side enter through their Schur complements.
 
 :func:`solve_pressure` (Stages 2-4): Dirichlet heads on the lateral
 boundaries, no-flow top and bottom, optional well sources, spatially varying
@@ -19,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, solveh_banded
 
 
 class SolverError(RuntimeError):
@@ -96,28 +104,194 @@ class TpfaSystem:
         ap[1:, :] -= self.t_y * p[:-1, :]
         return ap
 
-    def solve(self) -> np.ndarray:
-        """Banded Cholesky solve; raises SolverError if not positive definite."""
+    def solve(self, cache: FactorCache | None = None) -> np.ndarray:
+        """Banded Cholesky solve, re-using the factors of ``cache`` (a fresh
+        one by default); raises SolverError if not positive definite."""
         transpose = self.diag.shape[1] > self.diag.shape[0]
         if transpose:  # number the cells along y, the shorter side
-            inner, outer, diag, rhs = self.t_y.T, self.t_x.T, self.diag.T, self.rhs.T
+            terms = self.diag.T, self.t_y.T, self.t_x.T, self.rhs.T
         else:
-            inner, outer, diag, rhs = self.t_x, self.t_y, self.diag, self.rhs
-        rows, cols = diag.shape
-        # LAPACK lower band storage, ab[m, i] = A[i + m, i], in Fortran order
-        # so that pbsv factors it in place instead of copying it
-        ab = np.zeros((rows * cols, cols + 1)).T
-        ab[0] = diag.ravel()
-        band1 = np.zeros((rows, cols))
-        band1[:, :-1] = -inner
-        ab[1] = band1.ravel()
-        ab[cols, : rows * cols - cols] = -outer.ravel()
+            terms = self.diag, self.t_x, self.t_y, self.rhs
         try:
-            p = solveh_banded(ab, rhs.ravel(), overwrite_ab=True, lower=True, check_finite=False)
+            p = (FactorCache() if cache is None else cache).solve(*terms)
         except LinAlgError as err:
             raise SolverError(f"pressure system is not positive definite: {err}") from err
-        p = p.reshape(rows, cols)
         return p.T.copy() if transpose else p
+
+
+def _band(diag, inner, outer, ab=None):
+    """LAPACK lower band storage ``ab[k, i] = A[i + k, i]`` of the system on
+    ``diag`` (rows, cols), cells numbered row by row, written into ``ab`` or a
+    new array.  Fortran order, so that LAPACK factors it in place and any
+    prefix of cells is a contiguous view."""
+    rows, cols = diag.shape
+    if ab is None:
+        ab = np.zeros((rows * cols, cols + 1)).T
+    else:
+        ab[...] = 0.0
+    ab[0] = diag.ravel()
+    band1 = np.zeros((rows, cols))
+    band1[:, :-1] = -inner
+    ab[1] = band1.ravel()
+    ab[cols, : rows * cols - cols] = -outer.ravel()
+    return ab
+
+
+def _flip(a):
+    """Reverse the cell order of a (rows, cols) array: both axes."""
+    return a[::-1, ::-1]
+
+
+def _differs(a, ref):
+    """Per row: does any entry differ bitwise from the reference?"""
+    return (a.view(np.int64) != ref.view(np.int64)).any(axis=1)
+
+
+def _block_product(factor):
+    """``L L^T`` for the last diagonal block ``L`` of a lower band Cholesky
+    factor: the Schur complement of the factored cells onto that block."""
+    m = factor.shape[0] - 1
+    row, col = np.tril_indices(m)
+    low = np.zeros((m, m))
+    low[row, col] = factor[row - col, factor.shape[1] - m + col]
+    return low @ low.T
+
+
+def _put_block(ab, first, s):
+    """Write the symmetric block ``s`` into band storage from cell ``first``."""
+    row, col = np.tril_indices(len(s))
+    ab[row - col, first + col] = s[row, col]
+
+
+class FactorCache:
+    """Factor reuse over one sequence of pressure solves on the same grid.
+
+    The first solve factors the whole band and keeps its ``diag``/``inner``/
+    ``outer`` terms as the reference.  A later solve finds the span ``[a, b]``
+    of outer-index columns whose terms differ bitwise from the reference,
+    both columns of a changed cross-column face included, and factors only
+    that span (block elimination, one level of nested dissection):
+
+    - the unchanged strips ``[0, a)`` and ``(b, n)`` are factored once, at the
+      first such solve, the right one in reversed cell order, so that in
+      both the column coupled to the span comes last;
+    - the band of columns ``[a - 1, b + 1]`` holds each strip's coupling
+      column as its Schur complement ``L L^T`` (``L`` the last block of the
+      strip factor), so that eliminating it subtracts ``T (L L^T)^-1 T`` from
+      the span's end block (``T`` the coupling transmissibilities); one strip
+      solve each corrects the right-hand side, one more back-substitutes
+      each strip.
+
+    A later, wider span uses prefixes of the strip factors; a narrower one
+    keeps the widest span so far.  Strips and span share the memory of one
+    band.  A span that reaches both ends is a full solve that becomes the
+    new reference.
+    """
+
+    def __init__(self):
+        self.reference = None        # (diag, inner, outer) of the last full solve
+        self.band = None             # left strip factor | span | right strip factor
+        self.span = None             # widest (a, b) since the strips were factored
+        self.n_columns = 0           # length of the outer index
+        self.solves = 0
+        self.full = 0
+        self.columns = 0             # columns factored, summed over the solves
+
+    def stats(self) -> dict:
+        """Solves, full factorizations and mean factored width in columns."""
+        return {"solves": self.solves, "full": self.full, "columns": self.n_columns,
+                "mean_columns": self.columns / max(self.solves, 1)}
+
+    def solve(self, diag, inner, outer, rhs) -> np.ndarray:
+        """Solve the system on ``diag`` (n, m) with in-row couplings ``inner``
+        (n, m-1) and row-to-row couplings ``outer`` (n-1, m); raises
+        LinAlgError if it is not positive definite."""
+        n, m = diag.shape
+        self.n_columns = n
+        self.solves += 1
+        if self.reference is not None:
+            ref_diag, ref_inner, ref_outer = self.reference
+            changed = _differs(diag, ref_diag) | _differs(inner, ref_inner)
+            face = _differs(outer, ref_outer)
+            changed[:-1] |= face
+            changed[1:] |= face
+            a, b = self.span or (n, -1)
+            span = np.flatnonzero(changed)
+            if span.size:
+                a, b = min(a, span[0]), max(b, span[-1])
+            if a <= b and (a > 0 or b < n - 1):
+                return self._solve_span(diag, inner, outer, rhs, int(a), int(b))
+        p = solveh_banded(_band(diag, inner, outer), rhs.ravel(), overwrite_ab=True, lower=True,
+                          check_finite=False)
+        self.reference = (diag.copy(), inner.copy(), outer.copy())
+        self.band = self.span = None
+        self.full += 1
+        self.columns += n
+        return p.reshape(n, m)
+
+    def _solve_span(self, diag, inner, outer, rhs, a, b):
+        n, m = diag.shape
+        if self.span is None:
+            self.band = np.empty((n * m, m + 1)).T
+            strips = ((self.band[:, : a * m], (diag[:a], inner[:a], outer[: max(a - 1, 0)])),
+                      (self.band[:, (b + 1) * m:],
+                       (_flip(diag[b + 1:]), _flip(inner[b + 1:]), _flip(outer[b + 1:]))))
+            for cells, terms in strips:
+                if cells.size:
+                    cells[...] = cholesky_banded(_band(*terms, cells), overwrite_ab=True,
+                                                 lower=True, check_finite=False)
+        elif b > self.span[1]:
+            # the right strip factor always ends the band: move the prefix
+            # still in use up to the cells after column b (a 1-D move, so
+            # numpy copies the overlap without a temporary)
+            cells = self.band.T.reshape(-1)
+            width = (m + 1) * m
+            keep = (n - 1 - b) * width
+            start = (self.span[1] + 1) * width
+            cells[(b + 1) * width: (b + 1) * width + keep] = cells[start: start + keep]
+        self.span = (a, b)
+        band = self.band
+        left, right = band[:, : a * m], band[:, (b + 1) * m:]
+        lo, hi = max(a - 1, 0), min(b + 1, n - 1)
+        r = rhs[lo: hi + 1].copy()
+        ends = []
+        if a > 0:
+            s = _block_product(left)
+            z = cho_solve_banded((left, True), rhs[:a].ravel(), check_finite=False)
+            r[0] = s @ z[-m:]
+            ends.append((lo, s))
+        if b < n - 1:
+            s = _flip(_block_product(right))
+            z = cho_solve_banded((right, True), _flip(rhs[b + 1:]).ravel(), check_finite=False)
+            r[-1] = s @ z[-m:][::-1]
+            ends.append((hi, s))
+        # the band of [lo, hi] borrows the cells of the left factor's last
+        # column and of the right factor's first, kept aside until it is solved
+        kept = [band[:, col * m: (col + 1) * m].copy() for col, _ in ends]
+        try:
+            mid = _band(diag[lo: hi + 1], inner[lo: hi + 1], outer[lo:hi],
+                        band[:, lo * m: (hi + 1) * m])
+            for col, s in ends:
+                _put_block(mid, (col - lo) * m, s)
+            x = solveh_banded(mid, r.ravel(), overwrite_ab=True, lower=True, check_finite=False)
+        finally:
+            for (col, _), block in zip(ends, kept):
+                band[:, col * m: (col + 1) * m] = block
+        p = np.empty((n, m))
+        p[a: b + 1] = x.reshape(-1, m)[a - lo: b + 1 - lo]
+        # back-substitute each strip with its coupling to the span moved to
+        # its right-hand side
+        if a > 0:
+            r = rhs[:a].copy()
+            r[-1] += outer[a - 1] * p[a]
+            p[:a] = cho_solve_banded((left, True), r.ravel(), check_finite=False).reshape(a, m)
+        if b < n - 1:
+            r = rhs[b + 1:].copy()
+            r[0] += outer[b] * p[b]
+            x = cho_solve_banded((right, True), _flip(r).ravel(), check_finite=False)
+            p[b + 1:] = _flip(x.reshape(n - 1 - b, m))
+        self.columns += hi - lo + 1
+        return p
 
 
 def solve_pressure(
@@ -129,11 +303,13 @@ def solve_pressure(
     g: float = 9.81,
     mobility_scale: np.ndarray | None = None,
     rtol: float = 1e-10,
+    cache: FactorCache | None = None,
 ) -> FlowField:
     """Solve div( (k/mu) (grad p + rho g e_z) ) = sources with TPFA.
 
     ``mobility_scale`` multiplies k/mu cellwise (relative-permeability
-    scaling in the presence of trapped NAPL).
+    scaling in the presence of trapped NAPL).  ``cache`` carries the factors
+    of earlier solves of the same sequence (see :class:`FactorCache`).
     """
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
     if np.any(k_field <= 0) or np.any(mu_field <= 0):
@@ -163,7 +339,7 @@ def solve_pressure(
 
     # y-faces carry the gravity term rho*g*(z_nb - z_o)
     system = TpfaSystem(t_x, t_y, np.zeros_like(t_x), t_y * (rho * g * dy), d, b)
-    pm = system.solve()
+    pm = system.solve(cache)
     ap = system.apply(pm)
     scale = max(np.abs(system.rhs).max(), np.abs(ap).max(), 1e-300)
     residual = np.abs(ap - system.rhs).max() / scale

@@ -28,8 +28,6 @@ class MaterialProps:
     snr: float
     entry_pressure: float
     bc_lambda: float
-    specific_area: float = 4.99e3
-    solid_density: float = 2600.0
 
 
 @dataclass(frozen=True)
@@ -140,8 +138,6 @@ def assign_lithology(grid: Grid, cfg: RunConfig) -> MaterialMap:
             snr=l.snr,
             entry_pressure=l.entry_pressure,
             bc_lambda=l.bc_lambda,
-            specific_area=cfg.a0,
-            solid_density=cfg.sand_density,
         )
 
     return MaterialMap(

@@ -64,7 +64,10 @@ class RunResult:
 
 
 def _audit_lines(stage: int, res: StageResult) -> list[str]:
-    lines = [f"stage {stage} audit:"]
+    counts = res.diagnostics["pressure"]
+    lines = [f"stage {stage} audit:",
+             f"  pressure: {counts['solves']} solves, {counts['full']} full, "
+             f"mean {counts['mean_columns']:.1f}/{counts['columns']} columns"]
     for name, ledger in res.ledger.items():
         err = ledger.closure()
         status = "ok" if err <= AUDIT_TOLERANCE else "FAIL"

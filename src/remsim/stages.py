@@ -25,7 +25,7 @@ import numpy as np
 
 from . import nzvi as nz
 from .checkpoint import StageCheckpoint
-from .flow import FlowBC, solve_pressure
+from .flow import FactorCache, FlowBC, solve_pressure
 from .reaction import KineticParams, reactive_step
 from .scenario import Scenario
 from .solute import (
@@ -134,13 +134,14 @@ def _water_mobility(sw, material):
     return np.maximum(krw, 1e-6)
 
 
-def _darcy(scn: Scenario, f: dict, mu, mobility, sources=None):
-    """Aqueous Darcy flow under the ambient heads on the current ``f["k"]``;
-    stores the pressure in the field state."""
+def _darcy(scn: Scenario, f: dict, mu, mobility, cache: FactorCache, sources=None):
+    """Aqueous Darcy flow under the ambient heads on the current ``f["k"]``,
+    re-using the stage's pressure factors; stores the pressure in the field
+    state."""
     cfg = scn.config
     flow = solve_pressure(
         scn.grid, f["k"], mu, FlowBC(cfg.head_left, cfg.head_right, well_sources=sources or {}),
-        rho=scn.fluids.rho_w, g=scn.fluids.g, mobility_scale=mobility,
+        rho=scn.fluids.rho_w, g=scn.fluids.g, mobility_scale=mobility, cache=cache,
     )
     f["pw"] = flow.pressure
     return flow
@@ -167,8 +168,9 @@ def run_stage1(scn: Scenario) -> StageResult:
 
     bc_on = TwoPhaseBC(head0, head0, napl_source=scn.napl_source_field())
     bc_off = TwoPhaseBC(head0, head0)
-    stepper_on = ImpesStepper(g, m, scn.fluids, bc_on, numerics)
-    stepper_off = ImpesStepper(g, m, scn.fluids, bc_off, numerics)
+    cache = FactorCache()
+    stepper_on = ImpesStepper(g, m, scn.fluids, bc_on, numerics, cache)
+    stepper_off = ImpesStepper(g, m, scn.fluids, bc_off, numerics, cache)
 
     marks = set(cfg.snapshots[0]) | {cfg.infil_duration, duration - 10.0 * DAY}
     snapshots, series = [], []
@@ -199,6 +201,7 @@ def run_stage1(scn: Scenario) -> StageResult:
     diagnostics = {
         "source_zone": stats,
         "near_static_max_dsn": float(np.abs(state.sn - sn_near_end).max()),
+        "pressure": cache.stats(),
         "series_header": ["t", "napl_mass", "pool_fraction", "ganglia_fraction",
                           "upper_fraction", "lower_fraction"],
     }
@@ -214,7 +217,8 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     rho_n = scn.fluids.rho_n
     f = dict(ckpt.fields)
 
-    flow = _darcy(scn, f, np.full_like(f["k"], scn.fluids.mu_w), _water_mobility(f["sw"], m))
+    cache = FactorCache()
+    flow = _darcy(scn, f, np.full_like(f["k"], scn.fluids.mu_w), _water_mobility(f["sw"], m), cache)
     tp = TransportParams(cfg.diffusion, cfg.dispersivity)
     dp = DissolutionParams(cfg.mass_transfer, cfg.solubility)
     kernel = TransportKernel(g, f["theta_m"], flow, tp, cfl=cfg.transport_cfl)
@@ -247,6 +251,7 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         "napl_final": napl_end,
         "undissolved_fraction": napl_end / max(napl0, 1e-300),
         "flow": flow,
+        "pressure": cache.stats(),
         "series_header": ["t", "napl_mass", "napl_fraction", *mon],
     }
     ckpt_out = _make_checkpoint(scn, 2, ckpt.clock + t, f)
@@ -296,6 +301,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     screen = (well.x, g.height - well.depth)
     iw, jw = scn.well_cells["injection"][0]
     diagnostics = {"flux_reversed": False}
+    cache = FactorCache()
 
     marks = set(cfg.snapshots[2])
     snapshots, series = [], []
@@ -308,7 +314,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
 
     def step(t, dt):
         mu = nz.cmc_viscosity(f["c_cmc"], cmcp)
-        flow = _darcy(scn, f, mu, mobility, sources)
+        flow = _darcy(scn, f, mu, mobility, cache, sources)
         # background flow is +x; injection pushes the upgradient faces back
         if flow.qx[jw, max(iw - 2, 0): iw + 1].min() < 0:
             diagnostics["flux_reversed"] = True
@@ -349,6 +355,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         "max_k_reduction": float(1.0 - (f["k"] / k0).min()),
         "max_theta_reduction": float(1.0 - (theta_m / theta0).min()),
         "retained_mass": float(s_bulk.sum()) * cv,
+        "pressure": cache.stats(),
         "series_header": ["t", "roi", "max_s_bulk", "max_k_reduction"],
     })
     f["rho_m"] = s_bulk / theta_m
@@ -383,10 +390,11 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> S
     mon = scn.monitoring_cells()
     marks = set(cfg.snapshots[3])
     snapshots, series = [], []
+    cache = FactorCache()
 
     def step(t, dt):
         mu = nz.cmc_viscosity(f["c_cmc"], cmcp)
-        flow = _darcy(scn, f, mu, mobility)
+        flow = _darcy(scn, f, mu, mobility, cache)
         kernel = TransportKernel(g, f["theta_m"], flow, tp, cfl=cfg.transport_cfl)
         _transport(kernel, f, ledger, dt)
         f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, dp, dt)
@@ -410,6 +418,7 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> S
         "iron_initial": iron0,
         "iron_final": mass(f["rho_m"]),
         "degraded_mass": ledger["tce"].degraded,
+        "pressure": cache.stats(),
         "series_header": ["t", "iron_fraction", *mon],
     }
     return StageResult(4, ckpt_out, diagnostics, ledger, snapshots, series)

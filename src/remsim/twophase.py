@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.ndimage as ndi
 
-from .flow import SolverError, TpfaSystem, _harmonic
+from .flow import FactorCache, SolverError, TpfaSystem, _harmonic
 from .grid import MaterialMap
 
 
@@ -120,7 +120,9 @@ def interface_block_mask(pd_up, pd_recv, pc_up, lith_up, lith_recv):
 # ---------------------------------------------------------------------------
 
 class ImpesStepper:
-    """Face permeabilities and audit state for repeated IMPES sub-steps on one grid."""
+    """Face permeabilities and audit state for repeated IMPES sub-steps on one
+    grid.  Steppers given the same ``cache`` share pressure factors: the
+    matrix does not depend on the NAPL source, only the right-hand side."""
 
     def __init__(
         self,
@@ -129,12 +131,14 @@ class ImpesStepper:
         fluids: FluidProps,
         bc: TwoPhaseBC,
         numerics: Numerics = Numerics(),
+        cache: FactorCache | None = None,
     ):
         self.grid = grid
         self.material = material
         self.fluids = fluids
         self.bc = bc
         self.numerics = numerics
+        self.cache = FactorCache() if cache is None else cache
         k = material.k
         self.kfx = _harmonic(k[:, :-1], k[:, 1:]) * grid.dy / grid.dx
         self.kfy = _harmonic(k[:-1, :], k[1:, :]) * grid.dx / grid.dy
@@ -231,7 +235,7 @@ class ImpesStepper:
             lw_x * gw_x + ln_x * gn_x, lw_y * gw_y + ln_y * gn_y,
             d, b,
         )
-        p = system.solve()
+        p = system.solve(self.cache)
         if not np.isfinite(p).all():
             raise SolverError("two-phase pressure solve produced non-finite values")
         return p

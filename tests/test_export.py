@@ -51,3 +51,13 @@ def test_series_csv(tmp_path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows == [["t", "c"], ["0", "0"], ["10", "0.5"]]
+
+
+def test_vtk_values_match_per_value_format(tmp_path):
+    g = build_grid((3.0, 3.0), (1.0, 1.0))
+    arr = np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 1e-300], [1e300, -1.5, 2.0 / 3.0]])
+    path = tmp_path / "snap.vtk"
+    write_vtk(path, g, {"v": arr})
+    text = path.read_text().splitlines()
+    i = text.index("LOOKUP_TABLE default")
+    assert text[i + 1:] == [" ".join(f"{v:.10g}" for v in row) for row in arr]

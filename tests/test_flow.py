@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from remsim.flow import FlowBC, SolverError, TpfaSystem, solve_pressure
+from remsim.flow import FactorCache, FlowBC, SolverError, TpfaSystem, solve_pressure
 from remsim.grid import build_grid
 
 RHO, G, MU = 1000.0, 9.81, 1e-3
@@ -147,7 +147,66 @@ def sparse_oracle(t_x, t_y, k_x, k_y, d, b):
     return spla.spsolve(a.tocsc(), rhs).reshape(ny, nx)
 
 
+def perturb(terms, lo, hi, seed):
+    """``terms`` with new transmissibilities and Dirichlet terms on every face
+    and cell touching the outer-index columns [lo, hi) (x if nx > ny, else y)
+    and a new right-hand side everywhere."""
+    rng = np.random.default_rng(seed)
+    t_x, t_y, k_x, k_y, d, b = (term.copy() for term in terms)
+    ny, nx = d.shape
+    outer = np.arange(nx)[None, :] if nx > ny else np.arange(ny)[:, None]
+    cells = np.broadcast_to((outer >= lo) & (outer < hi), d.shape)
+    d[cells] += np.exp(rng.normal(0.0, 1.0, cells.sum()))
+    faces_x = cells[:, :-1] | cells[:, 1:]
+    t_x[faces_x] = np.exp(rng.normal(0.0, 1.0, faces_x.sum()))
+    faces_y = cells[:-1, :] | cells[1:, :]
+    t_y[faces_y] = np.exp(rng.normal(0.0, 1.0, faces_y.sum()))
+    return t_x, t_y, k_x, k_y, d, rng.normal(0.0, 1.0, b.shape)
+
+
+# column ranges changed against the first system of each sequence (None: no
+# change) and the full factorizations the sequence takes, its first included
+REUSE_SEQUENCES = {
+    "interior": ([(10, 14), (9, 16), (12, 13), None], 1),
+    "left_end": ([(0, 5), (0, 3), (4, 6)], 1),
+    "right_end": ([(25, 30), (27, 30), (20, 22)], 1),
+    "no_change": ([None, None], 3),
+    "every_column": ([(0, 30), (10, 12)], 2),
+    "shrinks_after_growing": ([(12, 14), (8, 20), (13, 14)], 1),
+}
+
+
 class TestTpfaSystem:
+    @pytest.mark.parametrize("nx, ny", [(30, 8), (8, 30)])
+    @pytest.mark.parametrize("case", REUSE_SEQUENCES)
+    def test_reuse_matches_one_shot_solve(self, nx, ny, case):
+        changes, full = REUSE_SEQUENCES[case]
+        base = random_system(nx, ny, seed=5)
+        cache = FactorCache()
+        TpfaSystem(*base).solve(cache)
+        reference = base
+        for step, cols in enumerate(changes):
+            terms = reference if cols is None else perturb(reference, *cols, seed=step)
+            p = TpfaSystem(*terms).solve(cache)
+            expected = TpfaSystem(*terms).solve()
+            assert np.abs(p - expected).max() <= 1e-12 * np.abs(expected).max(), (case, step)
+            if cols == (0, 30):  # a full solve: the next changes count against it
+                reference = terms
+        assert cache.stats()["full"] == full
+        assert cache.stats()["solves"] == len(changes) + 1
+
+    def test_not_positive_definite_on_reuse(self):
+        t_x, t_y, k_x, k_y, d, b = random_system(30, 8, seed=5)
+        cache = FactorCache()
+        TpfaSystem(t_x, t_y, k_x, k_y, d, b).solve(cache)
+        # cell (x 15, y 3) loses every face: its row of the matrix is all zero
+        t_x, t_y = t_x.copy(), t_y.copy()
+        t_x[3, 14:16] = 0.0
+        t_y[2:4, 15] = 0.0
+        with pytest.raises(SolverError, match="positive definite"):
+            TpfaSystem(t_x, t_y, k_x, k_y, d, b).solve(cache)
+        assert cache.stats()["full"] == 1
+
     @pytest.mark.parametrize("nx, ny", [(12, 5), (5, 12), (1, 20)])
     def test_matches_sparse_oracle(self, nx, ny):
         terms = random_system(nx, ny, seed=nx * 100 + ny)

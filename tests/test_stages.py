@@ -3,9 +3,16 @@ import pytest
 
 from remsim import stages
 from remsim.config import RunConfig
+from remsim.flow import FactorCache
 from remsim.pipeline import run
 from remsim.scenario import Scenario
-from remsim.stages import LEDGER_TERMS, Ledger, run_stage4, run_transport_continuation
+from remsim.stages import (
+    LEDGER_TERMS,
+    Ledger,
+    run_stage3,
+    run_stage4,
+    run_transport_continuation,
+)
 from tests.test_pipeline import fast_config_text
 
 SPECIES = {1: {"napl"}, 2: {"tce"}, 3: {"nzvi", "cmc", "tce"}, 4: {"tce", "cmc"}}
@@ -71,3 +78,36 @@ class TestContinuation:
         assert continuation.ledger["tce"].degraded == 0.0
         for name, field in null_run.checkpoint.fields.items():
             np.testing.assert_array_equal(field, continuation.checkpoint.fields[name])
+
+
+class FullSolveCache(FactorCache):
+    """Drops the reference before every solve: each one factors the whole band."""
+
+    def solve(self, *terms):
+        self.reference = None
+        return super().solve(*terms)
+
+
+class TestPressureReuse:
+    def test_stages_3_4_match_full_solves(self, fast_run, monkeypatch):
+        scn = Scenario.build(RunConfig.from_text(fast_config_text()), 0)
+        monkeypatch.setattr(stages, "FactorCache", FullSolveCache)
+        res3 = run_stage3(scn, fast_run.results[2].checkpoint)
+        res4 = run_stage4(scn, res3.checkpoint)
+        for stage, forced in ((3, res3), (4, res4)):
+            reused = fast_run.results[stage]
+            counts = reused.diagnostics["pressure"]
+            assert counts["full"] == 1 and counts["mean_columns"] < counts["columns"]
+            assert forced.diagnostics["pressure"]["full"] == counts["solves"]
+            for name, field in forced.checkpoint.fields.items():
+                np.testing.assert_allclose(reused.checkpoint.fields[name], field, rtol=0,
+                                           atol=1e-6 * np.abs(field).max())
+
+    def test_report_counts_pressure_solves(self, fast_run):
+        lines = fast_run.report.splitlines()
+        for stage, res in fast_run.results.items():
+            counts = res.diagnostics["pressure"]
+            assert counts["solves"] >= counts["full"] >= 1
+            line = (f"  pressure: {counts['solves']} solves, {counts['full']} full, "
+                    f"mean {counts['mean_columns']:.1f}/{counts['columns']} columns")
+            assert lines[lines.index(f"stage {stage} audit:") + 1] == line
