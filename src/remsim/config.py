@@ -112,7 +112,6 @@ class RunConfig:
     # clogging
     a0: float
     zvi_specific_area: float
-    sand_density: float
     gamma: float
     # reaction
     k_sa: float
@@ -225,7 +224,6 @@ class RunConfig:
             cmc_viscosity=get("cmc", "solution_viscosity"),
             a0=get("clogging", "a0"),
             zvi_specific_area=get("clogging", "zvi_specific_area"),
-            sand_density=get("clogging", "sand_density"),
             gamma=get("clogging", "gamma", bare=True),
             k_sa=get("reaction", "k_sa"),
             alpha_s=get("reaction", "alpha_s"),

@@ -8,6 +8,11 @@ definite; with the cells numbered along the shorter grid side its
 half-bandwidth is ``min(nx, ny)``, so it is solved by a banded Cholesky
 factorization.
 
+:func:`scatter_faces` is the one face-to-cell balance of the finite-volume
+kernels (this operator, the IMPES saturation step and the transport
+kernel): it adds interior face values to the cells on either side of each
+face, in a fixed order so that results are reproducible bit for bit.
+
 A run solves sequences of such systems (one per IMPES sub-step or operator
 split step) whose mobility changes only in part of the grid: around the NAPL
 body in Stage 1, inside the CMC plume and the clogged zone in Stages 3-4.
@@ -59,9 +64,21 @@ class FlowField:
         vx, vy = self.cell_velocity()
         return np.hypot(vx, vy)
 
-    def divergence(self, dx: float, dy: float) -> np.ndarray:
-        """Net volumetric outflow per cell (m^3/s per unit thickness)."""
-        return (self.qx[:, 1:] - self.qx[:, :-1]) * dy + (self.qy[1:, :] - self.qy[:-1, :]) * dx
+
+# (lower cell, upper cell) of the interior faces of a (ny, nx) cell array,
+# x-faces first, then y-faces
+FACES = ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1, :], np.s_[1:, :]))
+
+
+def scatter_faces(out, x_lo, x_hi, y_lo, y_hi):
+    """Add interior face values to the cells on either side and return
+    ``out``: ``x_lo``/``x_hi`` (ny, nx-1) to the cell left/right of each
+    x-face, then ``y_lo``/``y_hi`` (ny-1, nx) to the cell below/above each
+    y-face, in that order."""
+    for (lo, hi), v_lo, v_hi in zip(FACES, (x_lo, y_lo), (x_hi, y_hi)):
+        out[lo] += v_lo
+        out[hi] += v_hi
+    return out
 
 
 def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,27 +99,15 @@ class TpfaSystem:
 
     def __init__(self, t_x, t_y, k_x, k_y, d, b):
         self.t_x, self.t_y = t_x, t_y
-        self.diag = np.zeros_like(d)
-        self.diag[:, :-1] += t_x
-        self.diag[:, 1:] += t_x
-        self.diag[:-1, :] += t_y
-        self.diag[1:, :] += t_y
+        self.diag = scatter_faces(np.zeros_like(d), t_x, t_x, t_y, t_y)
         self.diag += d
-        self.rhs = np.zeros_like(b)
-        self.rhs[:, :-1] += k_x
-        self.rhs[:, 1:] -= k_x
-        self.rhs[:-1, :] += k_y
-        self.rhs[1:, :] -= k_y
+        self.rhs = scatter_faces(np.zeros_like(b), k_x, -k_x, k_y, -k_y)
         self.rhs += b
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         """Matrix-vector product through the five-point stencil."""
-        ap = self.diag * p
-        ap[:, :-1] -= self.t_x * p[:, 1:]
-        ap[:, 1:] -= self.t_x * p[:, :-1]
-        ap[:-1, :] -= self.t_y * p[1:, :]
-        ap[1:, :] -= self.t_y * p[:-1, :]
-        return ap
+        return scatter_faces(self.diag * p, -(self.t_x * p[:, 1:]), -(self.t_x * p[:, :-1]),
+                             -(self.t_y * p[1:, :]), -(self.t_y * p[:-1, :]))
 
     def solve(self, cache: FactorCache | None = None) -> np.ndarray:
         """Banded Cholesky solve, re-using the factors of ``cache`` (a fresh

@@ -39,10 +39,6 @@ class Grid:
     origin: tuple[float, float] = (0.0, 0.0)
 
     @property
-    def n_cells(self) -> int:
-        return self.nx * self.ny
-
-    @property
     def width(self) -> float:
         return self.nx * self.dx
 

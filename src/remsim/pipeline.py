@@ -68,6 +68,9 @@ def _audit_lines(stage: int, res: StageResult) -> list[str]:
     lines = [f"stage {stage} audit:",
              f"  pressure: {counts['solves']} solves, {counts['full']} full, "
              f"mean {counts['mean_columns']:.1f}/{counts['columns']} columns"]
+    if "limits" in res.diagnostics:
+        lines.append("  sub-step limits: " + ", ".join(
+            f"{name} {n}" for name, n in res.diagnostics["limits"].items()))
     for name, ledger in res.ledger.items():
         err = ledger.closure()
         status = "ok" if err <= AUDIT_TOLERANCE else "FAIL"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowField
+from .flow import FlowField, scatter_faces
 
 
 class TransportError(RuntimeError):
@@ -70,12 +70,10 @@ class TransportKernel:
         self.gy = (params.diffusion + params.dispersivity * np.abs(flow.qy[1:-1, :])) * dx / dy
 
         # positivity / CFL bound: dt <= cfl * pv / (sum outflux + sum conductance)
-        out = np.zeros_like(self.pv)
         fxi, fyi = self.fx[:, 1:-1], self.fy[1:-1, :]
-        out[:, :-1] += np.maximum(fxi, 0.0) + self.gx
-        out[:, 1:] += np.maximum(-fxi, 0.0) + self.gx
-        out[:-1, :] += np.maximum(fyi, 0.0) + self.gy
-        out[1:, :] += np.maximum(-fyi, 0.0) + self.gy
+        out = scatter_faces(np.zeros_like(self.pv),
+                            np.maximum(fxi, 0.0) + self.gx, np.maximum(-fxi, 0.0) + self.gx,
+                            np.maximum(fyi, 0.0) + self.gy, np.maximum(-fyi, 0.0) + self.gy)
         out[:, 0] += np.maximum(-self.fx[:, 0], 0.0)
         out[:, -1] += np.maximum(self.fx[:, -1], 0.0)
         out[0, :] += np.maximum(-self.fy[0, :], 0.0)
@@ -104,15 +102,12 @@ class TransportKernel:
     def _substep(self, c, dt, well_conc, exported):
         """One explicit sub-step; adds its boundary outflow to the running
         total ``exported`` and returns ``(c', exported')``."""
-        m = self.pv * c
-        fxi = self.fx[:, 1:-1]
-        flux_x = fxi * np.where(fxi > 0, c[:, :-1], c[:, 1:]) - self.gx * (c[:, 1:] - c[:, :-1])
-        m[:, :-1] -= dt * flux_x
-        m[:, 1:] += dt * flux_x
-        fyi = self.fy[1:-1, :]
-        flux_y = fyi * np.where(fyi > 0, c[:-1, :], c[1:, :]) - self.gy * (c[1:, :] - c[:-1, :])
-        m[:-1, :] -= dt * flux_y
-        m[1:, :] += dt * flux_y
+        fxi, fyi = self.fx[:, 1:-1], self.fy[1:-1, :]
+        flux_x = dt * (fxi * np.where(fxi > 0, c[:, :-1], c[:, 1:])
+                       - self.gx * (c[:, 1:] - c[:, :-1]))
+        flux_y = dt * (fyi * np.where(fyi > 0, c[:-1, :], c[1:, :])
+                       - self.gy * (c[1:, :] - c[:-1, :]))
+        m = scatter_faces(self.pv * c, -flux_x, flux_x, -flux_y, flux_y)
         # open lateral boundaries, zero-gradient concentration
         for f, col in ((self.fx[:, 0], 0), (-self.fx[:, -1], -1)):
             bflux = f * c[:, col]           # positive = into the domain

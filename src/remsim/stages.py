@@ -36,6 +36,7 @@ from .solute import (
     probe,
 )
 from .twophase import (
+    LIMITS,
     ImpesStepper,
     Numerics,
     TwoPhaseBC,
@@ -202,6 +203,8 @@ def run_stage1(scn: Scenario) -> StageResult:
         "source_zone": stats,
         "near_static_max_dsn": float(np.abs(state.sn - sn_near_end).max()),
         "pressure": cache.stats(),
+        # sub-steps set by each bound (advection, inflow, capillary, chunk end)
+        "limits": {name: stepper_on.limits[name] + stepper_off.limits[name] for name in LIMITS},
         "series_header": ["t", "napl_mass", "pool_fraction", "ganglia_fraction",
                           "upper_fraction", "lower_fraction"],
     }

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.ndimage as ndi
 
-from .flow import FactorCache, SolverError, TpfaSystem, _harmonic
+from .flow import FACES, FactorCache, SolverError, TpfaSystem, _harmonic, scatter_faces
 from .grid import MaterialMap
 
 
@@ -69,9 +69,6 @@ class TwoPhaseState:
     pw: np.ndarray
     clock: float = 0.0
 
-    def copy(self) -> "TwoPhaseState":
-        return TwoPhaseState(self.sw.copy(), self.sn.copy(), self.pw.copy(), self.clock)
-
 
 @dataclass(frozen=True)
 class TwoPhaseBC:
@@ -119,10 +116,15 @@ def interface_block_mask(pd_up, pd_recv, pc_up, lith_up, lith_recv):
 # IMPES stepping
 # ---------------------------------------------------------------------------
 
+# the bounds on a sub-step's length, in the order that breaks ties
+LIMITS = ("advection", "inflow", "capillary", "chunk_end")
+
+
 class ImpesStepper:
     """Face permeabilities and audit state for repeated IMPES sub-steps on one
     grid.  Steppers given the same ``cache`` share pressure factors: the
-    matrix does not depend on the NAPL source, only the right-hand side."""
+    matrix does not depend on the NAPL source, only the right-hand side.
+    ``limits`` counts the sub-steps each bound of :data:`LIMITS` has set."""
 
     def __init__(
         self,
@@ -145,6 +147,7 @@ class ImpesStepper:
         self.pore_vol = material.porosity * grid.cell_volume
         # running audit
         self.injected_mass = 0.0
+        self.limits = dict.fromkeys(LIMITS, 0)
 
     # -- closures ---------------------------------------------------------
     def closures(self, state: TwoPhaseState):
@@ -156,50 +159,26 @@ class ImpesStepper:
         return pc, krw, krn
 
     def _face_quantities(self, state: TwoPhaseState, pc, krw, krn):
-        """Upwinded face mobilities and known (capillary+gravity) potentials."""
-        g, f, m = self.grid, self.fluids, self.material
+        """Upwinded face mobilities and known (capillary+gravity) potentials
+        ``(lw, ln, grav_w, grav_n)`` of the x-faces and of the y-faces."""
+        f, m = self.fluids, self.material
         pn = state.pw + pc
-
-        # x-faces ------------------------------------------------------
-        dphi_w_x = state.pw[:, 1:] - state.pw[:, :-1]
-        dphi_n_x = pn[:, 1:] - pn[:, :-1]
-        up_w_x = dphi_w_x < 0  # True: owner (left cell) is upwind
-        up_n_x = dphi_n_x < 0
-        krw_fx = np.where(up_w_x, krw[:, :-1], krw[:, 1:])
-        krn_fx = np.where(up_n_x, krn[:, :-1], krn[:, 1:])
-        # entry-pressure rule, applied in the NAPL flow direction
         pd, lith = m.entry_pressure, m.lithology
-        blocked_x = np.where(
-            up_n_x,
-            interface_block_mask(pd[:, :-1], pd[:, 1:], pc[:, :-1], lith[:, :-1], lith[:, 1:]),
-            interface_block_mask(pd[:, 1:], pd[:, :-1], pc[:, 1:], lith[:, 1:], lith[:, :-1]),
-        )
-        krn_fx = np.where(blocked_x, 0.0, krn_fx)
-        lw_x = self.kfx * krw_fx / f.mu_w
-        ln_x = self.kfx * krn_fx / f.mu_n
-        grav_w_x = np.zeros_like(lw_x)
-        grav_n_x = pc[:, 1:] - pc[:, :-1]
-
-        # y-faces ------------------------------------------------------
-        dz = g.dy
-        dphi_w_y = state.pw[1:, :] - state.pw[:-1, :] + f.rho_w * f.g * dz
-        dphi_n_y = pn[1:, :] - pn[:-1, :] + f.rho_n * f.g * dz
-        up_w_y = dphi_w_y < 0
-        up_n_y = dphi_n_y < 0
-        krw_fy = np.where(up_w_y, krw[:-1, :], krw[1:, :])
-        krn_fy = np.where(up_n_y, krn[:-1, :], krn[1:, :])
-        blocked_y = np.where(
-            up_n_y,
-            interface_block_mask(pd[:-1, :], pd[1:, :], pc[:-1, :], lith[:-1, :], lith[1:, :]),
-            interface_block_mask(pd[1:, :], pd[:-1, :], pc[1:, :], lith[1:, :], lith[:-1, :]),
-        )
-        krn_fy = np.where(blocked_y, 0.0, krn_fy)
-        lw_y = self.kfy * krw_fy / f.mu_w
-        ln_y = self.kfy * krn_fy / f.mu_n
-        grav_w_y = np.full_like(lw_y, f.rho_w * f.g * dz)
-        grav_n_y = pc[1:, :] - pc[:-1, :] + f.rho_n * f.g * dz
-
-        return (lw_x, ln_x, grav_w_x, grav_n_x), (lw_y, ln_y, grav_w_y, grav_n_y)
+        faces = []
+        for (lo, hi), kf, dz in zip(FACES, (self.kfx, self.kfy), (0.0, self.grid.dy)):
+            up_w = state.pw[hi] - state.pw[lo] + f.rho_w * f.g * dz < 0  # True: lower cell upwind
+            up_n = pn[hi] - pn[lo] + f.rho_n * f.g * dz < 0
+            # entry-pressure rule, applied in the NAPL flow direction
+            blocked = np.where(
+                up_n,
+                interface_block_mask(pd[lo], pd[hi], pc[lo], lith[lo], lith[hi]),
+                interface_block_mask(pd[hi], pd[lo], pc[hi], lith[hi], lith[lo]),
+            )
+            krn_f = np.where(blocked, 0.0, np.where(up_n, krn[lo], krn[hi]))
+            lw = kf * np.where(up_w, krw[lo], krw[hi]) / f.mu_w
+            faces.append((lw, kf * krn_f / f.mu_n, np.full_like(lw, f.rho_w * f.g * dz),
+                          pc[hi] - pc[lo] + f.rho_n * f.g * dz))
+        return faces
 
     def _solve_pressure(self, state, pc, krw, fx, fy):
         """Implicit total-velocity pressure solve; returns new pw."""
@@ -242,26 +221,16 @@ class ImpesStepper:
 
     def _napl_fluxes(self, pw, fx, fy):
         """Per-face NAPL volumetric fluxes (m^3/s), positive owner->neighbor."""
-        _, ln_x, _, gn_x = fx
-        _, ln_y, _, gn_y = fy
-        fn_x = -ln_x * ((pw[:, 1:] - pw[:, :-1]) + gn_x)
-        fn_y = -ln_y * ((pw[1:, :] - pw[:-1, :]) + gn_y)
-        return fn_x, fn_y
+        return [-ln * ((pw[hi] - pw[lo]) + gn) for (lo, hi), (_, ln, _, gn) in zip(FACES, (fx, fy))]
 
-    def _stable_dt(self, state, pc, fn_x, fn_y, fx, fy):
+    def _stable_dt(self, state, out, fn_x, fn_y, fx, fy, dt_target):
+        """Sub-step length from the NAPL outflow ``out`` of each cell, and the
+        bound of :data:`LIMITS` that sets it (the first of equal bounds)."""
         num = self.numerics
         m = self.material
         pv = self.pore_vol
-        out = np.zeros_like(state.sn)
-        out[:, :-1] += np.maximum(fn_x, 0.0)
-        out[:, 1:] += np.maximum(-fn_x, 0.0)
-        out[:-1, :] += np.maximum(fn_y, 0.0)
-        out[1:, :] += np.maximum(-fn_y, 0.0)
-        inflow = np.zeros_like(out)
-        inflow[:, 1:] += np.maximum(fn_x, 0.0)
-        inflow[:, :-1] += np.maximum(-fn_x, 0.0)
-        inflow[1:, :] += np.maximum(fn_y, 0.0)
-        inflow[:-1, :] += np.maximum(-fn_y, 0.0)
+        inflow = scatter_faces(np.zeros_like(out), np.maximum(-fn_x, 0.0), np.maximum(fn_x, 0.0),
+                               np.maximum(-fn_y, 0.0), np.maximum(fn_y, 0.0))
         if self.bc.napl_source is not None:
             inflow += self.bc.napl_source * self.grid.cell_volume
 
@@ -273,8 +242,6 @@ class ImpesStepper:
         # explicit capillary-diffusion bound (Coats-type): the saturation
         # update feels the mixed fractional-flow mobility lw*ln/(lw+ln),
         # not ln alone -- inside pools the near-immobile water limits it
-        lw_x, ln_x, _, _ = fx
-        lw_y, ln_y, _, _ = fy
         se = effective_saturation(state.sw, m.swr, m.snr, num.se_clamp)
         dpc = (
             m.entry_pressure
@@ -283,19 +250,16 @@ class ImpesStepper:
             / (1.0 - m.swr - m.snr)
         )
         with np.errstate(invalid="ignore"):
-            mix_x = np.where(lw_x + ln_x > 0, lw_x * ln_x / (lw_x + ln_x), 0.0)
-            mix_y = np.where(lw_y + ln_y > 0, lw_y * ln_y / (lw_y + ln_y), 0.0)
-        g_x = mix_x * np.maximum(dpc[:, :-1], dpc[:, 1:])
-        g_y = mix_y * np.maximum(dpc[:-1, :], dpc[1:, :])
-        cond = np.zeros_like(out)
-        cond[:, :-1] += g_x
-        cond[:, 1:] += g_x
-        cond[:-1, :] += g_y
-        cond[1:, :] += g_y
+            g_x, g_y = (np.where(lw + ln > 0, lw * ln / (lw + ln), 0.0)
+                        * np.maximum(dpc[lo], dpc[hi])
+                        for (lo, hi), (lw, ln, _, _) in zip(FACES, (fx, fy)))
+        cond = scatter_faces(np.zeros_like(out), g_x, g_x, g_y, g_y)
         with np.errstate(divide="ignore"):
             dt_cap = np.where(cond > 0, num.cfl * pv / cond, np.inf).min()
 
-        return float(min(dt_adv, dt_in, dt_cap))
+        bounds = dict(zip(LIMITS, (dt_adv, dt_in, dt_cap, dt_target)))
+        limit = min(bounds, key=bounds.get)
+        return float(bounds[limit]), limit
 
     def substep(self, state: TwoPhaseState, dt_target: float) -> float:
         """One IMPES sub-step of at most ``dt_target``; returns dt taken."""
@@ -303,25 +267,19 @@ class ImpesStepper:
         fx, fy = self._face_quantities(state, pc, krw, krn)
         pw = self._solve_pressure(state, pc, krw, fx, fy)
         fn_x, fn_y = self._napl_fluxes(pw, fx, fy)
-        dt = min(dt_target, self._stable_dt(state, pc, fn_x, fn_y, fx, fy))
+        out = scatter_faces(np.zeros_like(state.sn), np.maximum(fn_x, 0.0), np.maximum(-fn_x, 0.0),
+                            np.maximum(fn_y, 0.0), np.maximum(-fn_y, 0.0))
+        dt, limit = self._stable_dt(state, out, fn_x, fn_y, fx, fy, dt_target)
+        self.limits[limit] += 1
 
         # limit each cell's outgoing NAPL flux to its content (conservative:
         # both sides of a face see the same scaled flux)
-        out = np.zeros_like(state.sn)
-        out[:, :-1] += np.maximum(fn_x, 0.0)
-        out[:, 1:] += np.maximum(-fn_x, 0.0)
-        out[:-1, :] += np.maximum(fn_y, 0.0)
-        out[1:, :] += np.maximum(-fn_y, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(out * dt > 0, np.minimum(1.0, state.sn * self.pore_vol / (out * dt)), 1.0)
-        fn_x = fn_x * np.where(fn_x > 0, scale[:, :-1], scale[:, 1:])
-        fn_y = fn_y * np.where(fn_y > 0, scale[:-1, :], scale[1:, :])
+        fn_x, fn_y = (fn * np.where(fn > 0, scale[lo], scale[hi])
+                      for (lo, hi), fn in zip(FACES, (fn_x, fn_y)))
 
-        div = np.zeros_like(state.sn)
-        div[:, :-1] += fn_x
-        div[:, 1:] -= fn_x
-        div[:-1, :] += fn_y
-        div[1:, :] -= fn_y
+        div = scatter_faces(np.zeros_like(state.sn), fn_x, -fn_x, fn_y, -fn_y)
         dsn = -div * dt / self.pore_vol
         if self.bc.napl_source is not None:
             dsn += self.bc.napl_source * dt * self.grid.cell_volume / self.pore_vol
@@ -343,25 +301,6 @@ class ImpesStepper:
 
     def napl_mass(self, state: TwoPhaseState) -> float:
         return float(np.sum(self.pore_vol * state.sn) * self.fluids.rho_n)
-
-
-def impes_step(
-    state: TwoPhaseState,
-    material: MaterialMap,
-    fluids: FluidProps,
-    bc: TwoPhaseBC,
-    dt: float,
-    numerics: Numerics = Numerics(),
-    stepper: ImpesStepper | None = None,
-) -> TwoPhaseState:
-    """Advance ``state`` by ``dt``, sub-stepping as the CFL bound requires."""
-    if stepper is None:
-        stepper = ImpesStepper(material.grid, material, fluids, bc, numerics)
-    out = state.copy()
-    t_end = state.clock + dt
-    while out.clock < t_end - 1e-9:
-        stepper.substep(out, t_end - out.clock)
-    return out
 
 
 # ---------------------------------------------------------------------------

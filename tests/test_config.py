@@ -63,6 +63,17 @@ class TestRunConfig:
         assert cfg.stage_durations[0] == pytest.approx(135 * 86400.0)
         assert cfg.stage_durations[2] == pytest.approx(8 * 3600.0)
 
+    def test_unknown_key_ignored(self):
+        # configs written for older versions still carry [clogging] sand_density
+        from tests.test_pipeline import fast_config_text
+
+        text = fast_config_text()
+        old = RunConfig.from_text(
+            text.replace("[clogging]\n", "[clogging]\nsand_density = 2600 kg/m^3\n"))
+        assert "sand_density = 2600 kg/m^3" in old.source_text
+        assert old == RunConfig.from_text(text)
+        assert not hasattr(old, "sand_density")
+
     def test_hash_stable(self):
         a, b = RunConfig.default(), RunConfig.default()
         assert a.config_hash == b.config_hash

@@ -3,7 +3,14 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from remsim.flow import FactorCache, FlowBC, SolverError, TpfaSystem, solve_pressure
+from remsim.flow import (
+    FactorCache,
+    FlowBC,
+    SolverError,
+    TpfaSystem,
+    scatter_faces,
+    solve_pressure,
+)
 from remsim.grid import build_grid
 
 RHO, G, MU = 1000.0, 9.81, 1e-3
@@ -14,9 +21,14 @@ def uniform(grid, k=1e-12):
     return np.full((grid.ny, grid.nx), k), np.full((grid.ny, grid.nx), MU)
 
 
+def divergence(flow, dx: float, dy: float) -> np.ndarray:
+    """Net volumetric outflow per cell (m^3/s per unit thickness)."""
+    return (flow.qx[:, 1:] - flow.qx[:, :-1]) * dy + (flow.qy[1:, :] - flow.qy[:-1, :]) * dx
+
+
 def mass_balance_error(flow, grid, bc: FlowBC) -> float:
     """Relative closure of boundary + well fluxes against internal divergence."""
-    div = flow.divergence(grid.dx, grid.dy)
+    div = divergence(flow, grid.dx, grid.dy)
     src = np.zeros_like(div)
     for (i, j), rate in bc.well_sources.items():
         src[j, i] += rate
@@ -73,7 +85,7 @@ class TestDarcy:
         k, mu = uniform(g)
         bc = FlowBC(5.0, 5.0, well_sources={(20, 10): 1e-5})
         flow = solve_pressure(g, k, mu, bc, rho=RHO, g=G)
-        div = flow.divergence(g.dx, g.dy)
+        div = divergence(flow, g.dx, g.dy)
         assert div[10, 20] == pytest.approx(1e-5, rel=1e-8)
         assert mass_balance_error(flow, g, bc) < 1e-8
 
@@ -233,6 +245,42 @@ class TestTpfaSystem:
         solve_pressure(g, k, mu, FlowBC(6.0, 5.0), rho=RHO, g=G)
         with pytest.raises(SolverError, match="residual"):
             solve_pressure(g, k, mu, FlowBC(6.0, 5.0), rho=RHO, g=G, rtol=0.0)
+
+
+def scatter_loop(out, x_lo, x_hi, y_lo, y_hi, axes=((0, 1), (1, 0)), sides=(0, 1)):
+    """Face by face: every x-face adds to its lower (left) cell, then every
+    x-face to its upper (right) cell, then the same for the y-faces; ``axes``
+    and ``sides`` reorder the passes."""
+    out = out.copy()
+    values = {(0, 1): (x_lo, x_hi), (1, 0): (y_lo, y_hi)}
+    for dj, di in axes:
+        for side in sides:
+            v = values[dj, di][side]
+            for j, i in np.ndindex(v.shape):
+                out[j + side * dj, i + side * di] += v[j, i]
+    return out
+
+
+class TestScatterFaces:
+    def faces(self, nx=7, ny=5):
+        rng = np.random.default_rng(11)
+        x = [rng.normal(0.0, 1.0, (ny, nx - 1)) for _ in range(2)]
+        y = [rng.normal(0.0, 1.0, (ny - 1, nx)) for _ in range(2)]
+        return rng.normal(0.0, 1.0, (ny, nx)), *x, *y
+
+    def test_matches_per_face_loop_bitwise(self):
+        out, *faces = self.faces()
+        expected = scatter_loop(out, *faces)
+        result = scatter_faces(out, *faces)
+        assert result is out
+        np.testing.assert_array_equal(result, expected)
+
+    def test_order_matters_on_these_values(self):
+        # the checks above pin the order: other orders round differently here
+        out, *faces = self.faces()
+        expected = scatter_loop(out, *faces)
+        for order in ({"axes": ((1, 0), (0, 1))}, {"sides": (1, 0)}):
+            assert not np.array_equal(scatter_loop(out, *faces, **order), expected), order
 
 
 class TestHydrostatic:

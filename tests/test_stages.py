@@ -44,6 +44,21 @@ class TestLedgers:
             assert line.split()[::2] == [*LEDGER_TERMS, "kg/m"]
 
 
+class TestSubstepLimits:
+    def test_counts_add_up_to_stage1_solves(self, fast_run):
+        res = fast_run.results[1]
+        limits = res.diagnostics["limits"]
+        assert list(limits) == ["advection", "inflow", "capillary", "chunk_end"]
+        assert sum(limits.values()) == res.diagnostics["pressure"]["solves"]
+
+    def test_report_prints_counts_under_stage1_pressure(self, fast_run):
+        lines = fast_run.report.splitlines()
+        limits = fast_run.results[1].diagnostics["limits"]
+        line = "  sub-step limits: " + ", ".join(f"{k} {n}" for k, n in limits.items())
+        assert lines[lines.index("stage 1 audit:") + 2] == line
+        assert sum(line.startswith("  sub-step limits:") for line in lines) == 1
+
+
 class TestClosure:
     def test_balanced_ledger_closes(self):
         ledger = Ledger(initial=2.0, injected=1.0, dissolved=0.5,

@@ -7,14 +7,25 @@ from remsim.twophase import (
     ImpesStepper,
     Numerics,
     TwoPhaseBC,
+    TwoPhaseState,
     capillary_pressure,
     effective_saturation,
     hydrostatic_two_phase,
-    impes_step,
     interface_block_mask,
     rel_perm,
     source_zone_stats,
 )
+
+
+def impes_step(state, material, fluids, bc, dt, numerics=Numerics(), stepper=None):
+    """Advance a copy of ``state`` by ``dt``, sub-stepping as the CFL bound requires."""
+    if stepper is None:
+        stepper = ImpesStepper(material.grid, material, fluids, bc, numerics)
+    out = TwoPhaseState(state.sw.copy(), state.sn.copy(), state.pw.copy(), state.clock)
+    t_end = state.clock + dt
+    while out.clock < t_end - 1e-9:
+        stepper.substep(out, t_end - out.clock)
+    return out
 
 
 def homogeneous(grid, **over):
@@ -170,6 +181,31 @@ class TestStepping:
         drops = np.diff(heights)
         assert (drops <= 1e-9).all()
         assert heights[-1] < heights[0] - 1.0
+
+    def test_substep_names_its_limit(self):
+        # a falling slug: a sub-step of a long target is advection-bound, and
+        # a target equal to that bound still names advection (ties go to it)
+        g = build_grid((1.0, 8.0), (0.2, 0.2))
+        m = homogeneous(g, entry_pressure=10.0, swr=0.05, snr=0.0)
+        fluids = FluidProps()
+        bc = TwoPhaseBC(8.0, 8.0)
+
+        def slug():
+            st = hydrostatic_two_phase(g, fluids, head=8.0)
+            st.sn[-5:, :] = 0.4
+            st.sw = 1.0 - st.sn
+            return st
+
+        free = ImpesStepper(g, m, fluids, bc)
+        dt = free.substep(slug(), 43200.0)
+        assert dt < 43200.0
+        assert free.limits == {"advection": 1, "inflow": 0, "capillary": 0, "chunk_end": 0}
+        tie = ImpesStepper(g, m, fluids, bc)
+        assert tie.substep(slug(), dt) == dt
+        assert tie.limits["advection"] == 1
+        short = ImpesStepper(g, m, fluids, bc)
+        short.substep(slug(), dt / 2)
+        assert short.limits["chunk_end"] == 1
 
     def test_clay_interface_blocks_invasion(self):
         # coarse over a very fine layer: NAPL pools, never enters
