@@ -39,7 +39,9 @@ def parse_sections(text: str) -> dict[str, dict[str, str]]:
 
 @dataclass(frozen=True)
 class LithologyCfg:
-    permeability: float
+    """Hydrogeological properties of one lithological unit."""
+
+    permeability: float            # geometric-mean permeability (m^2)
     porosity: float
     swr: float
     snr: float
@@ -57,11 +59,17 @@ class LithologyCfg:
 
 @dataclass(frozen=True)
 class WellCfg:
+    """Vertical well with a short screen; depths measured from the surface."""
+
     x: float
     depth: float
     screen_length: float
-    mode: str
-    velocity: float = 0.0
+    mode: str                      # "injection" or "monitoring"
+    velocity: float = 0.0          # injection Darcy velocity at the screen (m/s)
+
+    def screen_area(self) -> float:
+        # both faces of the screen per unit thickness of the 2D slice
+        return 2.0 * self.screen_length
 
 
 @dataclass(frozen=True)

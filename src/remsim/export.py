@@ -33,7 +33,7 @@ def write_vtk(path, grid, fields: dict[str, np.ndarray]) -> None:
         "ASCII",
         "DATASET STRUCTURED_POINTS",
         f"DIMENSIONS {grid.nx} {grid.ny} 1",
-        f"ORIGIN {grid.origin[0] + grid.dx / 2:.10g} {grid.origin[1] + grid.dy / 2:.10g} 0",
+        f"ORIGIN {grid.dx / 2:.10g} {grid.dy / 2:.10g} 0",
         f"SPACING {grid.dx:.10g} {grid.dy:.10g} 1",
         f"POINT_DATA {grid.nx * grid.ny}",
     ]

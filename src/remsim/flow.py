@@ -22,7 +22,8 @@ longer side) whose matrix entries differ bitwise from the last full solve;
 the unchanged strips on either side enter through their Schur complements.
 
 :func:`solve_pressure` (Stages 2-4): Dirichlet heads on the lateral
-boundaries, no-flow top and bottom, optional well sources, spatially varying
+boundaries (:func:`lateral_heads`, the one lateral boundary of both pressure
+solves), no-flow top and bottom, optional well sources, spatially varying
 permeability and viscosity.  Face transmissibilities use the harmonic mean
 of the cell mobilities, which keeps the scheme locally conservative.
 """
@@ -41,10 +42,11 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowBC:
-    """Lateral Dirichlet heads (m); None disables that side. Top/bottom are no-flow."""
+    """Lateral Dirichlet heads (m) of :func:`lateral_heads`; top and bottom
+    are no-flow."""
 
-    head_left: float | None
-    head_right: float | None
+    head_left: float
+    head_right: float
     # volumetric sources per cell, m^3/s per unit thickness: {(i, j): rate}
     well_sources: dict = field(default_factory=dict)
 
@@ -83,6 +85,21 @@ def scatter_faces(out, x_lo, x_hi, y_lo, y_hi):
 
 def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * a * b / (a + b)
+
+
+def lateral_heads(grid, lam, head_left: float, head_right: float, rho: float, g: float):
+    """Cellwise ``(d, b)`` of :class:`TpfaSystem` for the Dirichlet heads of
+    the left and right boundaries: each boundary face sits at the elevation
+    of its cell's center, half a cell from it, with the cell's mobility
+    ``lam`` (ny, nx)."""
+    d = np.zeros((grid.ny, grid.nx))
+    b = np.zeros((grid.ny, grid.nx))
+    yc = grid.yc
+    for col, head in ((0, head_left), (-1, head_right)):
+        t_b = lam[:, col] * grid.dy / (grid.dx / 2.0)
+        d[:, col] += t_b
+        b[:, col] += t_b * (rho * g * (head - yc))
+    return d, b
 
 
 class TpfaSystem:
@@ -319,8 +336,6 @@ def solve_pressure(
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
     if np.any(k_field <= 0) or np.any(mu_field <= 0):
         raise ValueError("permeability and viscosity must be positive everywhere")
-    if bc.head_left is None and bc.head_right is None:
-        raise SolverError("all-no-flow problem is singular: need a Dirichlet head")
 
     lam = k_field / mu_field
     if mobility_scale is not None:
@@ -331,14 +346,7 @@ def solve_pressure(
     t_x = lam_fx * dy / dx
     t_y = lam_fy * dx / dy
 
-    # lateral Dirichlet boundaries (boundary face at the cell-center elevation)
-    d = np.zeros((ny, nx))
-    b = np.zeros((ny, nx))
-    for col, head in ((0, bc.head_left), (-1, bc.head_right)):
-        if head is not None:
-            t_b = lam[:, col] * dy / (dx / 2.0)
-            d[:, col] += t_b
-            b[:, col] += t_b * (rho * g * (head - yc))
+    d, b = lateral_heads(grid, lam, bc.head_left, bc.head_right, rho, g)
     for (i, j), rate in bc.well_sources.items():
         b[j, i] += rate
 
@@ -355,12 +363,8 @@ def solve_pressure(
     qy = np.zeros((ny + 1, nx))
     qx[:, 1:-1] = -lam_fx * (pm[:, 1:] - pm[:, :-1]) / dx
     qy[1:-1, :] = -lam_fy * ((pm[1:, :] - pm[:-1, :]) / dy + rho * g)
-    if bc.head_left is not None:
-        p_b = rho * g * (bc.head_left - yc)
-        qx[:, 0] = -lam[:, 0] * (pm[:, 0] - p_b) / (dx / 2.0)
-    if bc.head_right is not None:
-        p_b = rho * g * (bc.head_right - yc)
-        qx[:, -1] = -lam[:, -1] * (p_b - pm[:, -1]) / (dx / 2.0)
+    qx[:, 0] = -lam[:, 0] * (pm[:, 0] - rho * g * (bc.head_left - yc)) / (dx / 2.0)
+    qx[:, -1] = -lam[:, -1] * (rho * g * (bc.head_right - yc) - pm[:, -1]) / (dx / 2.0)
 
     return FlowField(pressure=pm, qx=qx, qy=qy)
 

@@ -1,8 +1,10 @@
 """Rectangular domain, uniform cell-centered grid and lithology assignment.
 
-Cell arrays are shaped ``(ny, nx)`` with row 0 at the domain bottom; the
-flat index of cell (i, j) is ``j*nx + i``.  All geometry is immutable after
-construction.
+Cell arrays are shaped ``(ny, nx)`` with row 0 at the domain bottom and the
+domain's lower-left corner at (0, 0); the flat index of cell (i, j) is
+``j*nx + i``.  All geometry is immutable after construction.  Lithologies
+and wells are described by the config's own records
+(:class:`~remsim.config.LithologyCfg`, :class:`~remsim.config.WellCfg`).
 """
 
 from __future__ import annotations
@@ -11,23 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, WellCfg
+from .config import ConfigError, LithologyCfg, RunConfig, WellCfg
 
 # lithology ids
 UPPER_SAND = 0
 LOWER_SAND = 1
 CLAY = 2
-
-@dataclass(frozen=True)
-class MaterialProps:
-    """Hydrogeological properties of one lithological unit."""
-
-    k_mean: float
-    porosity: float
-    swr: float
-    snr: float
-    entry_pressure: float
-    bc_lambda: float
 
 
 @dataclass(frozen=True)
@@ -36,7 +27,6 @@ class Grid:
     ny: int
     dx: float
     dy: float
-    origin: tuple[float, float] = (0.0, 0.0)
 
     @property
     def width(self) -> float:
@@ -53,11 +43,11 @@ class Grid:
 
     @property
     def xc(self) -> np.ndarray:
-        return self.origin[0] + (np.arange(self.nx) + 0.5) * self.dx
+        return (np.arange(self.nx) + 0.5) * self.dx
 
     @property
     def yc(self) -> np.ndarray:
-        return self.origin[1] + (np.arange(self.ny) + 0.5) * self.dy
+        return (np.arange(self.ny) + 0.5) * self.dy
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, Y) center coordinate arrays, each shaped (ny, nx)."""
@@ -79,11 +69,12 @@ def build_grid(domain_extent: tuple[float, float], resolution: tuple[float, floa
 
 @dataclass
 class MaterialMap:
-    """Per-cell lithology and resolved hydrogeological properties."""
+    """Per-cell lithology and the properties of each lithology resolved onto
+    the cells."""
 
     grid: Grid
     lithology: np.ndarray          # (ny, nx) int ids
-    props: dict[int, MaterialProps]
+    props: dict[int, LithologyCfg]
     porosity: np.ndarray = field(init=False)
     swr: np.ndarray = field(init=False)
     snr: np.ndarray = field(init=False)
@@ -106,7 +97,7 @@ class MaterialMap:
         self.snr = resolve("snr")
         self.entry_pressure = resolve("entry_pressure")
         self.bc_lambda = resolve("bc_lambda")
-        self.k = resolve("k_mean")
+        self.k = resolve("permeability")
 
     @property
     def sand_mask(self) -> np.ndarray:
@@ -125,55 +116,15 @@ def assign_lithology(grid: Grid, cfg: RunConfig) -> MaterialMap:
     for x0, y0, x1, y1 in cfg.lenses:
         inside = (xv >= x0) & (xv <= x1) & (yv >= y0) & (yv <= y1)
         lith[inside] = CLAY  # overlapping lenses: clay wins
-
-    def props(l) -> MaterialProps:
-        return MaterialProps(
-            k_mean=l.permeability,
-            porosity=l.porosity,
-            swr=l.swr,
-            snr=l.snr,
-            entry_pressure=l.entry_pressure,
-            bc_lambda=l.bc_lambda,
-        )
-
     return MaterialMap(
         grid=grid,
         lithology=lith,
-        props={
-            UPPER_SAND: props(cfg.upper_sand),
-            LOWER_SAND: props(cfg.lower_sand),
-            CLAY: props(cfg.clay),
-        },
+        props={UPPER_SAND: cfg.upper_sand, LOWER_SAND: cfg.lower_sand, CLAY: cfg.clay},
         split_elevation=cfg.split_elevation,
     )
 
 
-@dataclass(frozen=True)
-class WellSpec:
-    """Vertical well with a short screen; depths measured from the surface."""
-
-    x: float
-    depth: float
-    screen_length: float
-    mode: str
-    velocity: float = 0.0          # injection Darcy velocity at screen (m/s)
-
-    @classmethod
-    def from_cfg(cls, w: WellCfg) -> "WellSpec":
-        return cls(
-            x=w.x,
-            depth=w.depth,
-            screen_length=w.screen_length,
-            mode=w.mode,
-            velocity=w.velocity,
-        )
-
-    def screen_area(self) -> float:
-        # both faces of the screen per unit thickness of the 2D slice
-        return 2.0 * self.screen_length
-
-
-def locate_well_cells(grid: Grid, well: WellSpec) -> list[tuple[int, int]]:
+def locate_well_cells(grid: Grid, well: WellCfg) -> list[tuple[int, int]]:
     """(i, j) cells covered by the screen; single containing cell for short screens."""
     if not (0 <= well.x <= grid.width):
         raise ConfigError("well outside domain")

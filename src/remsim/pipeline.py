@@ -71,6 +71,9 @@ def _audit_lines(stage: int, res: StageResult) -> list[str]:
     if "limits" in res.diagnostics:
         lines.append("  sub-step limits: " + ", ".join(
             f"{name} {n}" for name, n in res.diagnostics["limits"].items()))
+    if "budget" in res.diagnostics:
+        lines.append("  budget: " + ", ".join(
+            f"{name} {mass:.6e}" for name, mass in res.diagnostics["budget"].items()) + "  kg/m")
     for name, ledger in res.ledger.items():
         err = ledger.closure()
         status = "ok" if err <= AUDIT_TOLERANCE else "FAIL"

@@ -4,29 +4,15 @@ Gaussian fields are sampled by FFT circulant embedding of an exponential
 covariance, then exponentiated around the layer's geometric-mean
 permeability.  Clay cells keep their constant permeability.  The RNG is
 Philox (counter based), so fields are bit-reproducible across platforms
-for a fixed seed.
+for a fixed seed.  The variance and correlation length are checked where
+the config is read (:meth:`~remsim.config.RunConfig._validate`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import CLAY, Grid, MaterialMap
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    log_variance: float
-    correlation_length: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.log_variance < 0:
-            raise ValueError("log_variance must be >= 0")
-        if self.correlation_length <= 0:
-            raise ValueError("correlation_length must be > 0")
 
 
 def _gaussian_field(grid: Grid, corr_length: float, rng: np.random.Generator) -> np.ndarray:
@@ -45,30 +31,30 @@ def _gaussian_field(grid: Grid, corr_length: float, rng: np.random.Generator) ->
 
 
 def generate_log_normal_field(
-    grid: Grid, material: MaterialMap, spec: FieldSpec
+    grid: Grid, material: MaterialMap, log_variance: float, correlation_length: float,
+    seed: int,
 ) -> np.ndarray:
     """Per-cell permeability (m^2): correlated log-normal per sand layer.
 
-    ln k is stationary Gaussian with the requested variance and geometric
-    mean equal to each layer's mean permeability; clay cells keep their
-    constant value.
+    ln k is stationary Gaussian with variance ``log_variance``, exponential
+    covariance of length ``correlation_length`` (m) and geometric mean equal
+    to each layer's permeability; clay cells keep their constant value.
     """
     k = material.k.copy()
-    if spec.log_variance == 0.0:
+    if log_variance == 0.0:
         return k
-    sigma = np.sqrt(spec.log_variance)
+    sigma = np.sqrt(log_variance)
     for lid, props in material.props.items():
         if lid == CLAY:
             continue
         mask = material.lithology == lid
         if not mask.any():
             continue
-        rng = np.random.Generator(np.random.Philox(key=[spec.seed, lid]))
-        z = _gaussian_field(grid, spec.correlation_length, rng)
+        rng = np.random.Generator(np.random.Philox(key=[seed, lid]))
+        z = _gaussian_field(grid, correlation_length, rng)
         # condition each layer on its prescribed geometric mean: a finite
         # layer holds few correlation lengths, so the raw sample mean of
         # ln k wanders several percent between realizations
         zl = z[mask]
-        k[mask] = props.k_mean * np.exp(sigma * (zl - zl.mean()))
+        k[mask] = props.permeability * np.exp(sigma * (zl - zl.mean()))
     return k
-

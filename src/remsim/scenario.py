@@ -1,6 +1,7 @@
-"""Shared scenario setup: grid, lithology, permeability field and wells
+"""Shared scenario setup: grid, lithology, permeability field and well cells
 resolved from a RunConfig + seed.  Every stage runner starts here so the
-stages agree on geometry bit-for-bit."""
+stages agree on geometry bit-for-bit; lithologies and wells stay the
+config's own records."""
 
 from __future__ import annotations
 
@@ -12,13 +13,12 @@ from .config import RunConfig
 from .grid import (
     Grid,
     MaterialMap,
-    WellSpec,
     assign_lithology,
     build_grid,
     locate_well_cells,
     strip_columns,
 )
-from .randfield import FieldSpec, generate_log_normal_field
+from .randfield import generate_log_normal_field
 from .twophase import FluidProps
 
 
@@ -29,7 +29,6 @@ class Scenario:
     grid: Grid
     material: MaterialMap
     fluids: FluidProps
-    wells: dict[str, WellSpec]
     well_cells: dict[str, list[tuple[int, int]]]
     infil_columns: np.ndarray
 
@@ -37,12 +36,9 @@ class Scenario:
     def build(cls, config: RunConfig, seed: int) -> "Scenario":
         grid = build_grid((config.width, config.height), (config.dx, config.dy))
         material = assign_lithology(grid, config)
-        spec = FieldSpec(
-            log_variance=config.log_variance,
-            correlation_length=config.correlation_length,
-            seed=seed,
+        material.k = generate_log_normal_field(
+            grid, material, config.log_variance, config.correlation_length, seed
         )
-        material.k = generate_log_normal_field(grid, material, spec)
         fluids = FluidProps(
             rho_w=config.rho_w,
             rho_n=config.rho_n,
@@ -51,23 +47,20 @@ class Scenario:
             solubility=config.solubility,
             g=config.gravity,
         )
-        wells = {name: WellSpec.from_cfg(w) for name, w in config.wells.items()}
-        well_cells = {name: locate_well_cells(grid, w) for name, w in wells.items()}
         return cls(
             config=config,
             seed=seed,
             grid=grid,
             material=material,
             fluids=fluids,
-            wells=wells,
-            well_cells=well_cells,
+            well_cells={name: locate_well_cells(grid, w) for name, w in config.wells.items()},
             infil_columns=strip_columns(grid, config.infil_center, config.infil_width),
         )
 
     def injection_sources(self) -> dict[tuple[int, int], float]:
         """Volumetric well sources (m^3/s per unit thickness) for injection wells."""
         sources: dict[tuple[int, int], float] = {}
-        for name, w in self.wells.items():
+        for name, w in self.config.wells.items():
             if w.mode != "injection" or w.velocity <= 0:
                 continue
             cells = self.well_cells[name]
@@ -79,7 +72,7 @@ class Scenario:
     def monitoring_cells(self) -> dict[str, tuple[int, int]]:
         return {
             name: self.well_cells[name][0]
-            for name, w in self.wells.items()
+            for name, w in self.config.wells.items()
             if w.mode == "monitoring"
         }
 

@@ -58,8 +58,6 @@ class TransportKernel:
         cfl: float = 0.9,
         well_sources: dict | None = None,
     ):
-        self.grid = grid
-        self.theta = theta
         self.pv = theta * grid.cell_volume
         self.well_sources = dict(well_sources or {})
         dx, dy = grid.dx, grid.dy

@@ -250,11 +250,16 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     napl_end = mass(f["sn"]) * rho_n
     ledger["tce"].dissolved = napl0 - napl_end
     ledger["tce"].final = mass(f["c_tce"])
+    # water enters only across the upgradient boundary; at solubility it
+    # carries at most this much TCE out of the source over the stage
+    inflow = float(np.maximum(flow.qx[:, 0], 0.0).sum()) * g.dy
     diagnostics = {
         "napl_final": napl_end,
         "undissolved_fraction": napl_end / max(napl0, 1e-300),
         "flow": flow,
         "pressure": cache.stats(),
+        "budget": {"dissolution_ceiling": cfg.solubility * inflow * cfg.stage_durations[1],
+                   "napl_initial": napl0},
         "series_header": ["t", "napl_mass", "napl_fraction", *mon],
     }
     ckpt_out = _make_checkpoint(scn, 2, ckpt.clock + t, f)
@@ -300,7 +305,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     }
     q_total = sum(sources.values())
     mobility = _water_mobility(f["sw"], m)
-    well = scn.wells["injection"]
+    well = cfg.wells["injection"]
     screen = (well.x, g.height - well.depth)
     iw, jw = scn.well_cells["injection"][0]
     diagnostics = {"flux_reversed": False}
@@ -422,6 +427,9 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> S
         "iron_final": mass(f["rho_m"]),
         "degraded_mass": ledger["tce"].degraded,
         "pressure": cache.stats(),
+        # the iron can degrade at most its mass over the stoichiometry
+        "budget": {"iron_capacity": iron0 / cfg.stoichiometry,
+                   "degraded": ledger["tce"].degraded},
         "series_header": ["t", "iron_fraction", *mon],
     }
     return StageResult(4, ckpt_out, diagnostics, ledger, snapshots, series)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.ndimage as ndi
 
-from .flow import FACES, FactorCache, SolverError, TpfaSystem, _harmonic, scatter_faces
+from .flow import (FACES, FactorCache, SolverError, TpfaSystem, _harmonic, lateral_heads,
+                   scatter_faces)
 from .grid import MaterialMap
 
 
@@ -72,16 +73,13 @@ class TwoPhaseState:
 
 @dataclass(frozen=True)
 class TwoPhaseBC:
-    """Lateral Dirichlet water heads; NAPL never crosses lateral boundaries.
-
-    ``top_pressure`` switches the top boundary to Dirichlet water pressure
-    (used by 1D column benchmarks); the default top/bottom are no-flow.
+    """Lateral Dirichlet water heads (m) of :func:`remsim.flow.lateral_heads`;
+    top and bottom are no-flow and NAPL never crosses a boundary.
     ``napl_source`` is a volumetric NAPL source rate per cell volume (1/s).
     """
 
-    head_left: float | None
-    head_right: float | None
-    top_pressure: np.ndarray | None = None
+    head_left: float
+    head_right: float
     napl_source: np.ndarray | None = None
 
 
@@ -89,8 +87,12 @@ class TwoPhaseBC:
 class Numerics:
     se_clamp: float = 0.01
     cfl: float = 0.5
-    max_ds: float = 0.1        # target max saturation change per sub-step
-    sat_tol: float = 1e-9
+
+
+# target largest NAPL saturation change per sub-step (the advection bound)
+MAX_DS = 0.1
+# a sub-step snaps saturation excursions past [0, 1] up to 10 * SAT_TOL back
+SAT_TOL = 1e-9
 
 
 def hydrostatic_two_phase(grid, fluids: FluidProps, head: float) -> TwoPhaseState:
@@ -180,31 +182,13 @@ class ImpesStepper:
                           pc[hi] - pc[lo] + f.rho_n * f.g * dz))
         return faces
 
-    def _solve_pressure(self, state, pc, krw, fx, fy):
+    def _solve_pressure(self, krw, fx, fy):
         """Implicit total-velocity pressure solve; returns new pw."""
         g, f = self.grid, self.fluids
         lw_x, ln_x, gw_x, gn_x = fx
         lw_y, ln_y, gw_y, gn_y = fy
-
-        d = np.zeros((g.ny, g.nx))
-        b = np.zeros((g.ny, g.nx))
-        any_dirichlet = False
-        yc = g.yc
-        for col, head in ((0, self.bc.head_left), (-1, self.bc.head_right)):
-            if head is None:
-                continue
-            any_dirichlet = True
-            lam_b = self.material.k[:, col] * krw[:, col] / f.mu_w * g.dy / (g.dx / 2.0)
-            d[:, col] += lam_b
-            b[:, col] += lam_b * (f.rho_w * f.g * (head - yc))
-        if self.bc.top_pressure is not None:
-            any_dirichlet = True
-            lam_b = self.material.k[-1, :] * krw[-1, :] / f.mu_w * g.dx / (g.dy / 2.0)
-            d[-1, :] += lam_b
-            b[-1, :] += lam_b * self.bc.top_pressure
-        if not any_dirichlet:
-            raise SolverError("two-phase pressure system needs a Dirichlet boundary")
-
+        d, b = lateral_heads(g, self.material.k * krw / f.mu_w, self.bc.head_left,
+                             self.bc.head_right, f.rho_w, f.g)
         if self.bc.napl_source is not None:
             b += self.bc.napl_source * g.cell_volume
 
@@ -235,7 +219,7 @@ class ImpesStepper:
             inflow += self.bc.napl_source * self.grid.cell_volume
 
         with np.errstate(divide="ignore"):
-            dt_adv = np.where(out > 0, num.max_ds * pv / out, np.inf).min()
+            dt_adv = np.where(out > 0, MAX_DS * pv / out, np.inf).min()
             avail = np.maximum(1.0 - m.swr - state.sn, 0.02)
             dt_in = np.where(inflow > 0, num.cfl * avail * pv / inflow, np.inf).min()
 
@@ -265,7 +249,7 @@ class ImpesStepper:
         """One IMPES sub-step of at most ``dt_target``; returns dt taken."""
         pc, krw, krn = self.closures(state)
         fx, fy = self._face_quantities(state, pc, krw, krn)
-        pw = self._solve_pressure(state, pc, krw, fx, fy)
+        pw = self._solve_pressure(krw, fx, fy)
         fn_x, fn_y = self._napl_fluxes(pw, fx, fy)
         out = scatter_faces(np.zeros_like(state.sn), np.maximum(fn_x, 0.0), np.maximum(-fn_x, 0.0),
                             np.maximum(fn_y, 0.0), np.maximum(-fn_y, 0.0))
@@ -287,8 +271,7 @@ class ImpesStepper:
                 np.sum(self.bc.napl_source) * self.grid.cell_volume * dt * self.fluids.rho_n
             )
         state.sn = state.sn + dsn
-        tol = self.numerics.sat_tol
-        if state.sn.min() < -10 * tol or state.sn.max() > 1.0 + 10 * tol:
+        if state.sn.min() < -10 * SAT_TOL or state.sn.max() > 1.0 + 10 * SAT_TOL:
             raise SolverError(
                 f"saturation out of bounds: [{state.sn.min():.3e}, {state.sn.max():.3e}]"
             )

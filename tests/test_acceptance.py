@@ -18,9 +18,9 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.special import erfc
 
-from remsim.config import RunConfig
+from remsim.config import LithologyCfg, RunConfig
 from remsim.flow import FlowBC, FlowField, solve_pressure
-from remsim.grid import CLAY, MaterialMap, MaterialProps, build_grid
+from remsim.grid import CLAY, MaterialMap, build_grid
 from remsim.nzvi import (
     CmcParams,
     clogging_update,
@@ -250,8 +250,8 @@ def test_criterion_04_batch_kinetics_oracle(capsys):
 def _gravity_column(dy: float):
     g = build_grid((0.2, 8.0), (0.2, dy))
     lith = np.zeros((g.ny, g.nx), dtype=int)
-    props = MaterialProps(k_mean=1e-12, porosity=0.4, swr=0.08, snr=0.08,
-                          entry_pressure=1300.0, bc_lambda=2.0)
+    props = LithologyCfg(permeability=1e-12, porosity=0.4, swr=0.08, snr=0.08,
+                         entry_pressure=1300.0, bc_lambda=2.0)
     m = MaterialMap(grid=g, lithology=lith, props={0: props})
     fl = FluidProps()
     st = hydrostatic_two_phase(g, fl, head=8.0)

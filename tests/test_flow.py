@@ -8,6 +8,7 @@ from remsim.flow import (
     FlowBC,
     SolverError,
     TpfaSystem,
+    lateral_heads,
     scatter_faces,
     solve_pressure,
 )
@@ -57,12 +58,6 @@ class TestDarcy:
         flow = solve_pressure(g, k, mu, FlowBC(12.0, 12.0), rho=RHO, g=G)
         assert np.abs(flow.qx).max() < 1e-15
         assert np.abs(flow.qy).max() < 1e-15
-
-    def test_all_no_flow_singular(self):
-        g = build_grid((1.0, 1.0), (0.5, 0.5))
-        k, mu = uniform(g)
-        with pytest.raises(SolverError):
-            solve_pressure(g, k, mu, FlowBC(None, None))
 
     def test_nonpositive_inputs_rejected(self):
         g = build_grid((1.0, 1.0), (0.5, 0.5))
@@ -125,6 +120,25 @@ class TestDarcy:
             mobility_scale=np.full_like(k, 0.5),
         )
         np.testing.assert_allclose(half.qx, 0.5 * base.qx, rtol=1e-10)
+
+
+class TestLateralHeads:
+    def test_hand_values(self):
+        # 3 x 2 cells of 1 m: each boundary face is 0.5 m from its cell center
+        g = build_grid((3.0, 2.0), (1.0, 1.0))
+        lam = np.array([[1.0, 7.0, 3.0], [2.0, 7.0, 4.0]])
+        d, b = lateral_heads(g, lam, 5.0, 4.0, RHO, G)
+        np.testing.assert_array_equal(d, [[2.0, 0.0, 6.0], [4.0, 0.0, 8.0]])
+        # rho g (head - y) at y = 0.5 m and 1.5 m
+        np.testing.assert_allclose(b[:, 0], [2.0 * RHO * G * 4.5, 4.0 * RHO * G * 3.5], rtol=1e-15)
+        np.testing.assert_allclose(b[:, 2], [6.0 * RHO * G * 3.5, 8.0 * RHO * G * 2.5], rtol=1e-15)
+        assert (b[:, 1] == 0.0).all()
+
+    def test_single_column_gets_both_sides(self):
+        g = build_grid((1.0, 2.0), (1.0, 1.0))
+        d, b = lateral_heads(g, np.ones((2, 1)), 5.0, 4.0, RHO, G)
+        np.testing.assert_array_equal(d, [[4.0], [4.0]])
+        np.testing.assert_allclose(b[:, 0], [2.0 * RHO * G * 8.0, 2.0 * RHO * G * 6.0], rtol=1e-15)
 
 
 def random_system(nx, ny, seed):

@@ -9,6 +9,7 @@ from remsim.scenario import Scenario
 from remsim.stages import (
     LEDGER_TERMS,
     Ledger,
+    run_stage1,
     run_stage3,
     run_stage4,
     run_transport_continuation,
@@ -51,12 +52,62 @@ class TestSubstepLimits:
         assert list(limits) == ["advection", "inflow", "capillary", "chunk_end"]
         assert sum(limits.values()) == res.diagnostics["pressure"]["solves"]
 
+    def test_stage1_meets_every_limit(self):
+        # finer cells, a five times stronger release and 19 days of
+        # redistribution: every bound of LIMITS sets at least one sub-step
+        text = fast_config_text()
+        for old, new in (("dx = 1 m", "dx = 0.5 m"), ("dy = 1 m", "dy = 0.5 m"),
+                         ("stage1_duration = 3 day", "stage1_duration = 20 day"),
+                         ("flux = 0.001 kg/m^2/s", "flux = 0.005 kg/m^2/s")):
+            assert old in text, old
+            text = text.replace(old, new)
+        res = run_stage1(Scenario.build(RunConfig.from_text(text), 0))
+        limits = res.diagnostics["limits"]
+        assert min(limits.values()) >= 1, limits
+        assert sum(limits.values()) == res.diagnostics["pressure"]["solves"]
+        assert res.audit["napl"] <= 1e-12
+
     def test_report_prints_counts_under_stage1_pressure(self, fast_run):
         lines = fast_run.report.splitlines()
         limits = fast_run.results[1].diagnostics["limits"]
         line = "  sub-step limits: " + ", ".join(f"{k} {n}" for k, n in limits.items())
         assert lines[lines.index("stage 1 audit:") + 2] == line
         assert sum(line.startswith("  sub-step limits:") for line in lines) == 1
+
+
+class TestBudgets:
+    """Hand arithmetic on the fast config: 1 m cells, Cs = 1.27 kg/m^3, a
+    20-day stage 2, 0.85 kg of iron per kg of TCE."""
+
+    def test_stage2_dissolution_ceiling(self, fast_run):
+        res = fast_run.results[2]
+        qx = res.diagnostics["flow"].qx
+        inflow = float(np.maximum(qx[:, 0], 0.0).sum())           # m^3/s per m
+        assert (qx[:, 0] > 0).all()
+        # no wells and no-flow top and bottom: what enters on the left leaves on the right
+        assert inflow == pytest.approx(float(qx[:, -1].sum()), rel=1e-9)
+        budget = res.diagnostics["budget"]
+        assert budget["dissolution_ceiling"] == pytest.approx(1.27 * inflow * 20 * 86400.0,
+                                                              rel=1e-12)
+        # stage 1 released 0.001 kg/m^2/s over the 2 m strip for 1 day
+        assert budget["napl_initial"] == pytest.approx(0.001 * 2.0 * 86400.0, rel=1e-9)
+
+    def test_stage4_iron_capacity(self, fast_run):
+        f = fast_run.results[3].checkpoint.fields
+        iron = float((f["theta_m"] * f["rho_m"]).sum())              # kg/m on 1 m^2 cells
+        res = fast_run.results[4]
+        budget = res.diagnostics["budget"]
+        assert budget["iron_capacity"] == pytest.approx(iron / 0.85, rel=1e-12)
+        assert budget["degraded"] == res.ledger["tce"].degraded
+        assert 0.0 < budget["degraded"] <= budget["iron_capacity"]
+
+    def test_report_prints_budgets_under_pressure(self, fast_run):
+        lines = fast_run.report.splitlines()
+        for stage in (2, 4):
+            budget = fast_run.results[stage].diagnostics["budget"]
+            line = "  budget: " + ", ".join(f"{k} {v:.6e}" for k, v in budget.items()) + "  kg/m"
+            assert lines[lines.index(f"stage {stage} audit:") + 2] == line
+        assert sum(line.startswith("  budget:") for line in lines) == 2
 
 
 class TestClosure:

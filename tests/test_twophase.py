@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from remsim.grid import MaterialMap, MaterialProps, build_grid
+from remsim.config import LithologyCfg
+from remsim.grid import MaterialMap, build_grid
 from remsim.twophase import (
     FluidProps,
     ImpesStepper,
@@ -30,12 +31,12 @@ def impes_step(state, material, fluids, bc, dt, numerics=Numerics(), stepper=Non
 
 def homogeneous(grid, **over):
     props = dict(
-        k_mean=1e-12, porosity=0.4, swr=0.08, snr=0.08,
+        permeability=1e-12, porosity=0.4, swr=0.08, snr=0.08,
         entry_pressure=1300.0, bc_lambda=2.0,
     )
     props.update(over)
     lith = np.zeros((grid.ny, grid.nx), dtype=int)
-    return MaterialMap(grid=grid, lithology=lith, props={0: MaterialProps(**props)})
+    return MaterialMap(grid=grid, lithology=lith, props={0: LithologyCfg(**props)})
 
 
 class TestClosures:
@@ -212,8 +213,8 @@ class TestStepping:
         g = build_grid((1.0, 4.0), (0.2, 0.2))
         lith = np.zeros((g.ny, g.nx), dtype=int)
         lith[:10, :] = 2
-        sand = MaterialProps(1e-12, 0.4, 0.08, 0.08, 500.0, 2.0)
-        clay = MaterialProps(5e-14, 0.25, 0.189, 0.04, 1e9, 2.0)
+        sand = LithologyCfg(1e-12, 0.4, 0.08, 0.08, 500.0, 2.0)
+        clay = LithologyCfg(5e-14, 0.25, 0.189, 0.04, 1e9, 2.0)
         m = MaterialMap(grid=g, lithology=lith, props={0: sand, 2: clay})
         fluids = FluidProps()
         st = hydrostatic_two_phase(g, fluids, head=4.0)
