@@ -3,8 +3,10 @@
 One kernel drives the aqueous TCE plume (Stage 2), CMC and aqueous nZVI
 (Stages 3-4).  Advection is first-order upwind, dispersion is the scalar
 D = Dd + alpha*|v| evaluated at faces, both explicit with automatic
-sub-stepping.  Dissolution of the NAPL source zone is an analytic per-cell
-relaxation toward solubility, capped by the available NAPL mass.
+sub-stepping.  The flow is frozen for a kernel's life, so the kernel folds
+it once into a five-point stencil and each sub-step is one linear update.
+Dissolution of the NAPL source zone is an analytic per-cell relaxation
+toward solubility, capped by the available NAPL mass.
 """
 
 from __future__ import annotations
@@ -47,6 +49,13 @@ class TransportKernel:
     cell's own concentration (zero-gradient), dispersive boundary fluxes are
     zero.  ``well_sources`` maps (i, j) to volumetric rates; injected
     concentrations are passed per step so one kernel serves many species.
+
+    Face fluxes ``a_lo*c_lo + a_hi*c_hi`` (``a_lo = max(f, 0) + g``, ``a_hi =
+    min(f, 0) - g``) are folded once into a stencil divided by ``pv``: ``diag``
+    (faces, open sides, extraction wells) and the non-negative ``west``/
+    ``east``/``south``/``north`` weights; ``outflow`` gives the export.
+    ``stable_dt`` adds each side's outflow on its own: netting a corner
+    cell's inflow against its outflow would loosen that cell's bound.
     """
 
     def __init__(
@@ -60,67 +69,58 @@ class TransportKernel:
     ):
         self.pv = theta * grid.cell_volume
         self.well_sources = dict(well_sources or {})
-        dx, dy = grid.dx, grid.dy
 
-        self.fx = flow.qx * dy          # (ny, nx+1) volumetric face flow (m^3/s)
-        self.fy = flow.qy * dx          # (ny+1, nx)
-        self.gx = (params.diffusion + params.dispersivity * np.abs(flow.qx[:, 1:-1])) * dy / dx
-        self.gy = (params.diffusion + params.dispersivity * np.abs(flow.qy[1:-1, :])) * dx / dy
+        fx, fy = flow.qx * grid.dy, flow.qy * grid.dx   # volumetric face flow (m^3/s)
+        gx = (params.diffusion + params.dispersivity * np.abs(flow.qx[:, 1:-1])) * grid.dy / grid.dx
+        gy = (params.diffusion + params.dispersivity * np.abs(flow.qy[1:-1, :])) * grid.dx / grid.dy
+        lo_x, hi_x = np.maximum(fx[:, 1:-1], 0.0) + gx, np.minimum(fx[:, 1:-1], 0.0) - gx
+        lo_y, hi_y = np.maximum(fy[1:-1, :], 0.0) + gy, np.minimum(fy[1:-1, :], 0.0) - gy
+        extract = np.zeros_like(self.pv)
+        for (i, j), rate in self.well_sources.items():
+            extract[j, i] = max(-rate, 0.0)
 
         # positivity / CFL bound: dt <= cfl * pv / (sum outflux + sum conductance)
-        fxi, fyi = self.fx[:, 1:-1], self.fy[1:-1, :]
-        out = scatter_faces(np.zeros_like(self.pv),
-                            np.maximum(fxi, 0.0) + self.gx, np.maximum(-fxi, 0.0) + self.gx,
-                            np.maximum(fyi, 0.0) + self.gy, np.maximum(-fyi, 0.0) + self.gy)
-        out[:, 0] += np.maximum(-self.fx[:, 0], 0.0)
-        out[:, -1] += np.maximum(self.fx[:, -1], 0.0)
-        out[0, :] += np.maximum(-self.fy[0, :], 0.0)
-        out[-1, :] += np.maximum(self.fy[-1, :], 0.0)
-        for (i, j), rate in self.well_sources.items():
-            if rate < 0:
-                out[j, i] += -rate
+        faces = scatter_faces(np.zeros_like(self.pv), lo_x, -hi_x, lo_y, -hi_y)
+        out, outflow = faces.copy(), np.zeros_like(self.pv)
+        for side, f in ((np.s_[:, 0], -fx[:, 0]), (np.s_[:, -1], fx[:, -1]),  # outward flow
+                        (np.s_[0, :], -fy[0, :]), (np.s_[-1, :], fy[-1, :])):
+            out[side] += np.maximum(f, 0.0)
+            outflow[side] += f
+        out += extract
         with np.errstate(divide="ignore"):
             self.stable_dt = float(cfl * np.where(out > 0, self.pv / out, np.inf).min())
 
-    def step(
-        self, c: np.ndarray, dt: float, well_conc: dict | None = None
-    ) -> tuple[np.ndarray, float]:
+        # flat row-major stencil; x-weights are zero across row ends, boundary inflow is -outflow
+        self.diag = ((-faces - outflow - extract) / self.pv).ravel()
+        west, east = np.zeros_like(self.pv), np.zeros_like(self.pv)
+        west[:, :-1], east[:, :-1] = lo_x / self.pv[:, 1:], -hi_x / self.pv[:, :-1]
+        self.west, self.east = west.ravel()[:-1], east.ravel()[:-1]
+        self.south, self.north = (lo_y / self.pv[1:, :]).ravel(), (-hi_y / self.pv[:-1, :]).ravel()
+        self.outflow = outflow.ravel()
+
+    def step(self, c: np.ndarray, dt: float,
+             well_conc: dict | None = None) -> tuple[np.ndarray, float]:
         """Advance by dt (sub-stepping internally).  Returns the new field and
         the net mass (kg per m of thickness) advected out of the domain."""
         n_sub = max(1, int(np.ceil(dt / self.stable_dt))) if np.isfinite(self.stable_dt) else 1
         sub = dt / n_sub
-        well_conc = well_conc or {}
-        exported = 0.0
+        ny, nx = c.shape
+        inject = [(j * nx + i, sub * rate * (well_conc or {}).get((i, j), 0.0) / self.pv[j, i])
+                  for (i, j), rate in self.well_sources.items() if rate > 0]
+        c, exported = c.ravel(), 0.0
         for _ in range(n_sub):
-            c, exported = self._substep(c, sub, well_conc, exported)
+            r = self.diag * c
+            r[1:] += self.west * c[:-1]
+            r[:-1] += self.east * c[1:]
+            r[nx:] += self.south * c[:-nx]
+            r[:-nx] += self.north * c[nx:]
+            exported += sub * float(self.outflow @ c)
+            c = c + sub * r
+            for cell, dc in inject:
+                c[cell] += dc
         if c.min() < -1e-12:
             raise TransportError(f"negative concentration {c.min():.3e}")
-        return c, exported
-
-    def _substep(self, c, dt, well_conc, exported):
-        """One explicit sub-step; adds its boundary outflow to the running
-        total ``exported`` and returns ``(c', exported')``."""
-        fxi, fyi = self.fx[:, 1:-1], self.fy[1:-1, :]
-        flux_x = dt * (fxi * np.where(fxi > 0, c[:, :-1], c[:, 1:])
-                       - self.gx * (c[:, 1:] - c[:, :-1]))
-        flux_y = dt * (fyi * np.where(fyi > 0, c[:-1, :], c[1:, :])
-                       - self.gy * (c[1:, :] - c[:-1, :]))
-        m = scatter_faces(self.pv * c, -flux_x, flux_x, -flux_y, flux_y)
-        # open lateral boundaries, zero-gradient concentration
-        for f, col in ((self.fx[:, 0], 0), (-self.fx[:, -1], -1)):
-            bflux = f * c[:, col]           # positive = into the domain
-            m[:, col] += dt * bflux
-            exported -= dt * float(bflux.sum())
-        for f, row in ((self.fy[0, :], 0), (-self.fy[-1, :], -1)):
-            bflux = f * c[row, :]
-            m[row, :] += dt * bflux
-            exported -= dt * float(bflux.sum())
-        for (i, j), rate in self.well_sources.items():
-            if rate > 0:
-                m[j, i] += dt * rate * well_conc.get((i, j), 0.0)
-            else:
-                m[j, i] += dt * rate * c[j, i]
-        return m / self.pv, exported
+        return c.reshape(ny, nx), exported
 
 
 # ---------------------------------------------------------------------------
