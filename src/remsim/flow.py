@@ -19,7 +19,8 @@ body in Stage 1, inside the CMC plume and the clogged zone in Stages 3-4.
 :class:`FactorCache` carries the factors from one solve of a sequence to the
 next and re-factors only the contiguous span of grid columns (along the
 longer side) whose matrix entries differ bitwise from the last full solve;
-the unchanged strips on either side enter through their Schur complements.
+each unchanged strip on either side enters through its Schur complement and
+costs one backward triangular sweep.
 
 :func:`solve_pressure` (Stages 2-4): Dirichlet heads on the lateral
 boundaries (:func:`lateral_heads`, the one lateral boundary of both pressure
@@ -33,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, solveh_banded
+from scipy.linalg import LinAlgError, cholesky_banded, solve_triangular, solveh_banded
+from scipy.linalg.lapack import dtbtrs
 
 
 class SolverError(RuntimeError):
@@ -141,16 +143,13 @@ class TpfaSystem:
         return p.T.copy() if transpose else p
 
 
-def _band(diag, inner, outer, ab=None):
-    """LAPACK lower band storage ``ab[k, i] = A[i + k, i]`` of the system on
-    ``diag`` (rows, cols), cells numbered row by row, written into ``ab`` or a
-    new array.  Fortran order, so that LAPACK factors it in place and any
-    prefix of cells is a contiguous view."""
+def _band(diag, inner, outer, ab):
+    """Write the LAPACK lower band storage ``ab[k, i] = A[i + k, i]`` of the
+    system on ``diag`` (rows, cols), cells numbered row by row, into ``ab``
+    and return it.  ``ab`` is in Fortran order, so that LAPACK factors it in
+    place and any prefix of cells is a contiguous view."""
     rows, cols = diag.shape
-    if ab is None:
-        ab = np.zeros((rows * cols, cols + 1)).T
-    else:
-        ab[...] = 0.0
+    ab[...] = 0.0
     ab[0] = diag.ravel()
     band1 = np.zeros((rows, cols))
     band1[:, :-1] = -inner
@@ -159,9 +158,18 @@ def _band(diag, inner, outer, ab=None):
     return ab
 
 
-def _flip(a):
-    """Reverse the cell order of a (rows, cols) array: both axes."""
-    return a[::-1, ::-1]
+def _factor(ab):
+    """Banded Cholesky factor ``L`` of ``ab``, in place."""
+    ab[...] = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+    return ab
+
+
+def _sweep(factor, v, trans="N"):
+    """``L^-1 v`` (``trans="N"``) or ``L^-T v`` (``"T"``), band factor ``L``."""
+    x, info = dtbtrs(factor, v, uplo="L", trans=trans)
+    if info:
+        raise LinAlgError(f"triangular band solve failed (info {info})")
+    return x
 
 
 def _differs(a, ref):
@@ -169,60 +177,52 @@ def _differs(a, ref):
     return (a.view(np.int64) != ref.view(np.int64)).any(axis=1)
 
 
-def _block_product(factor):
-    """``L L^T`` for the last diagonal block ``L`` of a lower band Cholesky
-    factor: the Schur complement of the factored cells onto that block."""
-    m = factor.shape[0] - 1
-    row, col = np.tril_indices(m)
-    low = np.zeros((m, m))
-    low[row, col] = factor[row - col, factor.shape[1] - m + col]
-    return low @ low.T
-
-
-def _put_block(ab, first, s):
-    """Write the symmetric block ``s`` into band storage from cell ``first``."""
-    row, col = np.tril_indices(len(s))
-    ab[row - col, first + col] = s[row, col]
-
-
 class FactorCache:
     """Factor reuse over one sequence of pressure solves on the same grid.
 
-    The first solve factors the whole band and keeps its ``diag``/``inner``/
-    ``outer`` terms as the reference.  A later solve finds the span ``[a, b]``
-    of outer-index columns whose terms differ bitwise from the reference,
-    both columns of a changed cross-column face included, and factors only
-    that span (block elimination, one level of nested dissection):
+    The first solve factors the whole band, ``A = L L^T``, and keeps its
+    terms, right-hand side and forward vector ``L^-1 rhs`` as the reference.
+    A later solve factors only the span ``[a, b]`` of outer-index columns
+    whose terms differ bitwise from the reference, both columns of a changed
+    cross-column face included (block elimination, one level of nested
+    dissection).  Each unchanged strip, ``[0, a)`` and ``(b, n)``, keeps a
+    factor ``L`` and a forward vector ``y = L^-1 rhs`` of the reference
+    right-hand side: the left strip's are prefixes of the reference's, the
+    right strip's are computed once, at the first such solve, in reversed
+    cell order, so that in both the column coupled to the span comes last.
+    With ``L_e`` and ``y_e`` the last blocks of ``L`` and ``y``:
 
-    - the unchanged strips ``[0, a)`` and ``(b, n)`` are factored once, at the
-      first such solve, the right one in reversed cell order, so that in
-      both the column coupled to the span comes last;
-    - the band of columns ``[a - 1, b + 1]`` holds each strip's coupling
-      column as its Schur complement ``L L^T`` (``L`` the last block of the
-      strip factor), so that eliminating it subtracts ``T (L L^T)^-1 T`` from
-      the span's end block (``T`` the coupling transmissibilities); one strip
-      solve each corrects the right-hand side, one more back-substitutes
-      each strip.
+    - the span's band, columns ``[a - 1, b + 1]``, holds each strip's
+      coupling column as its Schur complement ``L_e L_e^T`` with right-hand
+      side ``L_e y_e``, because ``L^T`` is upper banded and ``(L^-T y)_e =
+      L_e^-T y_e``; both blocks are rebuilt only when the span changes;
+    - the span's solution ``p`` reaches a strip through its last block only
+      (``T`` the coupling transmissibilities): ``L^-1 (rhs + T p) = y +
+      [0; L_e^-1 T p]``, so one backward sweep ``L^-T`` solves the strip.
 
-    A later, wider span uses prefixes of the strip factors; a narrower one
-    keeps the widest span so far.  Strips and span share the memory of one
-    band.  A span that reaches both ends is a full solve that becomes the
-    new reference.
+    A strip whose right-hand side differs bitwise from the reference takes
+    one fresh forward sweep.  A wider span uses prefixes of the strips, a
+    narrower one keeps the widest so far; one that reaches both ends is a
+    full solve and the new reference.
     """
 
     def __init__(self):
-        self.reference = None        # (diag, inner, outer) of the last full solve
-        self.band = None             # left strip factor | span | right strip factor
+        self.reference = None        # (diag, inner, outer, rhs) of the last full solve
+        self.band = None             # reference factor, then left strip | span | right strip
+        self.forward = None          # forward vectors, laid out as the band
         self.span = None             # widest (a, b) since the strips were factored
+        self.strips = []             # the unchanged strips of the span (see _solve_span)
         self.n_columns = 0           # length of the outer index
         self.solves = 0
         self.full = 0
         self.columns = 0             # columns factored, summed over the solves
+        self.strip_sweeps = 0        # triangular sweeps over unchanged strips
 
     def stats(self) -> dict:
-        """Solves, full factorizations and mean factored width in columns."""
+        """Solves, full factorizations, mean factored width and strip sweeps."""
         return {"solves": self.solves, "full": self.full, "columns": self.n_columns,
-                "mean_columns": self.columns / max(self.solves, 1)}
+                "mean_columns": self.columns / max(self.solves, 1),
+                "strip_sweeps": self.strip_sweeps}
 
     def solve(self, diag, inner, outer, rhs) -> np.ndarray:
         """Solve the system on ``diag`` (n, m) with in-row couplings ``inner``
@@ -232,7 +232,7 @@ class FactorCache:
         self.n_columns = n
         self.solves += 1
         if self.reference is not None:
-            ref_diag, ref_inner, ref_outer = self.reference
+            ref_diag, ref_inner, ref_outer, _ = self.reference
             changed = _differs(diag, ref_diag) | _differs(inner, ref_inner)
             face = _differs(outer, ref_outer)
             changed[:-1] |= face
@@ -243,75 +243,75 @@ class FactorCache:
                 a, b = min(a, span[0]), max(b, span[-1])
             if a <= b and (a > 0 or b < n - 1):
                 return self._solve_span(diag, inner, outer, rhs, int(a), int(b))
-        p = solveh_banded(_band(diag, inner, outer), rhs.ravel(), overwrite_ab=True, lower=True,
-                          check_finite=False)
-        self.reference = (diag.copy(), inner.copy(), outer.copy())
-        self.band = self.span = None
+        self.reference = self.span = None
+        if self.band is None or self.band.shape != (m + 1, n * m):
+            self.band = np.empty((n * m, m + 1)).T
+        factor = _factor(_band(diag, inner, outer, self.band))
+        self.forward = _sweep(factor, rhs.ravel())
+        p = _sweep(factor, self.forward, "T")
+        self.reference = (diag.copy(), inner.copy(), outer.copy(), rhs.copy())
         self.full += 1
         self.columns += n
         return p.reshape(n, m)
 
     def _solve_span(self, diag, inner, outer, rhs, a, b):
         n, m = diag.shape
-        if self.span is None:
-            self.band = np.empty((n * m, m + 1)).T
-            strips = ((self.band[:, : a * m], (diag[:a], inner[:a], outer[: max(a - 1, 0)])),
-                      (self.band[:, (b + 1) * m:],
-                       (_flip(diag[b + 1:]), _flip(inner[b + 1:]), _flip(outer[b + 1:]))))
-            for cells, terms in strips:
-                if cells.size:
-                    cells[...] = cholesky_banded(_band(*terms, cells), overwrite_ab=True,
-                                                 lower=True, check_finite=False)
-        elif b > self.span[1]:
-            # the right strip factor always ends the band: move the prefix
-            # still in use up to the cells after column b (a 1-D move, so
-            # numpy copies the overlap without a temporary)
-            cells = self.band.T.reshape(-1)
-            width = (m + 1) * m
-            keep = (n - 1 - b) * width
-            start = (self.span[1] + 1) * width
-            cells[(b + 1) * width: (b + 1) * width + keep] = cells[start: start + keep]
-        self.span = (a, b)
-        band = self.band
-        left, right = band[:, : a * m], band[:, (b + 1) * m:]
+        band, forward, ref_rhs = self.band, self.forward, self.reference[3]
+        if self.span is None and b < n - 1:
+            right = _factor(_band(*(t[b + 1:][::-1, ::-1] for t in (diag, inner, outer)),
+                                  band[:, (b + 1) * m:]))
+            forward[(b + 1) * m:] = _sweep(right, ref_rhs[b + 1:][::-1, ::-1].ravel())
+        elif self.span is not None and b > self.span[1]:
+            # move the prefixes of the right strip's factor and forward vector
+            # still in use up to column b + 1 (1-D moves: no temporary)
+            for cells, width in ((band.T.reshape(-1), (m + 1) * m), (forward, m)):
+                keep, start = (n - 1 - b) * width, (self.span[1] + 1) * width
+                cells[(b + 1) * width: (b + 1) * width + keep] = cells[start: start + keep]
+        row, cell = np.tril_indices(m)  # lower triangle of a block; band row row - cell
+        if self.span != (a, b):
+            # per strip, in its own cell order (step -1: reversed): its rows,
+            # the column coupled to the span, its cells in the band and the
+            # forward vector, L_e and L_e L_e^T in grid order
+            self.strips = []
+            for rows, step, col, cells in ((np.s_[:a], 1, a - 1, np.s_[: a * m]),
+                                           (np.s_[b + 1:], -1, b + 1, np.s_[(b + 1) * m:])):
+                if 0 <= col < n:
+                    low = np.zeros((m, m))
+                    low[row, cell] = band[:, cells][row - cell, cell - m]
+                    self.strips.append((rows, step, col, cells, low, (low @ low.T)[::step, ::step]))
+            self.span = (a, b)
         lo, hi = max(a - 1, 0), min(b + 1, n - 1)
         r = rhs[lo: hi + 1].copy()
-        ends = []
-        if a > 0:
-            s = _block_product(left)
-            z = cho_solve_banded((left, True), rhs[:a].ravel(), check_finite=False)
-            r[0] = s @ z[-m:]
-            ends.append((lo, s))
-        if b < n - 1:
-            s = _flip(_block_product(right))
-            z = cho_solve_banded((right, True), _flip(rhs[b + 1:]).ravel(), check_finite=False)
-            r[-1] = s @ z[-m:][::-1]
-            ends.append((hi, s))
+        ys = []
+        for rows, step, col, cells, low, _ in self.strips:
+            ys.append(forward[cells])
+            if _differs(rhs[rows], ref_rhs[rows]).any():
+                ys[-1] = _sweep(band[:, cells], rhs[rows][::step, ::step].ravel())
+                self.strip_sweeps += 1
+            r[col - lo] = (low @ ys[-1][-m:])[::step]
         # the band of [lo, hi] borrows the cells of the left factor's last
         # column and of the right factor's first, kept aside until it is solved
-        kept = [band[:, col * m: (col + 1) * m].copy() for col, _ in ends]
+        kept = [band[:, col * m: (col + 1) * m].copy() for _, _, col, *_ in self.strips]
         try:
             mid = _band(diag[lo: hi + 1], inner[lo: hi + 1], outer[lo:hi],
                         band[:, lo * m: (hi + 1) * m])
-            for col, s in ends:
-                _put_block(mid, (col - lo) * m, s)
+            for _, _, col, _, _, s in self.strips:
+                mid[row - cell, (col - lo) * m + cell] = s[row, cell]
             x = solveh_banded(mid, r.ravel(), overwrite_ab=True, lower=True, check_finite=False)
         finally:
-            for (col, _), block in zip(ends, kept):
+            for (_, _, col, *_), block in zip(self.strips, kept):
                 band[:, col * m: (col + 1) * m] = block
         p = np.empty((n, m))
         p[a: b + 1] = x.reshape(-1, m)[a - lo: b + 1 - lo]
-        # back-substitute each strip with its coupling to the span moved to
-        # its right-hand side
-        if a > 0:
-            r = rhs[:a].copy()
-            r[-1] += outer[a - 1] * p[a]
-            p[:a] = cho_solve_banded((left, True), r.ravel(), check_finite=False).reshape(a, m)
-        if b < n - 1:
-            r = rhs[b + 1:].copy()
-            r[0] += outer[b] * p[b]
-            x = cho_solve_banded((right, True), _flip(r).ravel(), check_finite=False)
-            p[b + 1:] = _flip(x.reshape(n - 1 - b, m))
+        # back-substitute each strip: the span's end column couples to its
+        # last block only
+        for (rows, step, col, cells, low, _), y in zip(self.strips, ys):
+            end = col + step
+            z = y.copy()
+            z[-m:] += solve_triangular(low, (outer[min(col, end)] * p[end])[::step], lower=True,
+                                       check_finite=False)
+            p[rows] = _sweep(band[:, cells], z, "T").reshape(-1, m)[::step, ::step]
+            self.strip_sweeps += 1
         self.columns += hi - lo + 1
         return p
 

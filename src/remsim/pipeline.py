@@ -67,7 +67,8 @@ def _audit_lines(stage: int, res: StageResult) -> list[str]:
     counts = res.diagnostics["pressure"]
     lines = [f"stage {stage} audit:",
              f"  pressure: {counts['solves']} solves, {counts['full']} full, "
-             f"mean {counts['mean_columns']:.1f}/{counts['columns']} columns"]
+             f"mean {counts['mean_columns']:.1f}/{counts['columns']} columns, "
+             f"{counts['strip_sweeps']} strip sweeps"]
     if "limits" in res.diagnostics:
         lines.append("  sub-step limits: " + ", ".join(
             f"{name} {n}" for name, n in res.diagnostics["limits"].items()))

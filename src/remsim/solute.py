@@ -130,13 +130,17 @@ class TransportKernel:
 def dissolution_substep(c, sn, rho_n, params: DissolutionParams, dt):
     """Analytic relaxation of c toward Cs with exact NAPL mass transfer.
 
-    Returns (c', sn').  The transfer is capped so a step never dissolves
-    more NAPL than the cell holds, and never drives c past Cs.
+    Returns new arrays (c', sn').  The transfer is capped so a step never
+    dissolves more NAPL than the cell holds, and never drives c past Cs;
+    it is evaluated only in the cells that hold NAPL.
     """
-    active = sn > 0
-    dc = np.where(active, (params.cs - c) * (-np.expm1(-params.kl * dt)), 0.0)
-    dc = np.minimum(dc, np.maximum(sn, 0.0) * rho_n)
-    return c + dc, sn - dc / rho_n
+    active = np.flatnonzero(sn > 0)
+    # new arrays; c + 0.0 is c + dc with dc = 0 bitwise, so -0.0 becomes 0.0
+    c1, sn1 = c.ravel() + 0.0, sn.ravel().copy()
+    dc = np.minimum((params.cs - c1[active]) * (-np.expm1(-params.kl * dt)), sn1[active] * rho_n)
+    c1[active] += dc
+    sn1[active] -= dc / rho_n
+    return c1.reshape(c.shape), sn1.reshape(sn.shape)
 
 
 def probe(c: np.ndarray, cell: tuple[int, int]) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage as ndi
 
 from .flow import (FACES, FactorCache, SolverError, TpfaSystem, _harmonic, lateral_heads,
                    scatter_faces)
@@ -297,7 +296,6 @@ class SourceZoneStats:
     lower_fraction: float
     pool_fraction: float
     ganglia_fraction: float
-    pool_max_sn: tuple[float, ...]
 
 
 def source_zone_stats(
@@ -310,18 +308,13 @@ def source_zone_stats(
     mass = material.porosity * sn * grid.cell_volume * rho_n
     total = float(mass.sum())
     if total == 0.0:
-        return SourceZoneStats(0.0, 0.0, 0.0, 0.0, 0.0, ())
+        return SourceZoneStats(0.0, 0.0, 0.0, 0.0, 0.0)
     upper = material.layer_mask(upper=True)
     pool = sn >= pool_threshold
-    labels, n_pools = ndi.label(pool)
-    pool_max = tuple(
-        float(sn[labels == lab].max()) for lab in range(1, n_pools + 1)
-    )
     return SourceZoneStats(
         total_mass=total,
         upper_fraction=float(mass[upper].sum() / total),
         lower_fraction=float(mass[~upper].sum() / total),
         pool_fraction=float(mass[pool].sum() / total),
         ganglia_fraction=float(mass[~pool].sum() / total),
-        pool_max_sn=pool_max,
     )

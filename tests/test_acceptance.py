@@ -5,7 +5,7 @@ PASS/FAIL line (straight to the real stdout, so it shows under capture).
 The full-resolution default-scenario stages are expensive, so they run once
 in a session fixture and are shared by the criteria that inspect them.
 
-Run with ``pytest tests/test_acceptance.py -v``; expect ~3 minutes.
+Run with ``pytest tests/test_acceptance.py -v``; expect ~2 minutes.
 """
 
 from __future__ import annotations

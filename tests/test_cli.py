@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import remsim
 from remsim.cli import build_parser, main
 from tests.test_pipeline import fast_config_text
 
@@ -22,6 +28,16 @@ class TestParser:
     def test_export_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--export", "hdf5"])
+
+
+def test_import_leaves_out_ndimage_and_sparse():
+    # no stage uses them, and importing them costs start-up time and memory
+    src = str(Path(remsim.__file__).resolve().parents[1])
+    code = ("import sys, remsim.cli; print([m for m in sys.modules "
+            "if m.startswith(('scipy.ndimage', 'scipy.sparse'))])")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestExitCodes:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dtbtrs
 
+from remsim import flow
 from remsim.flow import (
     FactorCache,
     FlowBC,
@@ -173,15 +175,20 @@ def sparse_oracle(t_x, t_y, k_x, k_y, d, b):
     return spla.spsolve(a.tocsc(), rhs).reshape(ny, nx)
 
 
+def columns(shape, lo, hi):
+    """Cells of the outer-index columns [lo, hi) (x if nx > ny, else y)."""
+    ny, nx = shape
+    outer = np.arange(nx)[None, :] if nx > ny else np.arange(ny)[:, None]
+    return np.broadcast_to((outer >= lo) & (outer < hi), shape)
+
+
 def perturb(terms, lo, hi, seed):
     """``terms`` with new transmissibilities and Dirichlet terms on every face
-    and cell touching the outer-index columns [lo, hi) (x if nx > ny, else y)
-    and a new right-hand side everywhere."""
+    and cell touching the outer-index columns [lo, hi) and a new right-hand
+    side everywhere."""
     rng = np.random.default_rng(seed)
     t_x, t_y, k_x, k_y, d, b = (term.copy() for term in terms)
-    ny, nx = d.shape
-    outer = np.arange(nx)[None, :] if nx > ny else np.arange(ny)[:, None]
-    cells = np.broadcast_to((outer >= lo) & (outer < hi), d.shape)
+    cells = columns(d.shape, lo, hi)
     d[cells] += np.exp(rng.normal(0.0, 1.0, cells.sum()))
     faces_x = cells[:, :-1] | cells[:, 1:]
     t_x[faces_x] = np.exp(rng.normal(0.0, 1.0, faces_x.sum()))
@@ -220,6 +227,79 @@ class TestTpfaSystem:
                 reference = terms
         assert cache.stats()["full"] == full
         assert cache.stats()["solves"] == len(changes) + 1
+
+    def solve_sequence(self, cache, systems):
+        """Solve each system with ``cache``, check it against a one-shot
+        solve and return the strip sweeps each solve took."""
+        sweeps = []
+        for terms in systems:
+            before = cache.stats()["strip_sweeps"]
+            p = TpfaSystem(*terms).solve(cache)
+            expected = TpfaSystem(*terms).solve()
+            assert np.abs(p - expected).max() <= 1e-12 * np.abs(expected).max()
+            sweeps.append(cache.stats()["strip_sweeps"] - before)
+        return sweeps
+
+    @staticmethod
+    def local_change(terms, lo, hi, seed):
+        """``perturb`` with the right-hand side kept outside [lo, hi)."""
+        changed = perturb(terms, lo, hi, seed)
+        b = np.where(columns(terms[5].shape, lo, hi), changed[5], terms[5])
+        return changed[:5] + (b,)
+
+    @pytest.mark.parametrize("nx, ny", [(30, 8), (8, 30)])
+    def test_one_backward_sweep_per_strip(self, nx, ny):
+        base = random_system(nx, ny, seed=5)
+        # spans [9, 14] (two strips), [9, 29] (left strip only) and [0, 29],
+        # a full solve
+        steps = [(10, 14), (25, 30), None, (0, 2)]
+        systems = [base] + [base if cols is None else self.local_change(base, *cols, seed=i)
+                            for i, cols in enumerate(steps)]
+        cache = FactorCache()
+        assert self.solve_sequence(cache, systems) == [0, 2, 1, 1, 0]
+        assert cache.stats()["full"] == 2
+
+    @pytest.mark.parametrize("nx, ny", [(30, 8), (8, 30)])
+    def test_rhs_change_in_one_strip_sweeps_that_strip(self, nx, ny):
+        base = random_system(nx, ny, seed=5)
+        changed = self.local_change(base, 10, 14, seed=1)
+        systems = [base, changed]
+        for col in (3, 25, None):  # left strip, right strip, neither
+            b = changed[5].copy()
+            if col is not None:
+                b[columns(b.shape, col, col + 1)] += 1.0
+            systems.append(changed[:5] + (b,))
+        cache = FactorCache()
+        assert self.solve_sequence(cache, systems) == [0, 2, 3, 3, 2]
+        assert cache.stats()["full"] == 1
+
+    @pytest.mark.parametrize("nx, ny", [(30, 8), (8, 30)])
+    def test_span_widens_right_then_left(self, nx, ny):
+        base = random_system(nx, ny, seed=5)
+        # spans [11, 14], then [11, 18] (right strip factored, then cut), then
+        # [5, 18]; the right-hand side outside each span stays the reference's
+        systems = [base] + [self.local_change(base, *cols, seed=i)
+                            for i, cols in enumerate([(12, 14), (12, 18), (6, 14), (13, 14)])]
+        cache = FactorCache()
+        assert self.solve_sequence(cache, systems) == [0, 2, 2, 2, 2]
+        assert cache.stats()["full"] == 1
+
+    @pytest.mark.parametrize("reuse", [False, True])
+    def test_failed_triangular_sweep_raises(self, reuse, monkeypatch):
+        base = random_system(30, 8, seed=5)
+        cache = FactorCache()
+        systems = [base, self.local_change(base, 10, 14, seed=1)]
+        if reuse:
+            TpfaSystem(*systems.pop(0)).solve(cache)
+
+        def singular(ab, b, **kwargs):
+            return dtbtrs(ab, b, **kwargs)[0], 3
+
+        monkeypatch.setattr(flow, "dtbtrs", singular)
+        with pytest.raises(SolverError, match="triangular band solve failed"):
+            TpfaSystem(*systems[0]).solve(cache)
+        monkeypatch.undo()
+        assert self.solve_sequence(cache, systems[:1]) == [2 if reuse else 0]
 
     def test_not_positive_definite_on_reuse(self):
         t_x, t_y, k_x, k_y, d, b = random_system(30, 8, seed=5)

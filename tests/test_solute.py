@@ -238,7 +238,35 @@ class TestKernel:
             TransportParams(1e-9, -0.02)
 
 
+def whole_grid_dissolution(c, sn, rho_n, params, dt):
+    """The dissolution step evaluated on every cell, NAPL or not."""
+    dc = np.where(sn > 0, (params.cs - c) * (-np.expm1(-params.kl * dt)), 0.0)
+    dc = np.minimum(dc, np.maximum(sn, 0.0) * rho_n)
+    return c + dc, sn - dc / rho_n
+
+
 class TestDissolution:
+    def test_matches_whole_grid_formula_bitwise(self):
+        p = DissolutionParams(kl=1e-4, cs=1.27)
+        rng = np.random.default_rng(2)
+        c = rng.uniform(0.0, 1.27, (6, 9))
+        sn = rng.uniform(0.0, 0.3, (6, 9))
+        sn[0, :4] = 0.0            # no NAPL, one cell at -0.0
+        c[0, 3] = -0.0
+        sn[1, :3] = -1e-12         # rounding-level negative saturation
+        c[2, :3] = p.cs            # saturated water
+        sn[3, 0], c[3, 0] = 1e-9, 0.0  # the NAPL cap binds
+        for order in ("C", "F"):
+            ci, sni = np.array(c, order=order), np.array(sn, order=order)
+            c1, sn1 = dissolution_substep(ci, sni, 1470.0, p, 1e5)
+            c2, sn2 = whole_grid_dissolution(ci, sni, 1470.0, p, 1e5)
+            assert c1.tobytes() == c2.tobytes() and sn1.tobytes() == sn2.tobytes(), order
+            assert c1[3, 0] == 1e-9 * 1470.0
+            # new arrays, the inputs untouched: snapshots keep references
+            assert c1 is not ci and sn1 is not sni
+            np.testing.assert_array_equal(ci, c)
+            np.testing.assert_array_equal(sni, sn)
+
     def test_relaxation_matches_ode(self):
         # dc/dt = Kl (Cs - c) in a sealed cell -> exponential approach
         p = DissolutionParams(kl=1200.0 / 86400.0, cs=1.27)

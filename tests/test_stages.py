@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,22 @@ class TestLedgers:
         assert len(terms) == sum(len(s) for s in SPECIES.values())
         for line in terms:
             assert line.split()[::2] == [*LEDGER_TERMS, "kg/m"]
+
+
+class TestDegradation:
+    def test_saturated_iron_zone_degrades(self, fast_run):
+        # the fast run's own plume barely meets its iron: put dissolved TCE at
+        # solubility wherever there is iron, so stage 4 degrades a real amount
+        scn = Scenario.build(RunConfig.from_text(fast_config_text()), 0)
+        ckpt = fast_run.results[3].checkpoint
+        fields = dict(ckpt.fields)
+        fields["c_tce"] = np.where(fields["rho_m"] > 0, scn.config.solubility, fields["c_tce"])
+        res = run_stage4(scn, dataclasses.replace(ckpt, fields=fields))
+        # the iron is used up here, so the degraded mass meets the capacity to
+        # rounding (it is summed over the steps, the capacity is not)
+        capacity = res.diagnostics["budget"]["iron_capacity"]
+        assert 0.01 * capacity <= res.diagnostics["degraded_mass"] <= capacity * (1 + 1e-12)
+        assert res.ledger["tce"].closure() <= 1e-12
 
 
 class TestSubstepLimits:
@@ -175,5 +193,6 @@ class TestPressureReuse:
             counts = res.diagnostics["pressure"]
             assert counts["solves"] >= counts["full"] >= 1
             line = (f"  pressure: {counts['solves']} solves, {counts['full']} full, "
-                    f"mean {counts['mean_columns']:.1f}/{counts['columns']} columns")
+                    f"mean {counts['mean_columns']:.1f}/{counts['columns']} columns, "
+                    f"{counts['strip_sweeps']} strip sweeps")
             assert lines[lines.index(f"stage {stage} audit:") + 1] == line

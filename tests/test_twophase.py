@@ -249,4 +249,3 @@ class TestSourceZoneStats:
         sn = np.array([[0.5, 0.0], [0.0, 0.1]])
         s = source_zone_stats(sn, m, g, pool_threshold=0.3)
         assert s.pool_fraction == pytest.approx(0.5 / 0.6, rel=1e-12)
-        assert s.pool_max_sn == (0.5,)
