@@ -134,7 +134,8 @@ def locate_well_cells(grid: Grid, well: WellCfg) -> list[tuple[int, int]]:
     if y_lo < 0 or y_hi > grid.height:
         raise ConfigError("well screen outside domain")
     i = min(int(well.x / grid.dx), grid.nx - 1)
-    rows = [j for j in range(grid.ny) if y_lo <= grid.yc[j] <= y_hi]
+    yc = grid.yc
+    rows = [j for j in range(grid.ny) if y_lo <= yc[j] <= y_hi]
     if not rows:
         rows = [min(int(y_center / grid.dy), grid.ny - 1)]
     return [(i, j) for j in rows]

@@ -72,6 +72,10 @@ def _audit_lines(stage: int, res: StageResult) -> list[str]:
     if "limits" in res.diagnostics:
         lines.append("  sub-step limits: " + ", ".join(
             f"{name} {n}" for name, n in res.diagnostics["limits"].items()))
+    if "window" in res.diagnostics:
+        window = res.diagnostics["window"]
+        lines.append(f"  window: mean {window['mean_columns']:.1f}/{window['columns']} columns, "
+                     f"max {window['max_columns']}")
     if "budget" in res.diagnostics:
         lines.append("  budget: " + ", ".join(
             f"{name} {mass:.6e}" for name, mass in res.diagnostics["budget"].items()) + "  kg/m")

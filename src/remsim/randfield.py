@@ -15,9 +15,9 @@ import numpy as np
 from .grid import CLAY, Grid, MaterialMap
 
 
-def _gaussian_field(grid: Grid, corr_length: float, rng: np.random.Generator) -> np.ndarray:
-    """Standard (zero-mean, unit-variance) Gaussian field with exponential covariance."""
-    # embed on a torus at least twice the domain in each direction
+def _spectrum(grid: Grid, corr_length: float) -> np.ndarray:
+    """Amplitudes ``sqrt(lambda / (m n))`` of the exponential covariance
+    embedded on an (m, n) torus at least twice the domain in each direction."""
     m, n = 2 * grid.ny, 2 * grid.nx
     jy = np.minimum(np.arange(m), m - np.arange(m)) * grid.dy
     jx = np.minimum(np.arange(n), n - np.arange(n)) * grid.dx
@@ -25,9 +25,14 @@ def _gaussian_field(grid: Grid, corr_length: float, rng: np.random.Generator) ->
     cov = np.exp(-dist / corr_length)
     lam = np.fft.fft2(cov).real
     lam = np.maximum(lam, 0.0)  # clip small negative embedding eigenvalues
-    xi = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    y = np.fft.fft2(np.sqrt(lam / (m * n)) * xi)
-    return y.real[: grid.ny, : grid.nx]
+    return np.sqrt(lam / (m * n))
+
+
+def _gaussian_field(grid: Grid, amplitude: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Standard (zero-mean, unit-variance) Gaussian field on the grid from the
+    embedding's ``amplitude`` (:func:`_spectrum`)."""
+    xi = rng.standard_normal(amplitude.shape) + 1j * rng.standard_normal(amplitude.shape)
+    return np.fft.fft2(amplitude * xi).real[: grid.ny, : grid.nx]
 
 
 def generate_log_normal_field(
@@ -44,6 +49,7 @@ def generate_log_normal_field(
     if log_variance == 0.0:
         return k
     sigma = np.sqrt(log_variance)
+    amplitude = _spectrum(grid, correlation_length)
     for lid, props in material.props.items():
         if lid == CLAY:
             continue
@@ -51,7 +57,7 @@ def generate_log_normal_field(
         if not mask.any():
             continue
         rng = np.random.Generator(np.random.Philox(key=[seed, lid]))
-        z = _gaussian_field(grid, correlation_length, rng)
+        z = _gaussian_field(grid, amplitude, rng)
         # condition each layer on its prescribed geometric mean: a finite
         # layer holds few correlation lengths, so the raw sample mean of
         # ln k wanders several percent between realizations

@@ -195,6 +195,7 @@ def run_stage1(scn: Scenario) -> StageResult:
     ledger = {"napl": Ledger(injected=stepper_on.injected_mass,
                              final=stepper_off.napl_mass(state))}
     stats = source_zone_stats(state.sn, m, g, scn.fluids.rho_n, cfg.pool_threshold)
+    limits = {name: stepper_on.limits[name] + stepper_off.limits[name] for name in LIMITS}
     ckpt = _make_checkpoint(scn, 1, t, {
         "sw": state.sw, "sn": state.sn, "pw": state.pw,
         "theta_m": m.porosity.copy(), "k": m.k.copy(),
@@ -204,7 +205,12 @@ def run_stage1(scn: Scenario) -> StageResult:
         "near_static_max_dsn": float(np.abs(state.sn - sn_near_end).max()),
         "pressure": cache.stats(),
         # sub-steps set by each bound (advection, inflow, capillary, chunk end)
-        "limits": {name: stepper_on.limits[name] + stepper_off.limits[name] for name in LIMITS},
+        "limits": limits,
+        # grid columns a sub-step works on (the NAPL window), mean and widest
+        "window": {"mean_columns": (stepper_on.window_columns + stepper_off.window_columns)
+                   / max(sum(limits.values()), 1),
+                   "max_columns": max(stepper_on.window_max, stepper_off.window_max),
+                   "columns": g.nx},
         "series_header": ["t", "napl_mass", "pool_fraction", "ganglia_fraction",
                           "upper_fraction", "lower_fraction"],
     }

@@ -6,6 +6,13 @@ operator of :mod:`remsim.flow`; saturations are then advanced with
 phase-potential-upwinded fluxes.  An entry-pressure interface rule
 blocks NAPL from invading a finer layer until the upstream capillary
 pressure exceeds the receiving layer's entry pressure.
+
+A sub-step costs what the NAPL footprint costs: the closures, face terms,
+stability bounds and saturation update cover only a window of grid columns
+around the NAPL, two columns wider on each side (:class:`ImpesStepper`).
+Outside it every quantity is its NAPL-free value, so the pressure system,
+still assembled on the whole grid, and every result are bit for bit those of
+a whole-grid sub-step.
 """
 
 from __future__ import annotations
@@ -121,11 +128,37 @@ def interface_block_mask(pd_up, pd_recv, pc_up, lith_up, lith_recv):
 LIMITS = ("advection", "inflow", "capillary", "chunk_end")
 
 
+def _window_faces(cols: slice):
+    """Index expressions of the x-faces and of the y-faces between the cells
+    of the grid columns ``cols``."""
+    return np.s_[:, cols.start:cols.stop - 1], np.s_[:, cols]
+
+
 class ImpesStepper:
     """Face permeabilities and audit state for repeated IMPES sub-steps on one
     grid.  Steppers given the same ``cache`` share pressure factors: the
     matrix does not depend on the NAPL source, only the right-hand side.
-    ``limits`` counts the sub-steps each bound of :data:`LIMITS` has set."""
+    ``limits`` counts the sub-steps each bound of :data:`LIMITS` has set;
+    ``window_columns`` sums the width of each sub-step's window ``E`` and
+    ``window_max`` is the widest.
+
+    A sub-step works on a window of whole grid columns around the NAPL.  Let
+    ``N`` be the columns holding NAPL (``sn != 0``) or fed by the NAPL
+    source.  The NAPL flux through a face is zero unless its upwind cell
+    holds NAPL, so only the cells of ``C``, ``N`` widened by one column on
+    each side, can change saturation in one sub-step; ``E``, ``C`` widened by
+    one more column, holds every face of a ``C`` cell.  Both are clipped to
+    the grid, and an empty ``N`` gives a one-column window.  The closures,
+    face terms, NAPL fluxes, stability bounds and divergence are evaluated
+    on ``E``, and ``sn`` is updated on ``C``, each cell summing its faces in
+    the same order as on the whole grid.  A cell outside ``E`` is NAPL-free
+    (``sn = 0``, ``sw = 1``: every sub-step leaves ``sw = 1 - sn``), so
+    ``krw = 1``, ``krn = 0`` and ``pc = pd`` there; its faces carry no NAPL
+    flux and bound nothing, and the pressure system, still assembled on the
+    whole grid, takes their closed forms ``lw = kf / mu_w`` and ``ln = 0``,
+    which equal the closures' ``kf * 1.0 / mu_w`` bit for bit.  Results are
+    therefore those of a whole-grid sub-step, bit for bit.
+    """
 
     def __init__(
         self,
@@ -146,28 +179,50 @@ class ImpesStepper:
         self.kfx = _harmonic(k[:, :-1], k[:, 1:]) * grid.dy / grid.dx
         self.kfy = _harmonic(k[:-1, :], k[1:, :]) * grid.dx / grid.dy
         self.pore_vol = material.porosity * grid.cell_volume
+        source = bc.napl_source
+        self._source_columns = (np.zeros(grid.nx, dtype=bool) if source is None
+                               else (source != 0).any(axis=0))
         # running audit
         self.injected_mass = 0.0
         self.limits = dict.fromkeys(LIMITS, 0)
+        self.window_columns = 0
+        self.window_max = 0
+
+    def _window(self, sn):
+        """The columns ``(C, E)`` of a sub-step from ``sn``, as slices."""
+        napl = np.flatnonzero((sn != 0).any(axis=0) | self._source_columns)
+        if napl.size == 0:
+            return slice(0, 1), slice(0, 1)
+        first, stop, nx = int(napl[0]), int(napl[-1]) + 1, self.grid.nx
+        return (slice(max(first - 1, 0), min(stop + 1, nx)),
+                slice(max(first - 2, 0), min(stop + 2, nx)))
 
     # -- closures ---------------------------------------------------------
-    def closures(self, state: TwoPhaseState):
+    def closures(self, state: TwoPhaseState, cols: slice):
+        """``(pc, dpc, krw, krn)`` on the grid columns ``cols``: ``dpc`` is
+        -dpc/dSw, the slope the capillary bound feels."""
         m, num = self.material, self.numerics
-        se_pc = effective_saturation(state.sw, m.swr, m.snr, num.se_clamp)
-        se_kr = np.clip((state.sw - m.swr) / (1.0 - m.swr - m.snr), 0.0, 1.0)
-        pc = capillary_pressure(se_pc, m.entry_pressure, m.bc_lambda)
-        krw, krn = rel_perm(se_kr, m.bc_lambda)
-        return pc, krw, krn
+        sw = state.sw[:, cols]
+        swr, snr, pd, lam = (a[:, cols] for a in (m.swr, m.snr, m.entry_pressure, m.bc_lambda))
+        se_pc = effective_saturation(sw, swr, snr, num.se_clamp)
+        se_kr = np.clip((sw - swr) / (1.0 - swr - snr), 0.0, 1.0)
+        pc = capillary_pressure(se_pc, pd, lam)
+        dpc = pd / lam * se_pc ** (-1.0 / lam - 1.0) / (1.0 - swr - snr)
+        krw, krn = rel_perm(se_kr, lam)
+        return pc, dpc, krw, krn
 
-    def _face_quantities(self, state: TwoPhaseState, pc, krw, krn):
+    def _face_quantities(self, pw, pc, krw, krn, cols):
         """Upwinded face mobilities and known (capillary+gravity) potentials
-        ``(lw, ln, grav_w, grav_n)`` of the x-faces and of the y-faces."""
+        ``(lw, ln, grav_w, grav_n)`` of the x-faces and of the y-faces between
+        the cells of the columns ``cols``, from their ``pw`` and closures."""
         f, m = self.fluids, self.material
-        pn = state.pw + pc
-        pd, lith = m.entry_pressure, m.lithology
+        pn = pw + pc
+        pd, lith = m.entry_pressure[:, cols], m.lithology[:, cols]
+        x_faces, y_faces = _window_faces(cols)
         faces = []
-        for (lo, hi), kf, dz in zip(FACES, (self.kfx, self.kfy), (0.0, self.grid.dy)):
-            up_w = state.pw[hi] - state.pw[lo] + f.rho_w * f.g * dz < 0  # True: lower cell upwind
+        for (lo, hi), kf, dz in zip(FACES, (self.kfx[x_faces], self.kfy[y_faces]),
+                                    (0.0, self.grid.dy)):
+            up_w = pw[hi] - pw[lo] + f.rho_w * f.g * dz < 0  # True: lower cell upwind
             up_n = pn[hi] - pn[lo] + f.rho_n * f.g * dz < 0
             # entry-pressure rule, applied in the NAPL flow direction
             blocked = np.where(
@@ -177,27 +232,29 @@ class ImpesStepper:
             )
             krn_f = np.where(blocked, 0.0, np.where(up_n, krn[lo], krn[hi]))
             lw = kf * np.where(up_w, krw[lo], krw[hi]) / f.mu_w
-            faces.append((lw, kf * krn_f / f.mu_n, np.full_like(lw, f.rho_w * f.g * dz),
+            faces.append((lw, kf * krn_f / f.mu_n, f.rho_w * f.g * dz,
                           pc[hi] - pc[lo] + f.rho_n * f.g * dz))
         return faces
 
-    def _solve_pressure(self, krw, fx, fy):
-        """Implicit total-velocity pressure solve; returns new pw."""
-        g, f = self.grid, self.fluids
-        lw_x, ln_x, gw_x, gn_x = fx
-        lw_y, ln_y, gw_y, gn_y = fy
-        d, b = lateral_heads(g, self.material.k * krw / f.mu_w, self.bc.head_left,
-                             self.bc.head_right, f.rho_w, f.g)
+    def _solve_pressure(self, krw, fx, fy, cols):
+        """Implicit total-velocity pressure solve on the whole grid, from the
+        window's ``krw`` and face terms; returns new pw."""
+        g, f, perm = self.grid, self.fluids, self.material.k
+        lam = perm / f.mu_w
+        lam[:, cols] = perm[:, cols] * krw / f.mu_w
+        d, b = lateral_heads(g, lam, self.bc.head_left, self.bc.head_right, f.rho_w, f.g)
         if self.bc.napl_source is not None:
             b += self.bc.napl_source * g.cell_volume
 
-        # face outflow o->nb: F = -t (p_nb - p_o) - known
-        system = TpfaSystem(
-            lw_x + ln_x, lw_y + ln_y,
-            lw_x * gw_x + ln_x * gn_x, lw_y * gw_y + ln_y * gn_y,
-            d, b,
-        )
-        p = system.solve(self.cache)
+        # face outflow o->nb: F = -t (p_nb - p_o) - known, with t = lw + ln
+        # and known = lw grav_w + ln grav_n; NAPL-free outside the window
+        t_x, t_y = self.kfx / f.mu_w, self.kfy / f.mu_w
+        k_x, k_y = np.zeros_like(t_x), t_y * (f.rho_w * f.g * g.dy)
+        for t, known, faces, (lw, ln, gw, gn) in zip((t_x, t_y), (k_x, k_y),
+                                                     _window_faces(cols), (fx, fy)):
+            t[faces] = lw + ln
+            known[faces] = lw * gw + ln * gn
+        p = TpfaSystem(t_x, t_y, k_x, k_y, d, b).solve(self.cache)
         if not np.isfinite(p).all():
             raise SolverError("two-phase pressure solve produced non-finite values")
         return p
@@ -206,32 +263,25 @@ class ImpesStepper:
         """Per-face NAPL volumetric fluxes (m^3/s), positive owner->neighbor."""
         return [-ln * ((pw[hi] - pw[lo]) + gn) for (lo, hi), (_, ln, _, gn) in zip(FACES, (fx, fy))]
 
-    def _stable_dt(self, state, out, fn_x, fn_y, fx, fy, dt_target):
-        """Sub-step length from the NAPL outflow ``out`` of each cell, and the
-        bound of :data:`LIMITS` that sets it (the first of equal bounds)."""
+    def _stable_dt(self, state, cols, out, fn_x, fn_y, fx, fy, dpc, dt_target):
+        """Sub-step length from the NAPL outflow ``out`` of each cell of the
+        columns ``cols``, and the bound of :data:`LIMITS` that sets it (the
+        first of equal bounds)."""
         num = self.numerics
-        m = self.material
-        pv = self.pore_vol
+        pv = self.pore_vol[:, cols]
         inflow = scatter_faces(np.zeros_like(out), np.maximum(-fn_x, 0.0), np.maximum(fn_x, 0.0),
                                np.maximum(-fn_y, 0.0), np.maximum(fn_y, 0.0))
         if self.bc.napl_source is not None:
-            inflow += self.bc.napl_source * self.grid.cell_volume
+            inflow += self.bc.napl_source[:, cols] * self.grid.cell_volume
 
         with np.errstate(divide="ignore"):
             dt_adv = np.where(out > 0, MAX_DS * pv / out, np.inf).min()
-            avail = np.maximum(1.0 - m.swr - state.sn, 0.02)
+            avail = np.maximum(1.0 - self.material.swr[:, cols] - state.sn[:, cols], 0.02)
             dt_in = np.where(inflow > 0, num.cfl * avail * pv / inflow, np.inf).min()
 
         # explicit capillary-diffusion bound (Coats-type): the saturation
         # update feels the mixed fractional-flow mobility lw*ln/(lw+ln),
         # not ln alone -- inside pools the near-immobile water limits it
-        se = effective_saturation(state.sw, m.swr, m.snr, num.se_clamp)
-        dpc = (
-            m.entry_pressure
-            / m.bc_lambda
-            * se ** (-1.0 / m.bc_lambda - 1.0)
-            / (1.0 - m.swr - m.snr)
-        )
         with np.errstate(invalid="ignore"):
             g_x, g_y = (np.where(lw + ln > 0, lw * ln / (lw + ln), 0.0)
                         * np.maximum(dpc[lo], dpc[hi])
@@ -246,37 +296,44 @@ class ImpesStepper:
 
     def substep(self, state: TwoPhaseState, dt_target: float) -> float:
         """One IMPES sub-step of at most ``dt_target``; returns dt taken."""
-        pc, krw, krn = self.closures(state)
-        fx, fy = self._face_quantities(state, pc, krw, krn)
-        pw = self._solve_pressure(krw, fx, fy)
-        fn_x, fn_y = self._napl_fluxes(pw, fx, fy)
-        out = scatter_faces(np.zeros_like(state.sn), np.maximum(fn_x, 0.0), np.maximum(-fn_x, 0.0),
+        update, cols = self._window(state.sn)
+        self.window_columns += cols.stop - cols.start
+        self.window_max = max(self.window_max, cols.stop - cols.start)
+        pc, dpc, krw, krn = self.closures(state, cols)
+        fx, fy = self._face_quantities(state.pw[:, cols], pc, krw, krn, cols)
+        pw = self._solve_pressure(krw, fx, fy, cols)
+        fn_x, fn_y = self._napl_fluxes(pw[:, cols], fx, fy)
+        out = scatter_faces(np.zeros_like(pc), np.maximum(fn_x, 0.0), np.maximum(-fn_x, 0.0),
                             np.maximum(fn_y, 0.0), np.maximum(-fn_y, 0.0))
-        dt, limit = self._stable_dt(state, out, fn_x, fn_y, fx, fy, dt_target)
+        dt, limit = self._stable_dt(state, cols, out, fn_x, fn_y, fx, fy, dpc, dt_target)
         self.limits[limit] += 1
 
         # limit each cell's outgoing NAPL flux to its content (conservative:
         # both sides of a face see the same scaled flux)
+        sn, pv = state.sn[:, cols], self.pore_vol[:, cols]
         with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(out * dt > 0, np.minimum(1.0, state.sn * self.pore_vol / (out * dt)), 1.0)
+            scale = np.where(out * dt > 0, np.minimum(1.0, sn * pv / (out * dt)), 1.0)
         fn_x, fn_y = (fn * np.where(fn > 0, scale[lo], scale[hi])
                       for (lo, hi), fn in zip(FACES, (fn_x, fn_y)))
 
-        div = scatter_faces(np.zeros_like(state.sn), fn_x, -fn_x, fn_y, -fn_y)
-        dsn = -div * dt / self.pore_vol
+        div = scatter_faces(np.zeros_like(pc), fn_x, -fn_x, fn_y, -fn_y)
+        dsn = -div * dt / pv
         if self.bc.napl_source is not None:
-            dsn += self.bc.napl_source * dt * self.grid.cell_volume / self.pore_vol
+            dsn += self.bc.napl_source[:, cols] * dt * self.grid.cell_volume / pv
             self.injected_mass += float(
                 np.sum(self.bc.napl_source) * self.grid.cell_volume * dt * self.fluids.rho_n
             )
-        state.sn = state.sn + dsn
-        if state.sn.min() < -10 * SAT_TOL or state.sn.max() > 1.0 + 10 * SAT_TOL:
+        # outside C every cell keeps its saturation, 0
+        sn_new = state.sn.copy()
+        changed = sn_new[:, update]
+        changed += dsn[:, update.start - cols.start:update.stop - cols.start]
+        if changed.min() < -10 * SAT_TOL or changed.max() > 1.0 + 10 * SAT_TOL:
             raise SolverError(
-                f"saturation out of bounds: [{state.sn.min():.3e}, {state.sn.max():.3e}]"
-            )
+                f"saturation out of bounds: [{sn_new.min():.3e}, {sn_new.max():.3e}]")
         # snap rounding-scale excursions back onto the physical bounds
-        np.clip(state.sn, 0.0, 1.0, out=state.sn)
-        state.sw = 1.0 - state.sn
+        np.clip(changed, 0.0, 1.0, out=changed)
+        state.sn = sn_new
+        state.sw = 1.0 - sn_new
         state.pw = pw
         state.clock += dt
         return dt

@@ -21,6 +21,18 @@ from tests.test_pipeline import fast_config_text
 SPECIES = {1: {"napl"}, 2: {"tce"}, 3: {"nzvi", "cmc", "tce"}, 4: {"tce", "cmc"}}
 
 
+def every_limit_config_text() -> str:
+    """The fast config with finer cells, a five times stronger release and 19
+    days of redistribution: every bound of LIMITS sets at least one sub-step."""
+    text = fast_config_text()
+    for old, new in (("dx = 1 m", "dx = 0.5 m"), ("dy = 1 m", "dy = 0.5 m"),
+                     ("stage1_duration = 3 day", "stage1_duration = 20 day"),
+                     ("flux = 0.001 kg/m^2/s", "flux = 0.005 kg/m^2/s")):
+        assert old in text, old
+        text = text.replace(old, new)
+    return text
+
+
 @pytest.fixture(scope="module")
 def fast_run(tmp_path_factory):
     cfg = RunConfig.from_text(fast_config_text())
@@ -71,15 +83,7 @@ class TestSubstepLimits:
         assert sum(limits.values()) == res.diagnostics["pressure"]["solves"]
 
     def test_stage1_meets_every_limit(self):
-        # finer cells, a five times stronger release and 19 days of
-        # redistribution: every bound of LIMITS sets at least one sub-step
-        text = fast_config_text()
-        for old, new in (("dx = 1 m", "dx = 0.5 m"), ("dy = 1 m", "dy = 0.5 m"),
-                         ("stage1_duration = 3 day", "stage1_duration = 20 day"),
-                         ("flux = 0.001 kg/m^2/s", "flux = 0.005 kg/m^2/s")):
-            assert old in text, old
-            text = text.replace(old, new)
-        res = run_stage1(Scenario.build(RunConfig.from_text(text), 0))
+        res = run_stage1(Scenario.build(RunConfig.from_text(every_limit_config_text()), 0))
         limits = res.diagnostics["limits"]
         assert min(limits.values()) >= 1, limits
         assert sum(limits.values()) == res.diagnostics["pressure"]["solves"]
@@ -91,6 +95,15 @@ class TestSubstepLimits:
         line = "  sub-step limits: " + ", ".join(f"{k} {n}" for k, n in limits.items())
         assert lines[lines.index("stage 1 audit:") + 2] == line
         assert sum(line.startswith("  sub-step limits:") for line in lines) == 1
+
+    def test_report_prints_window_under_limits(self, fast_run):
+        # the fast config's NAPL sits under a 2 m strip of 1 m columns: the
+        # source's two columns widen by two on each side
+        window = fast_run.results[1].diagnostics["window"]
+        assert window == {"mean_columns": 6.0, "max_columns": 6, "columns": 35}
+        lines = fast_run.report.splitlines()
+        assert lines[lines.index("stage 1 audit:") + 3] == "  window: mean 6.0/35 columns, max 6"
+        assert sum(line.startswith("  window:") for line in lines) == 1
 
 
 class TestBudgets:

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from remsim.config import LithologyCfg
+from remsim.config import LithologyCfg, RunConfig
+from remsim.flow import (FACES, FactorCache, SolverError, TpfaSystem, _harmonic, lateral_heads,
+                         scatter_faces)
 from remsim.grid import MaterialMap, build_grid
+from remsim.scenario import Scenario
+from remsim.stages import _chunks
 from remsim.twophase import (
+    LIMITS,
+    MAX_DS,
+    SAT_TOL,
     FluidProps,
     ImpesStepper,
     Numerics,
@@ -16,6 +23,7 @@ from remsim.twophase import (
     rel_perm,
     source_zone_stats,
 )
+from tests.test_stages import every_limit_config_text
 
 
 def impes_step(state, material, fluids, bc, dt, numerics=Numerics(), stepper=None):
@@ -27,6 +35,116 @@ def impes_step(state, material, fluids, bc, dt, numerics=Numerics(), stepper=Non
     while out.clock < t_end - 1e-9:
         stepper.substep(out, t_end - out.clock)
     return out
+
+
+class ReferenceStepper:
+    """Whole-grid IMPES sub-steps, the form the column window replaced: the
+    closures, face terms, bounds and saturation update cover every cell."""
+
+    def __init__(self, grid, material, fluids, bc, numerics=Numerics(), cache=None):
+        self.grid, self.material, self.fluids, self.bc, self.numerics = (
+            grid, material, fluids, bc, numerics)
+        self.cache = FactorCache() if cache is None else cache
+        k = material.k
+        self.kfx = _harmonic(k[:, :-1], k[:, 1:]) * grid.dy / grid.dx
+        self.kfy = _harmonic(k[:-1, :], k[1:, :]) * grid.dx / grid.dy
+        self.pore_vol = material.porosity * grid.cell_volume
+        self.injected_mass = 0.0
+        self.limits = dict.fromkeys(LIMITS, 0)
+
+    def closures(self, state):
+        m, num = self.material, self.numerics
+        se_pc = effective_saturation(state.sw, m.swr, m.snr, num.se_clamp)
+        se_kr = np.clip((state.sw - m.swr) / (1.0 - m.swr - m.snr), 0.0, 1.0)
+        pc = capillary_pressure(se_pc, m.entry_pressure, m.bc_lambda)
+        krw, krn = rel_perm(se_kr, m.bc_lambda)
+        return pc, krw, krn
+
+    def face_quantities(self, state, pc, krw, krn):
+        f, m = self.fluids, self.material
+        pn = state.pw + pc
+        pd, lith = m.entry_pressure, m.lithology
+        faces = []
+        for (lo, hi), kf, dz in zip(FACES, (self.kfx, self.kfy), (0.0, self.grid.dy)):
+            up_w = state.pw[hi] - state.pw[lo] + f.rho_w * f.g * dz < 0
+            up_n = pn[hi] - pn[lo] + f.rho_n * f.g * dz < 0
+            blocked = np.where(
+                up_n,
+                interface_block_mask(pd[lo], pd[hi], pc[lo], lith[lo], lith[hi]),
+                interface_block_mask(pd[hi], pd[lo], pc[hi], lith[hi], lith[lo]),
+            )
+            krn_f = np.where(blocked, 0.0, np.where(up_n, krn[lo], krn[hi]))
+            lw = kf * np.where(up_w, krw[lo], krw[hi]) / f.mu_w
+            faces.append((lw, kf * krn_f / f.mu_n, np.full_like(lw, f.rho_w * f.g * dz),
+                          pc[hi] - pc[lo] + f.rho_n * f.g * dz))
+        return faces
+
+    def solve_pressure(self, krw, fx, fy):
+        g, f = self.grid, self.fluids
+        lw_x, ln_x, gw_x, gn_x = fx
+        lw_y, ln_y, gw_y, gn_y = fy
+        d, b = lateral_heads(g, self.material.k * krw / f.mu_w, self.bc.head_left,
+                             self.bc.head_right, f.rho_w, f.g)
+        if self.bc.napl_source is not None:
+            b += self.bc.napl_source * g.cell_volume
+        system = TpfaSystem(lw_x + ln_x, lw_y + ln_y,
+                            lw_x * gw_x + ln_x * gn_x, lw_y * gw_y + ln_y * gn_y, d, b)
+        return system.solve(self.cache)
+
+    def stable_dt(self, state, out, fn_x, fn_y, fx, fy, dt_target):
+        num, m, pv = self.numerics, self.material, self.pore_vol
+        inflow = scatter_faces(np.zeros_like(out), np.maximum(-fn_x, 0.0), np.maximum(fn_x, 0.0),
+                               np.maximum(-fn_y, 0.0), np.maximum(fn_y, 0.0))
+        if self.bc.napl_source is not None:
+            inflow += self.bc.napl_source * self.grid.cell_volume
+        with np.errstate(divide="ignore"):
+            dt_adv = np.where(out > 0, MAX_DS * pv / out, np.inf).min()
+            avail = np.maximum(1.0 - m.swr - state.sn, 0.02)
+            dt_in = np.where(inflow > 0, num.cfl * avail * pv / inflow, np.inf).min()
+        se = effective_saturation(state.sw, m.swr, m.snr, num.se_clamp)
+        dpc = (m.entry_pressure / m.bc_lambda * se ** (-1.0 / m.bc_lambda - 1.0)
+               / (1.0 - m.swr - m.snr))
+        with np.errstate(invalid="ignore"):
+            g_x, g_y = (np.where(lw + ln > 0, lw * ln / (lw + ln), 0.0)
+                        * np.maximum(dpc[lo], dpc[hi])
+                        for (lo, hi), (lw, ln, _, _) in zip(FACES, (fx, fy)))
+        cond = scatter_faces(np.zeros_like(out), g_x, g_x, g_y, g_y)
+        with np.errstate(divide="ignore"):
+            dt_cap = np.where(cond > 0, num.cfl * pv / cond, np.inf).min()
+        bounds = dict(zip(LIMITS, (dt_adv, dt_in, dt_cap, dt_target)))
+        limit = min(bounds, key=bounds.get)
+        return float(bounds[limit]), limit
+
+    def substep(self, state, dt_target):
+        pc, krw, krn = self.closures(state)
+        fx, fy = self.face_quantities(state, pc, krw, krn)
+        pw = self.solve_pressure(krw, fx, fy)
+        fn_x, fn_y = (-ln * ((pw[hi] - pw[lo]) + gn)
+                      for (lo, hi), (_, ln, _, gn) in zip(FACES, (fx, fy)))
+        out = scatter_faces(np.zeros_like(state.sn), np.maximum(fn_x, 0.0), np.maximum(-fn_x, 0.0),
+                            np.maximum(fn_y, 0.0), np.maximum(-fn_y, 0.0))
+        dt, limit = self.stable_dt(state, out, fn_x, fn_y, fx, fy, dt_target)
+        self.limits[limit] += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(out * dt > 0,
+                             np.minimum(1.0, state.sn * self.pore_vol / (out * dt)), 1.0)
+        fn_x, fn_y = (fn * np.where(fn > 0, scale[lo], scale[hi])
+                      for (lo, hi), fn in zip(FACES, (fn_x, fn_y)))
+        div = scatter_faces(np.zeros_like(state.sn), fn_x, -fn_x, fn_y, -fn_y)
+        dsn = -div * dt / self.pore_vol
+        if self.bc.napl_source is not None:
+            dsn += self.bc.napl_source * dt * self.grid.cell_volume / self.pore_vol
+            self.injected_mass += float(
+                np.sum(self.bc.napl_source) * self.grid.cell_volume * dt * self.fluids.rho_n)
+        state.sn = state.sn + dsn
+        if state.sn.min() < -10 * SAT_TOL or state.sn.max() > 1.0 + 10 * SAT_TOL:
+            raise SolverError(
+                f"saturation out of bounds: [{state.sn.min():.3e}, {state.sn.max():.3e}]")
+        np.clip(state.sn, 0.0, 1.0, out=state.sn)
+        state.sw = 1.0 - state.sn
+        state.pw = pw
+        state.clock += dt
+        return dt
 
 
 def homogeneous(grid, **over):
@@ -249,3 +367,113 @@ class TestSourceZoneStats:
         sn = np.array([[0.5, 0.0], [0.0, 0.1]])
         s = source_zone_stats(sn, m, g, pool_threshold=0.3)
         assert s.pool_fraction == pytest.approx(0.5 / 0.6, rel=1e-12)
+
+
+def lockstep(state, segments):
+    """Advance one copy of ``state`` with each windowed stepper of
+    ``segments`` = ``[(stepper, reference, t_stop), ...]`` and another with
+    its reference until ``t_stop``, asserting after every sub-step that dt,
+    the limit counts, the injected mass and ``sw``, ``sn``, ``pw`` agree bit
+    for bit.  Returns the windowed state and the number of sub-steps."""
+    ours, ref = (TwoPhaseState(state.sw.copy(), state.sn.copy(), state.pw.copy(), state.clock)
+                 for _ in range(2))
+    substeps = 0
+    for stepper, reference, t_stop in segments:
+        while ours.clock < t_stop - 1e-6:
+            dt = stepper.substep(ours, t_stop - ours.clock)
+            assert reference.substep(ref, t_stop - ref.clock) == dt
+            assert stepper.limits == reference.limits
+            assert stepper.injected_mass == reference.injected_mass
+            assert ours.clock == ref.clock
+            for name in ("sw", "sn", "pw"):
+                a, b = getattr(ours, name), getattr(ref, name)
+                assert a.tobytes() == b.tobytes(), (name, substeps, np.abs(a - b).max())
+            substeps += 1
+    return ours, substeps
+
+
+def pair(grid, material, fluids, bc, caches=(None, None)):
+    """A windowed stepper and its whole-grid reference, each with its own cache."""
+    return (ImpesStepper(grid, material, fluids, bc, cache=caches[0]),
+            ReferenceStepper(grid, material, fluids, bc, cache=caches[1]))
+
+
+class TestWindow:
+    """Each case runs the windowed stepper against :class:`ReferenceStepper`."""
+
+    g = build_grid((3.0, 2.0), (0.2, 0.2))   # 15 x 10 cells
+    fluids = FluidProps()
+    bc = TwoPhaseBC(2.0, 2.0)
+
+    def slug(self, cols, sn=0.4):
+        st = hydrostatic_two_phase(self.g, self.fluids, head=2.0)
+        st.sn[-4:, cols] = sn
+        st.sw = 1.0 - st.sn
+        return st
+
+    @pytest.mark.parametrize("cols", [np.s_[:2], np.s_[-2:]], ids=["column 0", "column nx-1"])
+    def test_napl_at_the_grid_edge(self, cols):
+        m = homogeneous(self.g, entry_pressure=500.0)
+        stepper, reference = pair(self.g, m, self.fluids, self.bc)
+        out, substeps = lockstep(self.slug(cols), [(stepper, reference, 86400.0)])
+        assert substeps >= 5
+        # the NAPL spreads into a third column; clipped at the grid edge, C
+        # adds one column to it and E two
+        assert (out.sn[:, 2] > 0).any() if cols == np.s_[:2] else (out.sn[:, -3] > 0).any()
+        assert stepper.window_max == 5
+
+    def test_no_napl_and_no_source(self):
+        stepper, reference = pair(self.g, homogeneous(self.g), self.fluids, self.bc)
+        st = hydrostatic_two_phase(self.g, self.fluids, head=2.0)
+        out, substeps = lockstep(st, [(stepper, reference, t) for t in (600.0, 1200.0, 3600.0)])
+        assert substeps == 3 and stepper.limits["chunk_end"] == 3
+        assert (stepper.window_columns, stepper.window_max) == (3, 1)
+        assert (out.sn == 0.0).all()
+
+    def test_source_on_then_off(self):
+        m = homogeneous(self.g, entry_pressure=500.0)
+        src = np.zeros((self.g.ny, self.g.nx))
+        src[-1, 7] = 0.02 / (self.fluids.rho_n * self.g.dy)
+        caches = FactorCache(), FactorCache()
+        on = pair(self.g, m, self.fluids, TwoPhaseBC(2.0, 2.0, napl_source=src), caches)
+        off = pair(self.g, m, self.fluids, self.bc, caches)
+        out, substeps = lockstep(self.slug(np.s_[:0]),
+                                 [(*on, 3600.0), (*on, 7200.0), (*off, 6 * 3600.0)])
+        assert on[0].limits["inflow"] >= 1 and sum(off[0].limits.values()) >= 3
+        assert on[0].injected_mass > 0
+        assert on[0].napl_mass(out) == pytest.approx(on[0].injected_mass, rel=1e-12)
+
+    def test_blocked_face_at_the_window_edge(self):
+        # NAPL in the last sand column beside a finer layer: the face between
+        # them stays blocked while the window reaches past it
+        lith = np.zeros((self.g.ny, self.g.nx), dtype=int)
+        lith[:, 7:] = 1
+        sand = LithologyCfg(1e-11, 0.4, 0.08, 0.08, 500.0, 2.0)
+        fine = LithologyCfg(1e-12, 0.35, 0.1, 0.05, 5000.0, 2.0)
+        m = MaterialMap(grid=self.g, lithology=lith, props={0: sand, 1: fine})
+        stepper, reference = pair(self.g, m, self.fluids, self.bc)
+        out, substeps = lockstep(self.slug(np.s_[5:7], sn=0.3), [(stepper, reference, 86400.0)])
+        assert substeps >= 5
+        assert out.sn[:, 6].max() > 0.0 and out.sn[:, 7:].max() == 0.0
+
+    def test_every_limit_matches_reference(self):
+        scn = Scenario.build(RunConfig.from_text(every_limit_config_text()), 0)
+        cfg, g, m = scn.config, scn.grid, scn.material
+        numerics = Numerics(se_clamp=cfg.se_clamp, cfl=cfg.two_phase_cfl)
+        head = g.height
+        caches = FactorCache(), FactorCache()
+        on, off = ((ImpesStepper(g, m, scn.fluids, bc, numerics, caches[0]),
+                    ReferenceStepper(g, m, scn.fluids, bc, numerics, caches[1]))
+                   for bc in (TwoPhaseBC(head, head, napl_source=scn.napl_source_field()),
+                              TwoPhaseBC(head, head)))
+        duration = cfg.stage_durations[0]
+        marks = set(cfg.snapshots[0]) | {cfg.infil_duration, duration - 10 * 86400.0}
+        lockstep(hydrostatic_two_phase(g, scn.fluids, head),
+                 [(*(on if t <= cfg.infil_duration else off), t) for t in _chunks(duration, marks)])
+        assert all(on[0].limits[name] + off[0].limits[name] >= 1 for name in LIMITS)
+
+    def test_saturation_guard_raises_as_reference(self):
+        st = self.slug(np.s_[3:5], sn=1.5)
+        for stepper in pair(self.g, homogeneous(self.g), self.fluids, self.bc):
+            with pytest.raises(SolverError, match=r"saturation out of bounds: \[0.000e\+00, 1.5"):
+                stepper.substep(TwoPhaseState(st.sw.copy(), st.sn.copy(), st.pw.copy()), 3600.0)
