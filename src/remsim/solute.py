@@ -53,7 +53,10 @@ class TransportKernel:
     Face fluxes ``a_lo*c_lo + a_hi*c_hi`` (``a_lo = max(f, 0) + g``, ``a_hi =
     min(f, 0) - g``) are folded once into a stencil divided by ``pv``: ``diag``
     (faces, open sides, extraction wells) and the non-negative ``west``/
-    ``east``/``south``/``north`` weights; ``outflow`` gives the export.
+    ``east``/``south``/``north`` weights.  The export sums the net outflow
+    ``export_weights`` of the boundary cells ``export_cells`` times their
+    concentration with a numpy reduction, not a BLAS dot product, whose
+    summation order would follow the BLAS thread count.
     ``stable_dt`` adds each side's outflow on its own: netting a corner
     cell's inflow against its outflow would loosen that cell's bound.
     """
@@ -96,7 +99,8 @@ class TransportKernel:
         west[:, :-1], east[:, :-1] = lo_x / self.pv[:, 1:], -hi_x / self.pv[:, :-1]
         self.west, self.east = west.ravel()[:-1], east.ravel()[:-1]
         self.south, self.north = (lo_y / self.pv[1:, :]).ravel(), (-hi_y / self.pv[:-1, :]).ravel()
-        self.outflow = outflow.ravel()
+        self.export_cells = np.flatnonzero(outflow)
+        self.export_weights = outflow.ravel()[self.export_cells]
 
     def step(self, c: np.ndarray, dt: float,
              well_conc: dict | None = None) -> tuple[np.ndarray, float]:
@@ -114,7 +118,7 @@ class TransportKernel:
             r[:-1] += self.east * c[1:]
             r[nx:] += self.south * c[:-nx]
             r[:-nx] += self.north * c[nx:]
-            exported += sub * float(self.outflow @ c)
+            exported += sub * float((self.export_weights * c[self.export_cells]).sum())
             c = c + sub * r
             for cell, dc in inject:
                 c[cell] += dc

@@ -7,10 +7,12 @@ Stage 3  CMC-nZVI injection with filtration and clogging feedback
 Stage 4  contaminant degradation on the emplaced iron
 
 The stages communicate only through :class:`StageCheckpoint`, so any stage
-can restart from a file produced by the previous one.  Stages 2-4 share one
-operator-split schedule (:func:`_march`) and one field state: a copy of the
-incoming checkpoint's ``fields`` dict whose entries the runner replaces as
-the stage advances and hands on to the outgoing checkpoint.
+can restart from a file produced by the previous one.  All four stages walk
+one schedule (:func:`_march`): stage 1 takes the IMPES sub-steps its
+stability bounds allow, stages 2-4 fixed operator-split steps.  Stages 2-4
+also share one field state: a copy of the incoming checkpoint's ``fields``
+dict whose entries the runner replaces as the stage advances and hands on
+to the outgoing checkpoint.
 
 Every stage keeps a :class:`Ledger` for each species it moves: initial,
 injected, dissolved, exported, degraded and final mass.  ``audit_report.txt``
@@ -36,10 +38,8 @@ from .solute import (
     probe,
 )
 from .twophase import (
-    LIMITS,
     ImpesStepper,
     Numerics,
-    TwoPhaseBC,
     hydrostatic_two_phase,
     rel_perm,
     source_zone_stats,
@@ -112,18 +112,18 @@ def _chunks(duration: float, marks) -> list[float]:
 
 
 def _march(duration: float, marks, dt_max: float, step):
-    """The operator-split schedule of stages 2-4.
+    """The time schedule of every stage.
 
-    Walks the chunks of :func:`_chunks` in outer steps
-    ``dt = min(dt_max, t_stop - t)``; ``step(t, dt)`` advances every operator
-    of the stage from t to t + dt.  Yields each chunk's stop time.
+    Walks the chunks of :func:`_chunks`, offering ``step(t, dt)`` at most
+    ``dt = min(dt_max, t_stop - t)``; the step advances every operator of the
+    stage from t and returns the length it took, at most dt.  Yields each
+    chunk's stop time, to which t is then set once within 1e-6 s of it: the
+    shortfall is dropped, not carried into the next chunk.
     """
     t = 0.0
     for t_stop in _chunks(duration, marks):
         while t < t_stop - 1e-6:
-            dt = min(dt_max, t_stop - t)
-            step(t, dt)
-            t += dt
+            t += step(t, min(dt_max, t_stop - t))
         t = t_stop
         yield t
 
@@ -162,26 +162,20 @@ def _transport(kernel: TransportKernel, f: dict, ledger: dict, dt: float, well_c
 def run_stage1(scn: Scenario) -> StageResult:
     cfg, g, m = scn.config, scn.grid, scn.material
     duration = cfg.stage_durations[0]
-    numerics = Numerics(se_clamp=cfg.se_clamp, cfl=cfg.two_phase_cfl)
-    # equal lateral heads: ambient groundwater flow is off during the release
-    head0 = g.height
-    state = hydrostatic_two_phase(g, scn.fluids, head0)
+    # no ambient groundwater flow during the release
+    state = hydrostatic_two_phase(g, scn.fluids)
+    stepper = ImpesStepper(m, scn.fluids, Numerics(se_clamp=cfg.se_clamp, cfl=cfg.two_phase_cfl))
+    source = scn.napl_source_field()
 
-    bc_on = TwoPhaseBC(head0, head0, napl_source=scn.napl_source_field())
-    bc_off = TwoPhaseBC(head0, head0)
-    cache = FactorCache()
-    stepper_on = ImpesStepper(g, m, scn.fluids, bc_on, numerics, cache)
-    stepper_off = ImpesStepper(g, m, scn.fluids, bc_off, numerics, cache)
+    def step(t, dt):
+        # the release end is a mark, so no sub-step straddles it; t snaps to
+        # each chunk stop, as in stages 2-4 (see _march)
+        return stepper.substep(state, dt, source if t < cfg.infil_duration else None)
 
     marks = set(cfg.snapshots[0]) | {cfg.infil_duration, duration - 10.0 * DAY}
     snapshots, series = [], []
     sn_near_end = state.sn
-    t = 0.0
-    for t_stop in _chunks(duration, marks):
-        stepper = stepper_on if t_stop <= cfg.infil_duration else stepper_off
-        while state.clock < t_stop - 1e-6:
-            stepper.substep(state, t_stop - state.clock)
-        t = t_stop
+    for t in _march(duration, marks, np.inf, step):
         stats_t = source_zone_stats(state.sn, m, g, scn.fluids.rho_n, cfg.pool_threshold)
         series.append([t, stats_t.total_mass, stats_t.pool_fraction,
                        stats_t.ganglia_fraction, stats_t.upper_fraction,
@@ -192,10 +186,8 @@ def run_stage1(scn: Scenario) -> StageResult:
             sn_near_end = state.sn.copy()
 
     # the release starts NAPL-free
-    ledger = {"napl": Ledger(injected=stepper_on.injected_mass,
-                             final=stepper_off.napl_mass(state))}
+    ledger = {"napl": Ledger(injected=stepper.injected_mass, final=stepper.napl_mass(state))}
     stats = source_zone_stats(state.sn, m, g, scn.fluids.rho_n, cfg.pool_threshold)
-    limits = {name: stepper_on.limits[name] + stepper_off.limits[name] for name in LIMITS}
     ckpt = _make_checkpoint(scn, 1, t, {
         "sw": state.sw, "sn": state.sn, "pw": state.pw,
         "theta_m": m.porosity.copy(), "k": m.k.copy(),
@@ -203,13 +195,12 @@ def run_stage1(scn: Scenario) -> StageResult:
     diagnostics = {
         "source_zone": stats,
         "near_static_max_dsn": float(np.abs(state.sn - sn_near_end).max()),
-        "pressure": cache.stats(),
+        "pressure": stepper.cache.stats(),
         # sub-steps set by each bound (advection, inflow, capillary, chunk end)
-        "limits": limits,
+        "limits": stepper.limits,
         # grid columns a sub-step works on (the NAPL window), mean and widest
-        "window": {"mean_columns": (stepper_on.window_columns + stepper_off.window_columns)
-                   / max(sum(limits.values()), 1),
-                   "max_columns": max(stepper_on.window_max, stepper_off.window_max),
+        "window": {"mean_columns": stepper.window_columns / max(sum(stepper.limits.values()), 1),
+                   "max_columns": stepper.window_max,
                    "columns": g.nx},
         "series_header": ["t", "napl_mass", "pool_fraction", "ganglia_fraction",
                           "upper_fraction", "lower_fraction"],
@@ -248,6 +239,7 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         napl_mass = mass(f["sn"]) * rho_n
         series.append([t + dt, napl_mass, napl_mass / max(napl0, 1e-300)]
                       + [probe(f["c_tce"], cell) for cell in mon.values()])
+        return dt
 
     for t in _march(cfg.stage_durations[1], marks, STAGE2_DT, step):
         if t in marks:
@@ -345,6 +337,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         f["theta_m"], f["k"], _ = nz.clogging_update(
             f["s_bulk"], k0, theta0, a0_field, clog, cfg.particle_density
         )
+        return dt
 
     for t in _march(cfg.stage_durations[2], marks, STAGE3_DT, step):
         roi = nz.radius_of_influence(f["s_bulk"], g, screen, cfg.roi_threshold)
@@ -418,6 +411,7 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> S
             ledger["tce"].degraded += pre - mass(f["c_tce"])
         iron_frac = mass(f["rho_m"]) / max(iron0, 1e-300)
         series.append([t + dt, iron_frac] + [probe(f["c_tce"], cell) for cell in mon.values()])
+        return dt
 
     for t in _march(cfg.stage_durations[3], marks, STAGE4_DT, step):
         if t in marks:
@@ -439,9 +433,3 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> S
         "series_header": ["t", "iron_fraction", *mon],
     }
     return StageResult(4, ckpt_out, diagnostics, ledger, snapshots, series)
-
-
-def run_transport_continuation(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
-    """Post-injection evolution with the reaction operator removed entirely:
-    the no-remediation trajectory a zeroed rate constant must reproduce."""
-    return run_stage4(scn, ckpt, reactive=False)

@@ -13,6 +13,11 @@ around the NAPL, two columns wider on each side (:class:`ImpesStepper`).
 Outside it every quantity is its NAPL-free value, so the pressure system,
 still assembled on the whole grid, and every result are bit for bit those of
 a whole-grid sub-step.
+
+The water table sits at the top of the domain: both lateral boundaries hold
+the water head at the grid height, so there is no ambient flow, and top and
+bottom are no-flow.  NAPL never crosses a boundary; it enters only through
+the release source that each sub-step is given.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ def rel_perm(se, lam):
 
 
 # ---------------------------------------------------------------------------
-# State and boundary conditions
+# State
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -74,19 +79,6 @@ class TwoPhaseState:
     sw: np.ndarray
     sn: np.ndarray
     pw: np.ndarray
-    clock: float = 0.0
-
-
-@dataclass(frozen=True)
-class TwoPhaseBC:
-    """Lateral Dirichlet water heads (m) of :func:`remsim.flow.lateral_heads`;
-    top and bottom are no-flow and NAPL never crosses a boundary.
-    ``napl_source`` is a volumetric NAPL source rate per cell volume (1/s).
-    """
-
-    head_left: float
-    head_right: float
-    napl_source: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -101,12 +93,13 @@ MAX_DS = 0.1
 SAT_TOL = 1e-9
 
 
-def hydrostatic_two_phase(grid, fluids: FluidProps, head: float) -> TwoPhaseState:
+def hydrostatic_two_phase(grid, fluids: FluidProps) -> TwoPhaseState:
+    """NAPL-free water at rest under a water table at the top of the grid."""
     _, yv = grid.cell_centers()
     return TwoPhaseState(
         sw=np.ones((grid.ny, grid.nx)),
         sn=np.zeros((grid.ny, grid.nx)),
-        pw=fluids.rho_w * fluids.g * (head - yv),
+        pw=fluids.rho_w * fluids.g * (grid.height - yv),
     )
 
 
@@ -135,15 +128,17 @@ def _window_faces(cols: slice):
 
 
 class ImpesStepper:
-    """Face permeabilities and audit state for repeated IMPES sub-steps on one
-    grid.  Steppers given the same ``cache`` share pressure factors: the
-    matrix does not depend on the NAPL source, only the right-hand side.
-    ``limits`` counts the sub-steps each bound of :data:`LIMITS` has set;
-    ``window_columns`` sums the width of each sub-step's window ``E`` and
-    ``window_max`` is the widest.
+    """Face permeabilities and audit state for repeated IMPES sub-steps on
+    ``material.grid``.  Each sub-step is given the NAPL release source, a
+    volumetric rate per cell volume (1/s), or ``None``; it moves only the
+    right-hand side of the pressure system, so the stepper's own
+    :class:`FactorCache`, ``cache``, serves sub-steps with and without it.  ``injected_mass`` sums the NAPL the
+    source has fed in; ``limits`` counts the sub-steps each bound of
+    :data:`LIMITS` has set; ``window_columns`` sums the width of each
+    sub-step's window ``E`` and ``window_max`` is the widest.
 
     A sub-step works on a window of whole grid columns around the NAPL.  Let
-    ``N`` be the columns holding NAPL (``sn != 0``) or fed by the NAPL
+    ``N`` be the columns holding NAPL (``sn != 0``) or fed by the sub-step's
     source.  The NAPL flux through a face is zero unless its upwind cell
     holds NAPL, so only the cells of ``C``, ``N`` widened by one column on
     each side, can change saturation in one sub-step; ``E``, ``C`` widened by
@@ -162,35 +157,32 @@ class ImpesStepper:
 
     def __init__(
         self,
-        grid,
         material: MaterialMap,
         fluids: FluidProps,
-        bc: TwoPhaseBC,
         numerics: Numerics = Numerics(),
-        cache: FactorCache | None = None,
     ):
-        self.grid = grid
+        grid = self.grid = material.grid
         self.material = material
         self.fluids = fluids
-        self.bc = bc
         self.numerics = numerics
-        self.cache = FactorCache() if cache is None else cache
+        self.cache = FactorCache()
         k = material.k
         self.kfx = _harmonic(k[:, :-1], k[:, 1:]) * grid.dy / grid.dx
         self.kfy = _harmonic(k[:-1, :], k[1:, :]) * grid.dx / grid.dy
         self.pore_vol = material.porosity * grid.cell_volume
-        source = bc.napl_source
-        self._source_columns = (np.zeros(grid.nx, dtype=bool) if source is None
-                               else (source != 0).any(axis=0))
         # running audit
         self.injected_mass = 0.0
         self.limits = dict.fromkeys(LIMITS, 0)
         self.window_columns = 0
         self.window_max = 0
 
-    def _window(self, sn):
-        """The columns ``(C, E)`` of a sub-step from ``sn``, as slices."""
-        napl = np.flatnonzero((sn != 0).any(axis=0) | self._source_columns)
+    def _window(self, sn, source):
+        """The columns ``(C, E)`` of a sub-step from ``sn`` and ``source``, as
+        slices."""
+        held = (sn != 0).any(axis=0)
+        if source is not None:
+            held |= (source != 0).any(axis=0)
+        napl = np.flatnonzero(held)
         if napl.size == 0:
             return slice(0, 1), slice(0, 1)
         first, stop, nx = int(napl[0]), int(napl[-1]) + 1, self.grid.nx
@@ -236,15 +228,15 @@ class ImpesStepper:
                           pc[hi] - pc[lo] + f.rho_n * f.g * dz))
         return faces
 
-    def _solve_pressure(self, krw, fx, fy, cols):
+    def _solve_pressure(self, krw, fx, fy, cols, source):
         """Implicit total-velocity pressure solve on the whole grid, from the
         window's ``krw`` and face terms; returns new pw."""
         g, f, perm = self.grid, self.fluids, self.material.k
         lam = perm / f.mu_w
         lam[:, cols] = perm[:, cols] * krw / f.mu_w
-        d, b = lateral_heads(g, lam, self.bc.head_left, self.bc.head_right, f.rho_w, f.g)
-        if self.bc.napl_source is not None:
-            b += self.bc.napl_source * g.cell_volume
+        d, b = lateral_heads(g, lam, g.height, g.height, f.rho_w, f.g)
+        if source is not None:
+            b += source * g.cell_volume
 
         # face outflow o->nb: F = -t (p_nb - p_o) - known, with t = lw + ln
         # and known = lw grav_w + ln grav_n; NAPL-free outside the window
@@ -263,7 +255,7 @@ class ImpesStepper:
         """Per-face NAPL volumetric fluxes (m^3/s), positive owner->neighbor."""
         return [-ln * ((pw[hi] - pw[lo]) + gn) for (lo, hi), (_, ln, _, gn) in zip(FACES, (fx, fy))]
 
-    def _stable_dt(self, state, cols, out, fn_x, fn_y, fx, fy, dpc, dt_target):
+    def _stable_dt(self, state, source, cols, out, fn_x, fn_y, fx, fy, dpc, dt_target):
         """Sub-step length from the NAPL outflow ``out`` of each cell of the
         columns ``cols``, and the bound of :data:`LIMITS` that sets it (the
         first of equal bounds)."""
@@ -271,8 +263,8 @@ class ImpesStepper:
         pv = self.pore_vol[:, cols]
         inflow = scatter_faces(np.zeros_like(out), np.maximum(-fn_x, 0.0), np.maximum(fn_x, 0.0),
                                np.maximum(-fn_y, 0.0), np.maximum(fn_y, 0.0))
-        if self.bc.napl_source is not None:
-            inflow += self.bc.napl_source[:, cols] * self.grid.cell_volume
+        if source is not None:
+            inflow += source[:, cols] * self.grid.cell_volume
 
         with np.errstate(divide="ignore"):
             dt_adv = np.where(out > 0, MAX_DS * pv / out, np.inf).min()
@@ -294,18 +286,20 @@ class ImpesStepper:
         limit = min(bounds, key=bounds.get)
         return float(bounds[limit]), limit
 
-    def substep(self, state: TwoPhaseState, dt_target: float) -> float:
-        """One IMPES sub-step of at most ``dt_target``; returns dt taken."""
-        update, cols = self._window(state.sn)
+    def substep(self, state: TwoPhaseState, dt_target: float,
+                source: np.ndarray | None = None) -> float:
+        """One IMPES sub-step of at most ``dt_target`` under the NAPL release
+        ``source`` (1/s per cell volume, or ``None``); returns dt taken."""
+        update, cols = self._window(state.sn, source)
         self.window_columns += cols.stop - cols.start
         self.window_max = max(self.window_max, cols.stop - cols.start)
         pc, dpc, krw, krn = self.closures(state, cols)
         fx, fy = self._face_quantities(state.pw[:, cols], pc, krw, krn, cols)
-        pw = self._solve_pressure(krw, fx, fy, cols)
+        pw = self._solve_pressure(krw, fx, fy, cols, source)
         fn_x, fn_y = self._napl_fluxes(pw[:, cols], fx, fy)
         out = scatter_faces(np.zeros_like(pc), np.maximum(fn_x, 0.0), np.maximum(-fn_x, 0.0),
                             np.maximum(fn_y, 0.0), np.maximum(-fn_y, 0.0))
-        dt, limit = self._stable_dt(state, cols, out, fn_x, fn_y, fx, fy, dpc, dt_target)
+        dt, limit = self._stable_dt(state, source, cols, out, fn_x, fn_y, fx, fy, dpc, dt_target)
         self.limits[limit] += 1
 
         # limit each cell's outgoing NAPL flux to its content (conservative:
@@ -318,10 +312,10 @@ class ImpesStepper:
 
         div = scatter_faces(np.zeros_like(pc), fn_x, -fn_x, fn_y, -fn_y)
         dsn = -div * dt / pv
-        if self.bc.napl_source is not None:
-            dsn += self.bc.napl_source[:, cols] * dt * self.grid.cell_volume / pv
+        if source is not None:
+            dsn += source[:, cols] * dt * self.grid.cell_volume / pv
             self.injected_mass += float(
-                np.sum(self.bc.napl_source) * self.grid.cell_volume * dt * self.fluids.rho_n
+                np.sum(source) * self.grid.cell_volume * dt * self.fluids.rho_n
             )
         # outside C every cell keeps its saturation, 0
         sn_new = state.sn.copy()
@@ -335,7 +329,6 @@ class ImpesStepper:
         state.sn = sn_new
         state.sw = 1.0 - sn_new
         state.pw = pw
-        state.clock += dt
         return dt
 
     def napl_mass(self, state: TwoPhaseState) -> float:

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import erfc
 
+import remsim
 from remsim.flow import FlowField, scatter_faces
 from remsim.grid import build_grid
 from remsim.solute import (
@@ -236,6 +243,33 @@ class TestKernel:
             TransportParams(-1e-9, 0.02)
         with pytest.raises(ValueError):
             TransportParams(1e-9, -0.02)
+
+    def test_export_independent_of_blas_threads(self):
+        # the export of 20 random fields on the 175 x 60 grid, computed in a
+        # process with one BLAS thread and in one with two, agrees bit for bit
+        code = textwrap.dedent("""
+            import numpy as np
+            from remsim.flow import FlowField
+            from remsim.grid import build_grid
+            from remsim.solute import TransportKernel, TransportParams
+            g = build_grid((35.0, 12.0), (0.2, 0.2))
+            rng = np.random.default_rng(0)
+            flow = FlowField(np.zeros((g.ny, g.nx)), rng.uniform(1e-7, 1e-6, (g.ny, g.nx + 1)),
+                             np.zeros((g.ny + 1, g.nx)))
+            kernel = TransportKernel(g, np.full((g.ny, g.nx), 0.3), flow,
+                                     TransportParams(1e-9, 0.1))
+            for _ in range(20):
+                print(kernel.step(rng.uniform(0.0, 1.0, (g.ny, g.nx)), 86400.0)[1].hex())
+        """)
+        src = str(Path(remsim.__file__).resolve().parents[1])
+        exports = [
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": threads,
+                                "OPENBLAS_NUM_THREADS": threads}).stdout.split()
+            for threads in ("1", "2")
+        ]
+        assert len(exports[0]) == 20
+        assert exports[0] == exports[1]
 
 
 def whole_grid_dissolution(c, sn, rho_n, params, dt):

@@ -14,7 +14,6 @@ from remsim.stages import (
     run_stage1,
     run_stage3,
     run_stage4,
-    run_transport_continuation,
 )
 from tests.test_pipeline import fast_config_text
 
@@ -73,6 +72,27 @@ class TestDegradation:
         capacity = res.diagnostics["budget"]["iron_capacity"]
         assert 0.01 * capacity <= res.diagnostics["degraded_mass"] <= capacity * (1 + 1e-12)
         assert res.ledger["tce"].closure() <= 1e-12
+
+
+class TestMarch:
+    def test_step_may_take_less_than_offered(self):
+        # a step that takes half of what it is offered, as an IMPES sub-step
+        # bound by stability does; binary fractions keep the times exact
+        offers = []
+
+        def step(t, dt):
+            offers.append((t, dt))
+            return dt / 2
+
+        stops = list(stages._march(1.0, {0.5, 7.0}, 0.25, step))
+        assert stops == stages._chunks(1.0, {0.5, 7.0}) == [0.5, 1.0]
+        assert all(dt <= 0.25 and t + dt <= stop
+                   for (t, dt), stop in zip(offers, [0.5] * 20 + [1.0] * 20))
+        # per chunk: two capped offers of 0.25 leave 0.25, then 18 halvings
+        # bring the remainder to 0.25 / 2**18 < 1e-6 < 0.25 / 2**17
+        assert len(offers) == 40
+        # the second chunk starts at the first chunk's stop, snapped
+        assert offers[20] == (0.5, 0.25)
 
 
 class TestSubstepLimits:
@@ -171,7 +191,7 @@ class TestContinuation:
             raise AssertionError("the continuation ran the reaction operator")
 
         monkeypatch.setattr(stages, "reactive_step", no_reaction)
-        continuation = run_transport_continuation(scn, ckpt3)
+        continuation = run_stage4(scn, ckpt3, reactive=False)
         assert continuation.ledger["tce"].degraded == 0.0
         for name, field in null_run.checkpoint.fields.items():
             np.testing.assert_array_equal(field, continuation.checkpoint.fields[name])

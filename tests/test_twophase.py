@@ -14,7 +14,6 @@ from remsim.twophase import (
     FluidProps,
     ImpesStepper,
     Numerics,
-    TwoPhaseBC,
     TwoPhaseState,
     capillary_pressure,
     effective_saturation,
@@ -26,14 +25,15 @@ from remsim.twophase import (
 from tests.test_stages import every_limit_config_text
 
 
-def impes_step(state, material, fluids, bc, dt, numerics=Numerics(), stepper=None):
-    """Advance a copy of ``state`` by ``dt``, sub-stepping as the CFL bound requires."""
+def impes_step(state, material, fluids, dt, source=None, stepper=None):
+    """Advance a copy of ``state`` by ``dt`` under the NAPL ``source``,
+    sub-stepping as the stability bounds require."""
     if stepper is None:
-        stepper = ImpesStepper(material.grid, material, fluids, bc, numerics)
-    out = TwoPhaseState(state.sw.copy(), state.sn.copy(), state.pw.copy(), state.clock)
-    t_end = state.clock + dt
-    while out.clock < t_end - 1e-9:
-        stepper.substep(out, t_end - out.clock)
+        stepper = ImpesStepper(material, fluids)
+    out = TwoPhaseState(state.sw.copy(), state.sn.copy(), state.pw.copy())
+    t = 0.0
+    while t < dt - 1e-9:
+        t += stepper.substep(out, dt - t, source)
     return out
 
 
@@ -41,10 +41,10 @@ class ReferenceStepper:
     """Whole-grid IMPES sub-steps, the form the column window replaced: the
     closures, face terms, bounds and saturation update cover every cell."""
 
-    def __init__(self, grid, material, fluids, bc, numerics=Numerics(), cache=None):
-        self.grid, self.material, self.fluids, self.bc, self.numerics = (
-            grid, material, fluids, bc, numerics)
-        self.cache = FactorCache() if cache is None else cache
+    def __init__(self, material, fluids, numerics=Numerics()):
+        grid = material.grid
+        self.grid, self.material, self.fluids, self.numerics = grid, material, fluids, numerics
+        self.cache = FactorCache()
         k = material.k
         self.kfx = _harmonic(k[:, :-1], k[:, 1:]) * grid.dy / grid.dx
         self.kfy = _harmonic(k[:-1, :], k[1:, :]) * grid.dx / grid.dy
@@ -79,24 +79,23 @@ class ReferenceStepper:
                           pc[hi] - pc[lo] + f.rho_n * f.g * dz))
         return faces
 
-    def solve_pressure(self, krw, fx, fy):
+    def solve_pressure(self, krw, fx, fy, source):
         g, f = self.grid, self.fluids
         lw_x, ln_x, gw_x, gn_x = fx
         lw_y, ln_y, gw_y, gn_y = fy
-        d, b = lateral_heads(g, self.material.k * krw / f.mu_w, self.bc.head_left,
-                             self.bc.head_right, f.rho_w, f.g)
-        if self.bc.napl_source is not None:
-            b += self.bc.napl_source * g.cell_volume
+        d, b = lateral_heads(g, self.material.k * krw / f.mu_w, g.height, g.height, f.rho_w, f.g)
+        if source is not None:
+            b += source * g.cell_volume
         system = TpfaSystem(lw_x + ln_x, lw_y + ln_y,
                             lw_x * gw_x + ln_x * gn_x, lw_y * gw_y + ln_y * gn_y, d, b)
         return system.solve(self.cache)
 
-    def stable_dt(self, state, out, fn_x, fn_y, fx, fy, dt_target):
+    def stable_dt(self, state, out, fn_x, fn_y, fx, fy, dt_target, source):
         num, m, pv = self.numerics, self.material, self.pore_vol
         inflow = scatter_faces(np.zeros_like(out), np.maximum(-fn_x, 0.0), np.maximum(fn_x, 0.0),
                                np.maximum(-fn_y, 0.0), np.maximum(fn_y, 0.0))
-        if self.bc.napl_source is not None:
-            inflow += self.bc.napl_source * self.grid.cell_volume
+        if source is not None:
+            inflow += source * self.grid.cell_volume
         with np.errstate(divide="ignore"):
             dt_adv = np.where(out > 0, MAX_DS * pv / out, np.inf).min()
             avail = np.maximum(1.0 - m.swr - state.sn, 0.02)
@@ -115,15 +114,15 @@ class ReferenceStepper:
         limit = min(bounds, key=bounds.get)
         return float(bounds[limit]), limit
 
-    def substep(self, state, dt_target):
+    def substep(self, state, dt_target, source=None):
         pc, krw, krn = self.closures(state)
         fx, fy = self.face_quantities(state, pc, krw, krn)
-        pw = self.solve_pressure(krw, fx, fy)
+        pw = self.solve_pressure(krw, fx, fy, source)
         fn_x, fn_y = (-ln * ((pw[hi] - pw[lo]) + gn)
                       for (lo, hi), (_, ln, _, gn) in zip(FACES, (fx, fy)))
         out = scatter_faces(np.zeros_like(state.sn), np.maximum(fn_x, 0.0), np.maximum(-fn_x, 0.0),
                             np.maximum(fn_y, 0.0), np.maximum(-fn_y, 0.0))
-        dt, limit = self.stable_dt(state, out, fn_x, fn_y, fx, fy, dt_target)
+        dt, limit = self.stable_dt(state, out, fn_x, fn_y, fx, fy, dt_target, source)
         self.limits[limit] += 1
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(out * dt > 0,
@@ -132,10 +131,10 @@ class ReferenceStepper:
                       for (lo, hi), fn in zip(FACES, (fn_x, fn_y)))
         div = scatter_faces(np.zeros_like(state.sn), fn_x, -fn_x, fn_y, -fn_y)
         dsn = -div * dt / self.pore_vol
-        if self.bc.napl_source is not None:
-            dsn += self.bc.napl_source * dt * self.grid.cell_volume / self.pore_vol
+        if source is not None:
+            dsn += source * dt * self.grid.cell_volume / self.pore_vol
             self.injected_mass += float(
-                np.sum(self.bc.napl_source) * self.grid.cell_volume * dt * self.fluids.rho_n)
+                np.sum(source) * self.grid.cell_volume * dt * self.fluids.rho_n)
         state.sn = state.sn + dsn
         if state.sn.min() < -10 * SAT_TOL or state.sn.max() > 1.0 + 10 * SAT_TOL:
             raise SolverError(
@@ -143,7 +142,6 @@ class ReferenceStepper:
         np.clip(state.sn, 0.0, 1.0, out=state.sn)
         state.sw = 1.0 - state.sn
         state.pw = pw
-        state.clock += dt
         return dt
 
 
@@ -217,7 +215,7 @@ class TestInterfaceRule:
 class TestHydrostaticState:
     def test_initial_state(self):
         g = build_grid((1.0, 12.0), (0.5, 0.5))
-        st = hydrostatic_two_phase(g, FluidProps(), head=12.0)
+        st = hydrostatic_two_phase(g, FluidProps())
         assert (st.sn == 0.0).all() and (st.sw == 1.0).all()
         assert st.pw[0, 0] == pytest.approx(1000.0 * 9.81 * 11.75)
 
@@ -226,17 +224,16 @@ class TestStepping:
     def test_equilibrium_no_op(self):
         g = build_grid((2.0, 4.0), (0.5, 0.5))
         m = homogeneous(g)
-        st = hydrostatic_two_phase(g, FluidProps(), head=4.0)
-        bc = TwoPhaseBC(head_left=4.0, head_right=4.0)
-        out = impes_step(st, m, FluidProps(), bc, dt=86400.0)
+        st = hydrostatic_two_phase(g, FluidProps())
+        out = impes_step(st, m, FluidProps(), dt=86400.0)
         assert (out.sn == 0.0).all()
         np.testing.assert_allclose(out.pw, st.pw, atol=1e-6)
 
     def test_zero_infiltration_stays_napl_free(self):
         g = build_grid((2.0, 4.0), (0.5, 0.5))
         m = homogeneous(g)
-        st = hydrostatic_two_phase(g, FluidProps(), head=4.0)
-        out = impes_step(st, m, FluidProps(), TwoPhaseBC(4.0, 4.0), dt=5 * 86400.0)
+        st = hydrostatic_two_phase(g, FluidProps())
+        out = impes_step(st, m, FluidProps(), dt=5 * 86400.0)
         assert (out.sn == 0.0).all()
 
     def test_injected_mass_linear_in_time(self):
@@ -246,11 +243,10 @@ class TestStepping:
         src = np.zeros((g.ny, g.nx))
         flux = 1e-3  # kg/m^2/s over one top cell
         src[-1, 2] = flux / (fluids.rho_n * g.dy)
-        bc = TwoPhaseBC(4.0, 4.0, napl_source=src)
-        stepper = ImpesStepper(g, m, fluids, bc)
-        st = hydrostatic_two_phase(g, fluids, head=4.0)
+        stepper = ImpesStepper(m, fluids)
+        st = hydrostatic_two_phase(g, fluids)
         t = 3600.0
-        st = impes_step(st, m, fluids, bc, dt=t, stepper=stepper)
+        st = impes_step(st, m, fluids, dt=t, source=src, stepper=stepper)
         expected = flux * g.dx * t
         assert stepper.injected_mass == pytest.approx(expected, rel=1e-12)
         assert stepper.napl_mass(st) == pytest.approx(expected, rel=1e-9)
@@ -259,22 +255,22 @@ class TestStepping:
         g = build_grid((2.0, 4.0), (0.2, 0.2))
         m = homogeneous(g, entry_pressure=500.0)
         fluids = FluidProps()
-        st = hydrostatic_two_phase(g, fluids, head=4.0)
+        st = hydrostatic_two_phase(g, fluids)
         st.sn[-3:, 4:6] = 0.3
         st.sw = 1.0 - st.sn
-        stepper = ImpesStepper(g, m, fluids, TwoPhaseBC(4.0, 4.0))
+        stepper = ImpesStepper(m, fluids)
         m0 = stepper.napl_mass(st)
-        out = impes_step(st, m, fluids, TwoPhaseBC(4.0, 4.0), dt=86400.0, stepper=stepper)
+        out = impes_step(st, m, fluids, dt=86400.0, stepper=stepper)
         assert stepper.napl_mass(out) == pytest.approx(m0, rel=1e-12)
 
     def test_saturation_bounds_held(self):
         g = build_grid((2.0, 4.0), (0.2, 0.2))
         m = homogeneous(g, entry_pressure=500.0)
         fluids = FluidProps()
-        st = hydrostatic_two_phase(g, fluids, head=4.0)
+        st = hydrostatic_two_phase(g, fluids)
         st.sn[-3:, 4:6] = 0.5
         st.sw = 1.0 - st.sn
-        out = impes_step(st, m, fluids, TwoPhaseBC(4.0, 4.0), dt=2 * 86400.0)
+        out = impes_step(st, m, fluids, dt=2 * 86400.0)
         assert out.sn.min() >= 0.0
         assert out.sn.max() <= 1.0 - m.swr.min() + 1e-9
 
@@ -283,11 +279,10 @@ class TestStepping:
         g = build_grid((1.0, 8.0), (0.2, 0.2))
         m = homogeneous(g, entry_pressure=10.0, swr=0.05, snr=0.0)
         fluids = FluidProps()
-        st = hydrostatic_two_phase(g, fluids, head=8.0)
+        st = hydrostatic_two_phase(g, fluids)
         st.sn[-5:, :] = 0.4
         st.sw = 1.0 - st.sn
-        bc = TwoPhaseBC(8.0, 8.0)
-        stepper = ImpesStepper(g, m, fluids, bc)
+        stepper = ImpesStepper(m, fluids)
         _, yv = g.cell_centers()
 
         def com(s):
@@ -295,7 +290,7 @@ class TestStepping:
 
         heights = [com(st)]
         for _ in range(10):
-            st = impes_step(st, m, fluids, bc, dt=43200.0, stepper=stepper)
+            st = impes_step(st, m, fluids, dt=43200.0, stepper=stepper)
             heights.append(com(st))
         drops = np.diff(heights)
         assert (drops <= 1e-9).all()
@@ -307,22 +302,21 @@ class TestStepping:
         g = build_grid((1.0, 8.0), (0.2, 0.2))
         m = homogeneous(g, entry_pressure=10.0, swr=0.05, snr=0.0)
         fluids = FluidProps()
-        bc = TwoPhaseBC(8.0, 8.0)
 
         def slug():
-            st = hydrostatic_two_phase(g, fluids, head=8.0)
+            st = hydrostatic_two_phase(g, fluids)
             st.sn[-5:, :] = 0.4
             st.sw = 1.0 - st.sn
             return st
 
-        free = ImpesStepper(g, m, fluids, bc)
+        free = ImpesStepper(m, fluids)
         dt = free.substep(slug(), 43200.0)
         assert dt < 43200.0
         assert free.limits == {"advection": 1, "inflow": 0, "capillary": 0, "chunk_end": 0}
-        tie = ImpesStepper(g, m, fluids, bc)
+        tie = ImpesStepper(m, fluids)
         assert tie.substep(slug(), dt) == dt
         assert tie.limits["advection"] == 1
-        short = ImpesStepper(g, m, fluids, bc)
+        short = ImpesStepper(m, fluids)
         short.substep(slug(), dt / 2)
         assert short.limits["chunk_end"] == 1
 
@@ -335,12 +329,11 @@ class TestStepping:
         clay = LithologyCfg(5e-14, 0.25, 0.189, 0.04, 1e9, 2.0)
         m = MaterialMap(grid=g, lithology=lith, props={0: sand, 2: clay})
         fluids = FluidProps()
-        st = hydrostatic_two_phase(g, fluids, head=4.0)
+        st = hydrostatic_two_phase(g, fluids)
         st.sn[-4:, :] = 0.5
         st.sw = 1.0 - st.sn
-        bc = TwoPhaseBC(4.0, 4.0)
-        stepper = ImpesStepper(g, m, fluids, bc)
-        out = impes_step(st, m, fluids, bc, dt=5 * 86400.0, stepper=stepper)
+        stepper = ImpesStepper(m, fluids)
+        out = impes_step(st, m, fluids, dt=5 * 86400.0, stepper=stepper)
         assert out.sn[:10, :].max() == 0.0
         assert out.sn[10, :].max() > 0.05  # pooled on the interface
 
@@ -369,33 +362,35 @@ class TestSourceZoneStats:
         assert s.pool_fraction == pytest.approx(0.5 / 0.6, rel=1e-12)
 
 
-def lockstep(state, segments):
-    """Advance one copy of ``state`` with each windowed stepper of
-    ``segments`` = ``[(stepper, reference, t_stop), ...]`` and another with
-    its reference until ``t_stop``, asserting after every sub-step that dt,
-    the limit counts, the injected mass and ``sw``, ``sn``, ``pw`` agree bit
-    for bit.  Returns the windowed state and the number of sub-steps."""
-    ours, ref = (TwoPhaseState(state.sw.copy(), state.sn.copy(), state.pw.copy(), state.clock)
+def lockstep(state, stepper, reference, segments):
+    """Advance one copy of ``state`` with the windowed ``stepper`` and another
+    with its ``reference``, through ``segments`` = ``[(source, t_stop), ...]``
+    from t = 0: each segment sub-steps under its NAPL ``source`` until
+    ``t_stop``.  Asserts after every sub-step that dt, the limit counts, the
+    injected mass and ``sw``, ``sn``, ``pw`` agree bit for bit.  Returns the
+    windowed state and the number of sub-steps."""
+    ours, ref = (TwoPhaseState(state.sw.copy(), state.sn.copy(), state.pw.copy())
                  for _ in range(2))
-    substeps = 0
-    for stepper, reference, t_stop in segments:
-        while ours.clock < t_stop - 1e-6:
-            dt = stepper.substep(ours, t_stop - ours.clock)
-            assert reference.substep(ref, t_stop - ref.clock) == dt
+    t, substeps = 0.0, 0
+    for source, t_stop in segments:
+        while t < t_stop - 1e-6:
+            dt = stepper.substep(ours, t_stop - t, source)
+            assert reference.substep(ref, t_stop - t, source) == dt
             assert stepper.limits == reference.limits
             assert stepper.injected_mass == reference.injected_mass
-            assert ours.clock == ref.clock
             for name in ("sw", "sn", "pw"):
                 a, b = getattr(ours, name), getattr(ref, name)
                 assert a.tobytes() == b.tobytes(), (name, substeps, np.abs(a - b).max())
+            t += dt
             substeps += 1
+        t = t_stop
     return ours, substeps
 
 
-def pair(grid, material, fluids, bc, caches=(None, None)):
+def pair(material, fluids, numerics=Numerics()):
     """A windowed stepper and its whole-grid reference, each with its own cache."""
-    return (ImpesStepper(grid, material, fluids, bc, cache=caches[0]),
-            ReferenceStepper(grid, material, fluids, bc, cache=caches[1]))
+    return (ImpesStepper(material, fluids, numerics),
+            ReferenceStepper(material, fluids, numerics))
 
 
 class TestWindow:
@@ -403,10 +398,9 @@ class TestWindow:
 
     g = build_grid((3.0, 2.0), (0.2, 0.2))   # 15 x 10 cells
     fluids = FluidProps()
-    bc = TwoPhaseBC(2.0, 2.0)
 
     def slug(self, cols, sn=0.4):
-        st = hydrostatic_two_phase(self.g, self.fluids, head=2.0)
+        st = hydrostatic_two_phase(self.g, self.fluids)
         st.sn[-4:, cols] = sn
         st.sw = 1.0 - st.sn
         return st
@@ -414,8 +408,8 @@ class TestWindow:
     @pytest.mark.parametrize("cols", [np.s_[:2], np.s_[-2:]], ids=["column 0", "column nx-1"])
     def test_napl_at_the_grid_edge(self, cols):
         m = homogeneous(self.g, entry_pressure=500.0)
-        stepper, reference = pair(self.g, m, self.fluids, self.bc)
-        out, substeps = lockstep(self.slug(cols), [(stepper, reference, 86400.0)])
+        stepper, reference = pair(m, self.fluids)
+        out, substeps = lockstep(self.slug(cols), stepper, reference, [(None, 86400.0)])
         assert substeps >= 5
         # the NAPL spreads into a third column; clipped at the grid edge, C
         # adds one column to it and E two
@@ -423,9 +417,10 @@ class TestWindow:
         assert stepper.window_max == 5
 
     def test_no_napl_and_no_source(self):
-        stepper, reference = pair(self.g, homogeneous(self.g), self.fluids, self.bc)
-        st = hydrostatic_two_phase(self.g, self.fluids, head=2.0)
-        out, substeps = lockstep(st, [(stepper, reference, t) for t in (600.0, 1200.0, 3600.0)])
+        stepper, reference = pair(homogeneous(self.g), self.fluids)
+        st = hydrostatic_two_phase(self.g, self.fluids)
+        out, substeps = lockstep(st, stepper, reference,
+                                 [(None, t) for t in (600.0, 1200.0, 3600.0)])
         assert substeps == 3 and stepper.limits["chunk_end"] == 3
         assert (stepper.window_columns, stepper.window_max) == (3, 1)
         assert (out.sn == 0.0).all()
@@ -434,14 +429,14 @@ class TestWindow:
         m = homogeneous(self.g, entry_pressure=500.0)
         src = np.zeros((self.g.ny, self.g.nx))
         src[-1, 7] = 0.02 / (self.fluids.rho_n * self.g.dy)
-        caches = FactorCache(), FactorCache()
-        on = pair(self.g, m, self.fluids, TwoPhaseBC(2.0, 2.0, napl_source=src), caches)
-        off = pair(self.g, m, self.fluids, self.bc, caches)
-        out, substeps = lockstep(self.slug(np.s_[:0]),
-                                 [(*on, 3600.0), (*on, 7200.0), (*off, 6 * 3600.0)])
-        assert on[0].limits["inflow"] >= 1 and sum(off[0].limits.values()) >= 3
-        assert on[0].injected_mass > 0
-        assert on[0].napl_mass(out) == pytest.approx(on[0].injected_mass, rel=1e-12)
+        stepper, reference = pair(m, self.fluids)
+        on, _ = lockstep(self.slug(np.s_[:0]), stepper, reference, [(src, 3600.0), (src, 7200.0)])
+        assert stepper.limits["inflow"] >= 1 and stepper.injected_mass > 0
+        injected = stepper.injected_mass
+        # the same stepper, its source switched off
+        out, substeps = lockstep(on, stepper, reference, [(None, 4 * 3600.0)])
+        assert substeps >= 3 and stepper.injected_mass == injected
+        assert stepper.napl_mass(out) == pytest.approx(injected, rel=1e-12)
 
     def test_blocked_face_at_the_window_edge(self):
         # NAPL in the last sand column beside a finer layer: the face between
@@ -451,29 +446,27 @@ class TestWindow:
         sand = LithologyCfg(1e-11, 0.4, 0.08, 0.08, 500.0, 2.0)
         fine = LithologyCfg(1e-12, 0.35, 0.1, 0.05, 5000.0, 2.0)
         m = MaterialMap(grid=self.g, lithology=lith, props={0: sand, 1: fine})
-        stepper, reference = pair(self.g, m, self.fluids, self.bc)
-        out, substeps = lockstep(self.slug(np.s_[5:7], sn=0.3), [(stepper, reference, 86400.0)])
+        stepper, reference = pair(m, self.fluids)
+        out, substeps = lockstep(self.slug(np.s_[5:7], sn=0.3), stepper, reference,
+                                 [(None, 86400.0)])
         assert substeps >= 5
         assert out.sn[:, 6].max() > 0.0 and out.sn[:, 7:].max() == 0.0
 
     def test_every_limit_matches_reference(self):
         scn = Scenario.build(RunConfig.from_text(every_limit_config_text()), 0)
-        cfg, g, m = scn.config, scn.grid, scn.material
-        numerics = Numerics(se_clamp=cfg.se_clamp, cfl=cfg.two_phase_cfl)
-        head = g.height
-        caches = FactorCache(), FactorCache()
-        on, off = ((ImpesStepper(g, m, scn.fluids, bc, numerics, caches[0]),
-                    ReferenceStepper(g, m, scn.fluids, bc, numerics, caches[1]))
-                   for bc in (TwoPhaseBC(head, head, napl_source=scn.napl_source_field()),
-                              TwoPhaseBC(head, head)))
+        cfg, source = scn.config, scn.napl_source_field()
+        stepper, reference = pair(scn.material, scn.fluids,
+                                  Numerics(se_clamp=cfg.se_clamp, cfl=cfg.two_phase_cfl))
+        # stage 1's chunks, the source on until the release ends
         duration = cfg.stage_durations[0]
         marks = set(cfg.snapshots[0]) | {cfg.infil_duration, duration - 10 * 86400.0}
-        lockstep(hydrostatic_two_phase(g, scn.fluids, head),
-                 [(*(on if t <= cfg.infil_duration else off), t) for t in _chunks(duration, marks)])
-        assert all(on[0].limits[name] + off[0].limits[name] >= 1 for name in LIMITS)
+        lockstep(hydrostatic_two_phase(scn.grid, scn.fluids), stepper, reference,
+                 [(source if t <= cfg.infil_duration else None, t)
+                  for t in _chunks(duration, marks)])
+        assert all(stepper.limits[name] >= 1 for name in LIMITS)
 
     def test_saturation_guard_raises_as_reference(self):
         st = self.slug(np.s_[3:5], sn=1.5)
-        for stepper in pair(self.g, homogeneous(self.g), self.fluids, self.bc):
+        for stepper in pair(homogeneous(self.g), self.fluids):
             with pytest.raises(SolverError, match=r"saturation out of bounds: \[0.000e\+00, 1.5"):
                 stepper.substep(TwoPhaseState(st.sw.copy(), st.sn.copy(), st.pw.copy()), 3600.0)
