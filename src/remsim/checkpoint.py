@@ -33,6 +33,9 @@ FIELD_NAMES = (
     "k",
 )
 
+# every key of a manifest (see StageCheckpoint.manifest)
+_MANIFEST_KEYS = ("version", "stage", "clock", "nx", "ny", "seed", "config_hash", "fields")
+
 
 class CheckpointError(IOError):
     """Corrupt, truncated or incompatible checkpoint files."""
@@ -86,44 +89,58 @@ def write_checkpoint(ckpt: StageCheckpoint, path) -> None:
         raise
 
 
+def _parse_manifest(data: bytes, path) -> tuple[dict, int]:
+    """The checked manifest at the head of ``data`` and the offset of the
+    payload after its separator."""
+    sep = data.find(_SEPARATOR)
+    if sep < 0:
+        raise CheckpointError(f"{path}: no manifest separator found")
+    try:
+        manifest = json.loads(data[:sep].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise CheckpointError(f"{path}: malformed manifest: {err}") from err
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: malformed manifest: not a JSON object")
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise CheckpointError(f"{path}: manifest lacks {', '.join(missing)}")
+    version = manifest["version"]
+    if type(version) is not int or version > FORMAT_VERSION:
+        raise CheckpointError(
+            f"{path}: checkpoint version {version!r} is not an integer up to the "
+            f"supported version {FORMAT_VERSION}"
+        )
+    return manifest, sep + len(_SEPARATOR)
+
+
 def read_manifest(path) -> dict:
     """Manifest-only inspection without loading the arrays."""
     with open(path, "rb") as fh:
         head = fh.read(65536)
-    sep = head.find(_SEPARATOR)
-    if sep < 0:
-        raise CheckpointError(f"{path}: no manifest separator found")
-    try:
-        manifest = json.loads(head[:sep].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise CheckpointError(f"{path}: malformed manifest: {err}") from err
-    if manifest.get("version", 0) > FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: checkpoint version {manifest['version']} is newer than "
-            f"supported version {FORMAT_VERSION}"
-        )
-    return manifest
+    return _parse_manifest(head, path)[0]
 
 
 def read_checkpoint(path) -> StageCheckpoint:
-    manifest = read_manifest(path)
+    """Read the file once and check it: the manifest keys, the fields of
+    :data:`FIELD_NAMES` in order, each of ``nx * ny`` values, and the payload
+    length."""
     with open(path, "rb") as fh:
         data = fh.read()
-    payload = data[data.find(_SEPARATOR) + len(_SEPARATOR):]
+    manifest, start = _parse_manifest(data, path)
     nx, ny = manifest["nx"], manifest["ny"]
-    expected = sum(f["size"] for f in manifest["fields"]) * 8
-    if len(payload) != expected:
+    if not all(type(n) is int and n > 0 for n in (nx, ny)):
+        raise CheckpointError(f"{path}: grid {nx!r}x{ny!r} is not two positive integers")
+    if manifest["fields"] != [{"name": name, "size": nx * ny} for name in FIELD_NAMES]:
         raise CheckpointError(
-            f"{path}: payload length {len(payload)} != manifest total {expected}"
+            f"{path}: manifest fields are not {', '.join(FIELD_NAMES)} of nx*ny = {nx * ny} "
+            f"values each"
         )
-    fields = {}
-    offset = 0
-    for f in manifest["fields"]:
-        n = f["size"] * 8
-        fields[f["name"]] = (
-            np.frombuffer(payload[offset: offset + n], dtype="<f8").reshape(ny, nx).copy()
+    expected = len(FIELD_NAMES) * nx * ny * 8
+    if len(data) - start != expected:
+        raise CheckpointError(
+            f"{path}: payload length {len(data) - start} != manifest total {expected}"
         )
-        offset += n
+    block = np.frombuffer(data, dtype="<f8", offset=start).reshape(len(FIELD_NAMES), ny, nx)
     return StageCheckpoint(
         stage=manifest["stage"],
         clock=manifest["clock"],
@@ -131,5 +148,6 @@ def read_checkpoint(path) -> StageCheckpoint:
         ny=ny,
         seed=manifest["seed"],
         config_hash=manifest["config_hash"],
-        fields=fields,
+        # one array per field, so a field the stage replaces frees its memory
+        fields={name: values.copy() for name, values in zip(FIELD_NAMES, block)},
     )

@@ -3,13 +3,21 @@
 The parser is deliberately small: sections in brackets, one ``key = value``
 per line, ``#`` comments.  Values of physical quantities must carry a unit
 suffix; everything is converted to SI on load.
+
+Each lithology and physics section is read into one frozen record whose
+fields are named after the section's keys; its ``dimensionless`` names the
+keys that may be bare numbers, and its ``validate`` rejects a value the
+model cannot run with, so a bad value fails when the file is read.  The
+kernels take these records as they are.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from importlib import resources
+from typing import ClassVar
 
 from .units import UnitError, parse_quantity
 
@@ -41,6 +49,8 @@ def parse_sections(text: str) -> dict[str, dict[str, str]]:
 class LithologyCfg:
     """Hydrogeological properties of one lithological unit."""
 
+    dimensionless: ClassVar[tuple[str, ...]] = ("porosity", "swr", "snr", "bc_lambda")
+
     permeability: float            # geometric-mean permeability (m^2)
     porosity: float
     swr: float
@@ -55,6 +65,116 @@ class LithologyCfg:
             raise ConfigError(f"{name}: Swr + Snr must be < 1")
         if self.entry_pressure <= 0 or self.bc_lambda <= 0 or self.permeability <= 0:
             raise ConfigError(f"{name}: entry pressure, lambda and permeability must be positive")
+
+
+@dataclass(frozen=True)
+class TransportCfg:
+    """[transport]: dispersion of every aqueous species and NAPL dissolution."""
+
+    dimensionless: ClassVar[tuple[str, ...]] = ()
+
+    dispersivity: float            # longitudinal dispersivity alpha_L (m)
+    diffusion: float               # molecular diffusion Dd (m^2/s)
+    mass_transfer: float           # lumped volumetric NAPL mass-transfer coefficient (1/s)
+
+    def validate(self, name: str) -> None:
+        if min(self.dispersivity, self.diffusion, self.mass_transfer) < 0:
+            raise ConfigError(f"{name}: dispersivity, diffusion and mass_transfer must be >= 0")
+
+
+@dataclass(frozen=True)
+class NzviCfg:
+    """[nzvi]: the injected particles and their filtration."""
+
+    dimensionless: ClassVar[tuple[str, ...]] = ("attachment_efficiency",)
+
+    concentration: float           # injected aqueous concentration (kg/m^3)
+    particle_diameter: float       # dp (m)
+    attachment_efficiency: float   # alpha (-)
+    particle_density: float        # rho_p (kg/m^3)
+    temperature: float             # T (K)
+    hamaker: float                 # Hamaker constant A (J)
+
+    def validate(self, name: str) -> None:
+        if self.concentration < 0:
+            raise ConfigError(f"{name}: concentration must be >= 0")
+        if min(self.particle_diameter, self.particle_density, self.temperature, self.hamaker) <= 0:
+            raise ConfigError(
+                f"{name}: particle size and density, temperature and hamaker must be positive")
+        if not 0.0 <= self.attachment_efficiency <= 1.0:
+            raise ConfigError(f"{name}: attachment efficiency must lie in [0, 1]")
+
+
+@dataclass(frozen=True)
+class CmcCfg:
+    """[cmc]: the polymer carrier solution."""
+
+    dimensionless: ClassVar[tuple[str, ...]] = ()
+
+    concentration: float           # injected CMC concentration (kg/m^3)
+    solution_viscosity: float      # viscosity at the injected concentration (Pa s)
+
+    def validate(self, name: str) -> None:
+        if self.concentration <= 0 or self.solution_viscosity <= 0:
+            raise ConfigError(f"{name}: concentration and solution_viscosity must be positive")
+
+
+@dataclass(frozen=True)
+class CloggingCfg:
+    """[clogging]: specific-surface growth of the clogging feedback."""
+
+    dimensionless: ClassVar[tuple[str, ...]] = ("gamma",)
+
+    a0: float                      # clean-bed specific surface (1/m)
+    zvi_specific_area: float       # deposited-particle specific surface (1/m)
+    gamma: float                   # fraction of deposit surface exposed to flow (-)
+
+    def validate(self, name: str) -> None:
+        if self.a0 <= 0 or self.zvi_specific_area <= 0:
+            raise ConfigError(f"{name}: a0 and zvi_specific_area must be positive")
+        if not 0 < self.gamma <= 1:
+            raise ConfigError(f"{name}: gamma must lie in (0, 1]")
+
+
+@dataclass(frozen=True)
+class ReactionCfg:
+    """[reaction]: degradation on the iron, at the rate k_sa * alpha_s per
+    unit iron concentration."""
+
+    dimensionless: ClassVar[tuple[str, ...]] = ("stoichiometry",)
+
+    k_sa: float                    # surface-area-normalized rate constant (m^3/(m^2 s))
+    alpha_s: float                 # reactive surface per unit iron mass (m^2/kg)
+    stoichiometry: float           # kg iron consumed per kg contaminant degraded
+
+    def validate(self, name: str) -> None:
+        if self.k_sa < 0 or self.alpha_s < 0:
+            raise ConfigError(f"{name}: k_sa and alpha_s must be >= 0")
+        if self.stoichiometry <= 0:
+            raise ConfigError(f"{name}: stoichiometry must be > 0")
+
+
+@dataclass(frozen=True)
+class NumericsCfg:
+    """[numerics]: time-step safety factors and diagnostic thresholds."""
+
+    dimensionless: ClassVar[tuple[str, ...]] = (
+        "two_phase_cfl", "transport_cfl", "se_clamp", "pool_threshold")
+
+    two_phase_cfl: float           # IMPES inflow and capillary bounds
+    transport_cfl: float           # fraction of the transport positivity bound
+    se_clamp: float                # least effective saturation the capillary pressure sees
+    pool_threshold: float          # NAPL saturation counted as pooled
+    roi_threshold: float           # deposit counted in the radius of influence (kg/m^3)
+
+    def validate(self, name: str) -> None:
+        if self.two_phase_cfl <= 0:
+            raise ConfigError(f"{name}: two_phase_cfl must be > 0")
+        # above 1 the explicit upwind update loses positivity
+        if not 0 < self.transport_cfl <= 1:
+            raise ConfigError(f"{name}: transport_cfl must lie in (0, 1]")
+        if not 0 < self.se_clamp <= 1:
+            raise ConfigError(f"{name}: se_clamp must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -98,41 +218,20 @@ class RunConfig:
     mu_n: float
     solubility: float
     gravity: float
-    # transport
-    dispersivity: float
-    diffusion: float
-    mass_transfer: float
     # flow
     head_left: float
     head_right: float
     # wells
     wells: dict[str, WellCfg]
-    # nzvi
-    nzvi_concentration: float
-    particle_diameter: float
-    attachment_efficiency: float
-    particle_density: float
-    temperature: float
-    hamaker: float
-    # cmc
-    cmc_concentration: float
-    cmc_viscosity: float
-    # clogging
-    a0: float
-    zvi_specific_area: float
-    gamma: float
-    # reaction
-    k_sa: float
-    alpha_s: float
-    stoichiometry: float
+    # physics sections
+    transport: TransportCfg
+    nzvi: NzviCfg
+    cmc: CmcCfg
+    clogging: CloggingCfg
+    reaction: ReactionCfg
+    numerics: NumericsCfg
     # stage durations
     stage_durations: tuple[float, float, float, float]
-    # numerics
-    two_phase_cfl: float
-    transport_cfl: float
-    se_clamp: float
-    pool_threshold: float
-    roi_threshold: float
     # output schedules (seconds from stage start)
     snapshots: tuple[tuple[float, ...], ...]
     # canonical source text, for hashing
@@ -152,21 +251,19 @@ class RunConfig:
             except KeyError as err:
                 raise ConfigError(f"missing [{section}] {key}") from err
             try:
-                return parse_quantity(raw, dimensionless=bare)
+                value = parse_quantity(raw, dimensionless=bare)
             except (UnitError, ValueError) as err:
                 raise ConfigError(f"[{section}] {key}: {err}") from err
+            if not math.isfinite(value):
+                raise ConfigError(f"[{section}] {key}: {raw!r} is not a finite number")
+            return value
 
-        def lith(section: str) -> LithologyCfg:
-            l = LithologyCfg(
-                permeability=get(section, "permeability"),
-                porosity=get(section, "porosity", bare=True),
-                swr=get(section, "swr", bare=True),
-                snr=get(section, "snr", bare=True),
-                entry_pressure=get(section, "entry_pressure"),
-                bc_lambda=get(section, "bc_lambda", bare=True),
-            )
-            l.validate(section)
-            return l
+        def read(section: str, record: type):
+            """The section's keys, in one pass, as its checked record."""
+            values = record(**{f.name: get(section, f.name, bare=f.name in record.dimensionless)
+                               for f in fields(record)})
+            values.validate(section)
+            return values
 
         lenses = []
         i = 1
@@ -191,8 +288,9 @@ class RunConfig:
             )
 
         def schedule(key: str) -> tuple[float, ...]:
-            raw = sec["output"][key]
-            return tuple(parse_quantity(part) for part in raw.split(","))
+            if key not in sec.get("output", {}):
+                raise ConfigError(f"missing [output] {key}")
+            return tuple(parse_quantity(part) for part in sec["output"][key].split(","))
 
         cfg = cls(
             width=get("domain", "width"),
@@ -200,9 +298,9 @@ class RunConfig:
             dx=get("grid", "dx"),
             dy=get("grid", "dy"),
             split_elevation=get("layers", "split_elevation"),
-            upper_sand=lith("upper_sand"),
-            lower_sand=lith("lower_sand"),
-            clay=lith("clay"),
+            upper_sand=read("upper_sand", LithologyCfg),
+            lower_sand=read("lower_sand", LithologyCfg),
+            clay=read("clay", LithologyCfg),
             lenses=tuple(lenses),
             infil_center=get("infiltration", "center"),
             infil_width=get("infiltration", "width"),
@@ -216,37 +314,21 @@ class RunConfig:
             mu_n=get("fluids", "tce_viscosity"),
             solubility=get("fluids", "solubility"),
             gravity=get("fluids", "gravity"),
-            dispersivity=get("transport", "dispersivity"),
-            diffusion=get("transport", "diffusion"),
-            mass_transfer=get("transport", "mass_transfer"),
             head_left=get("flow", "head_left"),
             head_right=get("flow", "head_right"),
             wells=wells,
-            nzvi_concentration=get("nzvi", "concentration"),
-            particle_diameter=get("nzvi", "particle_diameter"),
-            attachment_efficiency=get("nzvi", "attachment_efficiency", bare=True),
-            particle_density=get("nzvi", "particle_density"),
-            temperature=get("nzvi", "temperature"),
-            hamaker=get("nzvi", "hamaker"),
-            cmc_concentration=get("cmc", "concentration"),
-            cmc_viscosity=get("cmc", "solution_viscosity"),
-            a0=get("clogging", "a0"),
-            zvi_specific_area=get("clogging", "zvi_specific_area"),
-            gamma=get("clogging", "gamma", bare=True),
-            k_sa=get("reaction", "k_sa"),
-            alpha_s=get("reaction", "alpha_s"),
-            stoichiometry=get("reaction", "stoichiometry", bare=True),
+            transport=read("transport", TransportCfg),
+            nzvi=read("nzvi", NzviCfg),
+            cmc=read("cmc", CmcCfg),
+            clogging=read("clogging", CloggingCfg),
+            reaction=read("reaction", ReactionCfg),
+            numerics=read("numerics", NumericsCfg),
             stage_durations=(
                 get("stages", "stage1_duration"),
                 get("stages", "stage2_duration"),
                 get("stages", "stage3_duration"),
                 get("stages", "stage4_duration"),
             ),
-            two_phase_cfl=get("numerics", "two_phase_cfl", bare=True),
-            transport_cfl=get("numerics", "transport_cfl", bare=True),
-            se_clamp=get("numerics", "se_clamp", bare=True),
-            pool_threshold=get("numerics", "pool_threshold", bare=True),
-            roi_threshold=get("numerics", "roi_threshold"),
             snapshots=tuple(schedule(f"stage{n}_snapshots") for n in (1, 2, 3, 4)),
             source_text=text,
         )
@@ -266,6 +348,8 @@ class RunConfig:
     def _validate(self) -> None:
         if min(self.width, self.height, self.dx, self.dy) <= 0:
             raise ConfigError("domain extents and resolution must be positive")
+        if min(self.rho_w, self.rho_n, self.mu_w, self.mu_n, self.solubility, self.gravity) <= 0:
+            raise ConfigError("fluids: every value must be positive")
         for x0, y0, x1, y1 in self.lenses:
             if not (0 <= x0 < x1 <= self.width and 0 <= y0 < y1 <= self.height):
                 raise ConfigError(f"lens ({x0},{y0})-({x1},{y1}) outside domain")

@@ -31,7 +31,7 @@ of the cell mobilities, which keeps the scheme locally conservative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky_banded, solve_triangular, solveh_banded
@@ -40,17 +40,6 @@ from scipy.linalg.lapack import dtbtrs
 
 class SolverError(RuntimeError):
     """Singular system or unacceptable linear-solve residual."""
-
-
-@dataclass(frozen=True)
-class FlowBC:
-    """Lateral Dirichlet heads (m) of :func:`lateral_heads`; top and bottom
-    are no-flow."""
-
-    head_left: float
-    head_right: float
-    # volumetric sources per cell, m^3/s per unit thickness: {(i, j): rate}
-    well_sources: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -316,38 +305,45 @@ class FactorCache:
         return p
 
 
+# largest relative residual |A p - b| / max(|b|, |A p|) a pressure solve may leave
+RTOL = 1e-10
+
+
 def solve_pressure(
     grid,
     k_field: np.ndarray,
     mu_field: np.ndarray,
-    bc: FlowBC,
-    rho: float = 1000.0,
-    g: float = 9.81,
-    mobility_scale: np.ndarray | None = None,
-    rtol: float = 1e-10,
+    mobility_scale: np.ndarray,
+    head_left: float,
+    head_right: float,
+    *,
+    rho: float,
+    g: float,
+    well_sources: dict | None = None,
     cache: FactorCache | None = None,
 ) -> FlowField:
     """Solve div( (k/mu) (grad p + rho g e_z) ) = sources with TPFA.
 
     ``mobility_scale`` multiplies k/mu cellwise (relative-permeability
-    scaling in the presence of trapped NAPL).  ``cache`` carries the factors
-    of earlier solves of the same sequence (see :class:`FactorCache`).
+    scaling in the presence of trapped NAPL).  The heads (m) hold the left
+    and right boundaries (:func:`lateral_heads`); top and bottom are
+    no-flow.  ``well_sources`` maps cells (i, j) to volumetric rates (m^3/s
+    per unit thickness).  ``cache`` carries the factors of earlier solves of
+    the same sequence (see :class:`FactorCache`).
     """
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
     if np.any(k_field <= 0) or np.any(mu_field <= 0):
         raise ValueError("permeability and viscosity must be positive everywhere")
 
-    lam = k_field / mu_field
-    if mobility_scale is not None:
-        lam = lam * mobility_scale
+    lam = k_field / mu_field * mobility_scale
     yc = grid.yc
     lam_fx = _harmonic(lam[:, :-1], lam[:, 1:])
     lam_fy = _harmonic(lam[:-1, :], lam[1:, :])
     t_x = lam_fx * dy / dx
     t_y = lam_fy * dx / dy
 
-    d, b = lateral_heads(grid, lam, bc.head_left, bc.head_right, rho, g)
-    for (i, j), rate in bc.well_sources.items():
+    d, b = lateral_heads(grid, lam, head_left, head_right, rho, g)
+    for (i, j), rate in (well_sources or {}).items():
         b[j, i] += rate
 
     # y-faces carry the gravity term rho*g*(z_nb - z_o)
@@ -356,15 +352,15 @@ def solve_pressure(
     ap = system.apply(pm)
     scale = max(np.abs(system.rhs).max(), np.abs(ap).max(), 1e-300)
     residual = np.abs(ap - system.rhs).max() / scale
-    if not np.isfinite(pm).all() or residual > rtol:
-        raise SolverError(f"pressure solve residual {residual:.3e} exceeds {rtol:.1e}")
+    if not np.isfinite(pm).all() or residual > RTOL:
+        raise SolverError(f"pressure solve residual {residual:.3e} exceeds {RTOL:.1e}")
 
     qx = np.zeros((ny, nx + 1))
     qy = np.zeros((ny + 1, nx))
     qx[:, 1:-1] = -lam_fx * (pm[:, 1:] - pm[:, :-1]) / dx
     qy[1:-1, :] = -lam_fy * ((pm[1:, :] - pm[:-1, :]) / dy + rho * g)
-    qx[:, 0] = -lam[:, 0] * (pm[:, 0] - rho * g * (bc.head_left - yc)) / (dx / 2.0)
-    qx[:, -1] = -lam[:, -1] * (rho * g * (bc.head_right - yc) - pm[:, -1]) / (dx / 2.0)
+    qx[:, 0] = -lam[:, 0] * (pm[:, 0] - rho * g * (head_left - yc)) / (dx / 2.0)
+    qx[:, -1] = -lam[:, -1] * (rho * g * (head_right - yc) - pm[:, -1]) / (dx / 2.0)
 
     return FlowField(pressure=pm, qx=qx, qy=qy)
 

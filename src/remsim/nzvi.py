@@ -10,46 +10,11 @@ mixing rule in the CMC concentration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import CloggingCfg, CmcCfg, NzviCfg
+
 _KB = 1.380649e-23  # Boltzmann constant (J/K)
-
-
-@dataclass(frozen=True)
-class NzviParams:
-    particle_diameter: float          # dp (m)
-    particle_density: float           # rho_p (kg/m^3)
-    attachment_efficiency: float      # alpha (-)
-    hamaker: float = 1.0e-20          # A (J)
-    temperature: float = 293.0        # T (K)
-    fluid_density: float = 1000.0     # rho_f (kg/m^3)
-    g: float = 9.81
-
-    def __post_init__(self) -> None:
-        if self.particle_diameter <= 0 or self.particle_density <= 0:
-            raise ValueError("particle size and density must be positive")
-        if not 0.0 <= self.attachment_efficiency <= 1.0:
-            raise ValueError("attachment efficiency must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class CloggingParams:
-    a0: float                 # clean-bed specific surface (1/m)
-    ap: float                 # deposited-particle specific surface (1/m)
-    gamma: float              # fraction of deposit surface exposed to flow (-)
-
-    def __post_init__(self) -> None:
-        if self.a0 <= 0 or self.ap <= 0 or not 0 < self.gamma <= 1:
-            raise ValueError("invalid clogging parameters")
-
-
-@dataclass(frozen=True)
-class CmcParams:
-    injected_concentration: float     # kg/m^3
-    injected_viscosity: float         # Pa s at injected concentration
-    water_viscosity: float = 1.0e-3   # Pa s
 
 
 def collector_diameter(k: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -61,34 +26,30 @@ def collector_diameter(k: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 
 def single_collector_efficiency(
-    dc, theta, velocity, mu, params: NzviParams
+    dc, theta, velocity, mu, nzvi: NzviCfg, rho_w: float, g: float
 ) -> np.ndarray:
     """Tufenkji-Elimelech single-collector contact efficiency eta0.
 
-    ``velocity`` is the approach (Darcy) velocity magnitude.  The three
-    transport mechanisms (diffusion, interception, sedimentation) are
-    summed and the result clamped to (0, 1]; stagnant cells get the
-    diffusion-dominated limit via a velocity floor.
+    ``velocity`` is the approach (Darcy) velocity magnitude; ``rho_w`` and
+    ``g`` set the particles' buoyant weight.  The three transport mechanisms
+    (diffusion, interception, sedimentation) are summed and the result
+    clamped to (0, 1]; stagnant cells get the diffusion-dominated limit via
+    a velocity floor.
     """
     dc = np.asarray(dc, dtype=float)
     theta = np.asarray(theta, dtype=float)
     u = np.maximum(np.asarray(velocity, dtype=float), 1e-30)
-    dp = params.particle_diameter
+    dp = nzvi.particle_diameter
 
     gam = (1.0 - theta) ** (1.0 / 3.0)
     as_h = 2.0 * (1.0 - gam**5) / (2.0 - 3.0 * gam + 3.0 * gam**5 - 2.0 * gam**6)
 
-    d_inf = _KB * params.temperature / (3.0 * np.pi * mu * dp)
+    d_inf = _KB * nzvi.temperature / (3.0 * np.pi * mu * dp)
     n_r = dp / dc
     n_pe = u * dc / d_inf
-    n_vdw = params.hamaker / (_KB * params.temperature)
+    n_vdw = nzvi.hamaker / (_KB * nzvi.temperature)
     n_a = n_vdw / (n_r * n_pe)
-    n_g = (
-        dp**2
-        * (params.particle_density - params.fluid_density)
-        * params.g
-        / (18.0 * mu * u)
-    )
+    n_g = dp**2 * (nzvi.particle_density - rho_w) * g / (18.0 * mu * u)
 
     eta_d = 2.4 * as_h ** (1.0 / 3.0) * n_r**-0.081 * n_pe**-0.715 * n_vdw**0.052
     eta_i = 0.55 * as_h * n_r**1.675 * n_a**0.125
@@ -101,7 +62,7 @@ def deposition_rate(theta, v_pore, alpha, eta0, dc):
     return 1.5 * (1.0 - np.asarray(theta)) * v_pore * alpha * eta0 / dc
 
 
-def attachment_rate(dc, theta, velocity, mu, params: NzviParams) -> np.ndarray:
+def attachment_rate(dc, theta, velocity, mu, nzvi: NzviCfg, rho_w: float, g: float) -> np.ndarray:
     """First-order deposition rate k_att (1/s) from filtration theory.
 
     ``velocity`` is the Darcy velocity magnitude; the collector efficiency
@@ -109,8 +70,8 @@ def attachment_rate(dc, theta, velocity, mu, params: NzviParams) -> np.ndarray:
     """
     theta = np.asarray(theta, dtype=float)
     u = np.asarray(velocity, dtype=float)
-    eta0 = single_collector_efficiency(dc, theta, u, mu, params)
-    return deposition_rate(theta, u / theta, params.attachment_efficiency, eta0, dc)
+    eta0 = single_collector_efficiency(dc, theta, u, mu, nzvi, rho_w, g)
+    return deposition_rate(theta, u / theta, nzvi.attachment_efficiency, eta0, dc)
 
 
 def deposit_step(c, s_bulk, katt, theta, dt):
@@ -123,26 +84,25 @@ def deposit_step(c, s_bulk, katt, theta, dt):
     return c * (1.0 - frac), s_bulk + dm
 
 
-def clogging_update(s_bulk, k0, theta0, a0_field, params: CloggingParams, rho_p):
+def clogging_update(s_bulk, k0, theta0, clogging: CloggingCfg, rho_p):
     """Porosity and permeability after deposition.
 
     theta_m = theta0 - s_bulk/rho_p (deposit occupies pore space at particle
-    density); specific surface grows by the exposed deposit surface; then
-    k/k0 = (theta_m/theta0)^3 (a0/a)^2.  Returns (theta_m, k, a)."""
+    density); the clean-bed specific surface a0 grows by the exposed deposit
+    surface; then k/k0 = (theta_m/theta0)^3 (a0/a)^2.  Returns (theta_m, k, a)."""
     theta_m = theta0 - s_bulk / rho_p
     if np.any(theta_m <= 0):
         raise ValueError("deposition has consumed all pore space")
-    a = a0_field + params.ap * params.gamma * s_bulk / rho_p
-    k = k0 * (theta_m / theta0) ** 3 * (a0_field / a) ** 2
+    a = clogging.a0 + clogging.zvi_specific_area * clogging.gamma * s_bulk / rho_p
+    k = k0 * (theta_m / theta0) ** 3 * (clogging.a0 / a) ** 2
     return theta_m, k, a
 
 
-def cmc_viscosity(c_cmc, params: CmcParams) -> np.ndarray:
-    """Log-linear mixing between water and the injected CMC solution."""
-    x = np.clip(np.asarray(c_cmc, dtype=float) / params.injected_concentration, 0.0, 1.0)
-    return np.exp(
-        x * np.log(params.injected_viscosity) + (1.0 - x) * np.log(params.water_viscosity)
-    )
+def cmc_viscosity(c_cmc, cmc: CmcCfg, mu_w: float) -> np.ndarray:
+    """Log-linear mixing between water (viscosity ``mu_w``) and the injected
+    CMC solution."""
+    x = np.clip(np.asarray(c_cmc, dtype=float) / cmc.concentration, 0.0, 1.0)
+    return np.exp(x * np.log(cmc.solution_viscosity) + (1.0 - x) * np.log(mu_w))
 
 
 def radius_of_influence(

@@ -12,40 +12,24 @@ reactive step: positivity-preserving for any dt, exact for constant K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class KineticParams:
-    k_sa: float            # surface-area-normalized rate constant (m^3/(m^2 s))
-    specific_area: float   # reactive surface per unit iron mass (m^2/kg)
-    stoichiometry: float   # kg iron consumed per kg contaminant degraded
-
-    def __post_init__(self) -> None:
-        if self.k_sa < 0 or self.specific_area < 0 or self.stoichiometry < 0:
-            raise ValueError("kinetic parameters must be >= 0")
-
-    @property
-    def rate_coefficient(self) -> float:
-        """K = k_sa * a_s, m^3/(kg s): first-order rate per unit iron
-        concentration."""
-        return self.k_sa * self.specific_area
+from .config import ReactionCfg
 
 
-def reactive_step(c, rho_m, params: KineticParams, dt: float):
-    """Exact update of (c, rho_m) over dt.  Returns (c', rho_m').
+def reactive_step(c, rho_m, reaction: ReactionCfg, dt: float):
+    """Exact update of (c, rho_m) over dt at K = k_sa * alpha_s.  Returns
+    (c', rho_m').
 
     With K == 0 or dt == 0 the inputs are returned unchanged (bitwise),
     so a zeroed rate constant is a true no-op.
     """
-    kk = params.rate_coefficient
+    kk = reaction.k_sa * reaction.alpha_s
     if kk == 0.0 or dt == 0.0:
         return c, rho_m
     c = np.asarray(c, dtype=float)
     rho_m = np.asarray(rho_m, dtype=float)
-    x = params.stoichiometry
+    x = reaction.stoichiometry
     a = rho_m - x * c
     # decaying exponential for either sign of a, so large dt never overflows:
     # a > 0 (excess iron): c' = a c e / (a + x c (1 - e))

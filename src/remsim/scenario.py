@@ -44,7 +44,6 @@ class Scenario:
             rho_n=config.rho_n,
             mu_w=config.mu_w,
             mu_n=config.mu_n,
-            solubility=config.solubility,
             g=config.gravity,
         )
         return cls(

@@ -11,10 +11,9 @@ toward solubility, capped by the available NAPL mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import TransportCfg
 from .flow import FlowField, scatter_faces
 
 
@@ -22,28 +21,10 @@ class TransportError(RuntimeError):
     """Negative concentrations or broken kernel invariants."""
 
 
-@dataclass(frozen=True)
-class TransportParams:
-    diffusion: float       # molecular diffusion Dd (m^2/s)
-    dispersivity: float    # alpha_L (m)
-
-    def __post_init__(self) -> None:
-        if self.diffusion < 0 or self.dispersivity < 0:
-            raise ValueError("diffusion and dispersivity must be >= 0")
-
-
-@dataclass(frozen=True)
-class DissolutionParams:
-    kl: float              # lumped volumetric mass-transfer coefficient (1/s)
-    cs: float = 1.27       # solubility (kg/m^3)
-
-    def __post_init__(self) -> None:
-        if self.kl < 0:
-            raise ValueError("mass-transfer coefficient must be >= 0")
-
-
 class TransportKernel:
-    """Explicit FV transport on a frozen flow field.
+    """Explicit FV transport on a frozen flow field, with the diffusion and
+    dispersivity of the config's ``transport`` record; a sub-step takes the
+    fraction ``cfl`` of the positivity bound.
 
     Lateral boundaries are open: advective boundary fluxes use the boundary
     cell's own concentration (zero-gradient), dispersive boundary fluxes are
@@ -66,16 +47,17 @@ class TransportKernel:
         grid,
         theta: np.ndarray,
         flow: FlowField,
-        params: TransportParams,
-        cfl: float = 0.9,
+        transport: TransportCfg,
+        cfl: float,
         well_sources: dict | None = None,
     ):
         self.pv = theta * grid.cell_volume
         self.well_sources = dict(well_sources or {})
 
         fx, fy = flow.qx * grid.dy, flow.qy * grid.dx   # volumetric face flow (m^3/s)
-        gx = (params.diffusion + params.dispersivity * np.abs(flow.qx[:, 1:-1])) * grid.dy / grid.dx
-        gy = (params.diffusion + params.dispersivity * np.abs(flow.qy[1:-1, :])) * grid.dx / grid.dy
+        d, alpha = transport.diffusion, transport.dispersivity
+        gx = (d + alpha * np.abs(flow.qx[:, 1:-1])) * grid.dy / grid.dx
+        gy = (d + alpha * np.abs(flow.qy[1:-1, :])) * grid.dx / grid.dy
         lo_x, hi_x = np.maximum(fx[:, 1:-1], 0.0) + gx, np.minimum(fx[:, 1:-1], 0.0) - gx
         lo_y, hi_y = np.maximum(fy[1:-1, :], 0.0) + gy, np.minimum(fy[1:-1, :], 0.0) - gy
         extract = np.zeros_like(self.pv)
@@ -131,8 +113,9 @@ class TransportKernel:
 # NAPL dissolution (stagnant-film / LEA)
 # ---------------------------------------------------------------------------
 
-def dissolution_substep(c, sn, rho_n, params: DissolutionParams, dt):
-    """Analytic relaxation of c toward Cs with exact NAPL mass transfer.
+def dissolution_substep(c, sn, rho_n, solubility, transport: TransportCfg, dt):
+    """Analytic relaxation of c toward the ``solubility`` Cs at the rate
+    ``transport.mass_transfer``, with exact NAPL mass transfer.
 
     Returns new arrays (c', sn').  The transfer is capped so a step never
     dissolves more NAPL than the cell holds, and never drives c past Cs;
@@ -141,7 +124,8 @@ def dissolution_substep(c, sn, rho_n, params: DissolutionParams, dt):
     active = np.flatnonzero(sn > 0)
     # new arrays; c + 0.0 is c + dc with dc = 0 bitwise, so -0.0 becomes 0.0
     c1, sn1 = c.ravel() + 0.0, sn.ravel().copy()
-    dc = np.minimum((params.cs - c1[active]) * (-np.expm1(-params.kl * dt)), sn1[active] * rho_n)
+    dc = np.minimum((solubility - c1[active]) * (-np.expm1(-transport.mass_transfer * dt)),
+                    sn1[active] * rho_n)
     c1[active] += dc
     sn1[active] -= dc / rho_n
     return c1.reshape(c.shape), sn1.reshape(sn.shape)

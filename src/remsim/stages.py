@@ -27,23 +27,11 @@ import numpy as np
 
 from . import nzvi as nz
 from .checkpoint import StageCheckpoint
-from .flow import FactorCache, FlowBC, solve_pressure
-from .reaction import KineticParams, reactive_step
+from .flow import FactorCache, solve_pressure
+from .reaction import reactive_step
 from .scenario import Scenario
-from .solute import (
-    DissolutionParams,
-    TransportKernel,
-    TransportParams,
-    dissolution_substep,
-    probe,
-)
-from .twophase import (
-    ImpesStepper,
-    Numerics,
-    hydrostatic_two_phase,
-    rel_perm,
-    source_zone_stats,
-)
+from .solute import TransportKernel, dissolution_substep, probe
+from .twophase import ImpesStepper, hydrostatic_two_phase, rel_perm, source_zone_stats
 
 DAY = 86400.0
 
@@ -140,10 +128,8 @@ def _darcy(scn: Scenario, f: dict, mu, mobility, cache: FactorCache, sources=Non
     re-using the stage's pressure factors; stores the pressure in the field
     state."""
     cfg = scn.config
-    flow = solve_pressure(
-        scn.grid, f["k"], mu, FlowBC(cfg.head_left, cfg.head_right, well_sources=sources or {}),
-        rho=scn.fluids.rho_w, g=scn.fluids.g, mobility_scale=mobility, cache=cache,
-    )
+    flow = solve_pressure(scn.grid, f["k"], mu, mobility, cfg.head_left, cfg.head_right,
+                          rho=scn.fluids.rho_w, g=scn.fluids.g, well_sources=sources, cache=cache)
     f["pw"] = flow.pressure
     return flow
 
@@ -164,7 +150,7 @@ def run_stage1(scn: Scenario) -> StageResult:
     duration = cfg.stage_durations[0]
     # no ambient groundwater flow during the release
     state = hydrostatic_two_phase(g, scn.fluids)
-    stepper = ImpesStepper(m, scn.fluids, Numerics(se_clamp=cfg.se_clamp, cfl=cfg.two_phase_cfl))
+    stepper = ImpesStepper(m, scn.fluids, cfg.numerics)
     source = scn.napl_source_field()
 
     def step(t, dt):
@@ -176,7 +162,7 @@ def run_stage1(scn: Scenario) -> StageResult:
     snapshots, series = [], []
     sn_near_end = state.sn
     for t in _march(duration, marks, np.inf, step):
-        stats_t = source_zone_stats(state.sn, m, g, scn.fluids.rho_n, cfg.pool_threshold)
+        stats_t = source_zone_stats(state.sn, m, g, scn.fluids.rho_n, cfg.numerics.pool_threshold)
         series.append([t, stats_t.total_mass, stats_t.pool_fraction,
                        stats_t.ganglia_fraction, stats_t.upper_fraction,
                        stats_t.lower_fraction])
@@ -187,7 +173,7 @@ def run_stage1(scn: Scenario) -> StageResult:
 
     # the release starts NAPL-free
     ledger = {"napl": Ledger(injected=stepper.injected_mass, final=stepper.napl_mass(state))}
-    stats = source_zone_stats(state.sn, m, g, scn.fluids.rho_n, cfg.pool_threshold)
+    stats = source_zone_stats(state.sn, m, g, scn.fluids.rho_n, cfg.numerics.pool_threshold)
     ckpt = _make_checkpoint(scn, 1, t, {
         "sw": state.sw, "sn": state.sn, "pw": state.pw,
         "theta_m": m.porosity.copy(), "k": m.k.copy(),
@@ -219,9 +205,7 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
 
     cache = FactorCache()
     flow = _darcy(scn, f, np.full_like(f["k"], scn.fluids.mu_w), _water_mobility(f["sw"], m), cache)
-    tp = TransportParams(cfg.diffusion, cfg.dispersivity)
-    dp = DissolutionParams(cfg.mass_transfer, cfg.solubility)
-    kernel = TransportKernel(g, f["theta_m"], flow, tp, cfl=cfg.transport_cfl)
+    kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport, cfg.numerics.transport_cfl)
     pv = f["theta_m"] * g.cell_volume
 
     def mass(c):
@@ -235,7 +219,8 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
 
     def step(t, dt):
         _transport(kernel, f, ledger, dt)
-        f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, dp, dt)
+        f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, cfg.solubility,
+                                                  cfg.transport, dt)
         napl_mass = mass(f["sn"]) * rho_n
         series.append([t + dt, napl_mass, napl_mass / max(napl0, 1e-300)]
                       + [probe(f["c_tce"], cell) for cell in mon.values()])
@@ -269,37 +254,21 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
 # ---------------------------------------------------------------------------
 
 def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
-    cfg, g, m = scn.config, scn.grid, scn.material
-    rho_n, cv = scn.fluids.rho_n, g.cell_volume
+    cfg, g, m, fl = scn.config, scn.grid, scn.material, scn.fluids
+    rho_n, cv = fl.rho_n, g.cell_volume
     f = dict(ckpt.fields)
     theta0 = m.porosity
     k0 = m.k
-    a0_field = np.full_like(k0, cfg.a0)
-
-    nzp = nz.NzviParams(
-        particle_diameter=cfg.particle_diameter,
-        particle_density=cfg.particle_density,
-        attachment_efficiency=cfg.attachment_efficiency,
-        hamaker=cfg.hamaker,
-        temperature=cfg.temperature,
-        fluid_density=scn.fluids.rho_w,
-        g=scn.fluids.g,
-    )
-    clog = nz.CloggingParams(cfg.a0, cfg.zvi_specific_area, cfg.gamma)
-    cmcp = nz.CmcParams(cfg.cmc_concentration, cfg.cmc_viscosity, scn.fluids.mu_w)
-    tp = TransportParams(cfg.diffusion, cfg.dispersivity)
-    dp = DissolutionParams(cfg.mass_transfer, cfg.solubility)
+    rho_p, roi_threshold = cfg.nzvi.particle_density, cfg.numerics.roi_threshold
 
     # clean-bed collector diameter is frozen at the pre-injection state
     dc = nz.collector_diameter(k0, theta0)
-    f["theta_m"], f["k"], _ = nz.clogging_update(
-        f["s_bulk"], k0, theta0, a0_field, clog, cfg.particle_density
-    )
+    f["theta_m"], f["k"], _ = nz.clogging_update(f["s_bulk"], k0, theta0, cfg.clogging, rho_p)
 
     sources = scn.injection_sources()
     conc = {
-        "nzvi": {cell: cfg.nzvi_concentration for cell in sources},
-        "cmc": {cell: cfg.cmc_concentration for cell in sources},
+        "nzvi": {cell: cfg.nzvi.concentration for cell in sources},
+        "cmc": {cell: cfg.cmc.concentration for cell in sources},
     }
     q_total = sum(sources.values())
     mobility = _water_mobility(f["sw"], m)
@@ -319,28 +288,27 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     }
 
     def step(t, dt):
-        mu = nz.cmc_viscosity(f["c_cmc"], cmcp)
+        mu = nz.cmc_viscosity(f["c_cmc"], cfg.cmc, fl.mu_w)
         flow = _darcy(scn, f, mu, mobility, cache, sources)
         # background flow is +x; injection pushes the upgradient faces back
         if flow.qx[jw, max(iw - 2, 0): iw + 1].min() < 0:
             diagnostics["flux_reversed"] = True
-        kernel = TransportKernel(
-            g, f["theta_m"], flow, tp, cfl=cfg.transport_cfl, well_sources=sources
-        )
+        kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport,
+                                 cfg.numerics.transport_cfl, well_sources=sources)
         _transport(kernel, f, ledger, dt, conc)
-        ledger["cmc"].injected += q_total * cfg.cmc_concentration * dt
-        ledger["nzvi"].injected += q_total * cfg.nzvi_concentration * dt
+        ledger["cmc"].injected += q_total * cfg.cmc.concentration * dt
+        ledger["nzvi"].injected += q_total * cfg.nzvi.concentration * dt
 
-        f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, dp, dt)
-        katt = nz.attachment_rate(dc, f["theta_m"], flow.velocity_magnitude(), mu, nzp)
+        f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, cfg.solubility,
+                                                  cfg.transport, dt)
+        katt = nz.attachment_rate(dc, f["theta_m"], flow.velocity_magnitude(), mu, cfg.nzvi,
+                                  fl.rho_w, fl.g)
         f["c_nzvi"], f["s_bulk"] = nz.deposit_step(f["c_nzvi"], f["s_bulk"], katt, f["theta_m"], dt)
-        f["theta_m"], f["k"], _ = nz.clogging_update(
-            f["s_bulk"], k0, theta0, a0_field, clog, cfg.particle_density
-        )
+        f["theta_m"], f["k"], _ = nz.clogging_update(f["s_bulk"], k0, theta0, cfg.clogging, rho_p)
         return dt
 
     for t in _march(cfg.stage_durations[2], marks, STAGE3_DT, step):
-        roi = nz.radius_of_influence(f["s_bulk"], g, screen, cfg.roi_threshold)
+        roi = nz.radius_of_influence(f["s_bulk"], g, screen, roi_threshold)
         series.append([t, roi, float(f["s_bulk"].max()), float(1.0 - (f["k"] / k0).min())])
         if t in marks:
             snapshots.append((t, {name: f[name] for name in ("c_nzvi", "s_bulk", "c_cmc", "k")}))
@@ -352,12 +320,12 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     ledger["tce"].dissolved = napl0 - float((theta_m * f["sn"]).sum()) * cv * rho_n
 
     diagnostics.update({
-        "roi": nz.radius_of_influence(s_bulk, g, screen, cfg.roi_threshold),
+        "roi": nz.radius_of_influence(s_bulk, g, screen, roi_threshold),
         "roi_upper": nz.radius_of_influence(
-            s_bulk, g, screen, cfg.roi_threshold, m.layer_mask(upper=True)
+            s_bulk, g, screen, roi_threshold, m.layer_mask(upper=True)
         ),
         "roi_lower": nz.radius_of_influence(
-            s_bulk, g, screen, cfg.roi_threshold, m.layer_mask(upper=False)
+            s_bulk, g, screen, roi_threshold, m.layer_mask(upper=False)
         ),
         "max_k_reduction": float(1.0 - (f["k"] / k0).min()),
         "max_theta_reduction": float(1.0 - (theta_m / theta0).min()),
@@ -380,10 +348,6 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> S
     rho_n = scn.fluids.rho_n
     f = dict(ckpt.fields)
 
-    kin = KineticParams(k_sa=cfg.k_sa, specific_area=cfg.alpha_s, stoichiometry=cfg.stoichiometry)
-    cmcp = nz.CmcParams(cfg.cmc_concentration, cfg.cmc_viscosity, scn.fluids.mu_w)
-    tp = TransportParams(cfg.diffusion, cfg.dispersivity)
-    dp = DissolutionParams(cfg.mass_transfer, cfg.solubility)
     mobility = _water_mobility(f["sw"], m)
     pv = f["theta_m"] * g.cell_volume
 
@@ -400,14 +364,15 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> S
     cache = FactorCache()
 
     def step(t, dt):
-        mu = nz.cmc_viscosity(f["c_cmc"], cmcp)
+        mu = nz.cmc_viscosity(f["c_cmc"], cfg.cmc, scn.fluids.mu_w)
         flow = _darcy(scn, f, mu, mobility, cache)
-        kernel = TransportKernel(g, f["theta_m"], flow, tp, cfl=cfg.transport_cfl)
+        kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport, cfg.numerics.transport_cfl)
         _transport(kernel, f, ledger, dt)
-        f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, dp, dt)
+        f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, cfg.solubility,
+                                                  cfg.transport, dt)
         if reactive:
             pre = mass(f["c_tce"])
-            f["c_tce"], f["rho_m"] = reactive_step(f["c_tce"], f["rho_m"], kin, dt)
+            f["c_tce"], f["rho_m"] = reactive_step(f["c_tce"], f["rho_m"], cfg.reaction, dt)
             ledger["tce"].degraded += pre - mass(f["c_tce"])
         iron_frac = mass(f["rho_m"]) / max(iron0, 1e-300)
         series.append([t + dt, iron_frac] + [probe(f["c_tce"], cell) for cell in mon.values()])
@@ -428,7 +393,7 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> S
         "degraded_mass": ledger["tce"].degraded,
         "pressure": cache.stats(),
         # the iron can degrade at most its mass over the stoichiometry
-        "budget": {"iron_capacity": iron0 / cfg.stoichiometry,
+        "budget": {"iron_capacity": iron0 / cfg.reaction.stoichiometry,
                    "degraded": ledger["tce"].degraded},
         "series_header": ["t", "iron_fraction", *mon],
     }

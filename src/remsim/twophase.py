@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import NumericsCfg
 from .flow import (FACES, FactorCache, SolverError, TpfaSystem, _harmonic, lateral_heads,
                    scatter_faces)
 from .grid import MaterialMap
@@ -33,23 +34,20 @@ from .grid import MaterialMap
 
 @dataclass(frozen=True)
 class FluidProps:
+    """The config's [fluids] values, checked when it is read."""
+
     rho_w: float = 1000.0
     rho_n: float = 1470.0
     mu_w: float = 0.001
     mu_n: float = 0.0005
-    solubility: float = 1.27
     g: float = 9.81
-
-    def __post_init__(self) -> None:
-        if min(self.rho_w, self.rho_n, self.mu_w, self.mu_n, self.g) <= 0:
-            raise ValueError("fluid properties must be positive")
 
 
 # ---------------------------------------------------------------------------
 # Brooks-Corey closures
 # ---------------------------------------------------------------------------
 
-def effective_saturation(sw, swr, snr, clamp: float = 0.01):
+def effective_saturation(sw, swr, snr, clamp: float):
     """Se = (Sw - Swr) / (1 - Swr - Snr), clamped to [clamp, 1]."""
     se = (sw - swr) / (1.0 - swr - snr)
     return np.clip(se, clamp, 1.0)
@@ -79,12 +77,6 @@ class TwoPhaseState:
     sw: np.ndarray
     sn: np.ndarray
     pw: np.ndarray
-
-
-@dataclass(frozen=True)
-class Numerics:
-    se_clamp: float = 0.01
-    cfl: float = 0.5
 
 
 # target largest NAPL saturation change per sub-step (the advection bound)
@@ -129,13 +121,15 @@ def _window_faces(cols: slice):
 
 class ImpesStepper:
     """Face permeabilities and audit state for repeated IMPES sub-steps on
-    ``material.grid``.  Each sub-step is given the NAPL release source, a
-    volumetric rate per cell volume (1/s), or ``None``; it moves only the
-    right-hand side of the pressure system, so the stepper's own
-    :class:`FactorCache`, ``cache``, serves sub-steps with and without it.  ``injected_mass`` sums the NAPL the
-    source has fed in; ``limits`` counts the sub-steps each bound of
-    :data:`LIMITS` has set; ``window_columns`` sums the width of each
-    sub-step's window ``E`` and ``window_max`` is the widest.
+    ``material.grid``, with the capillary clamp and the step safety factor of
+    the config's ``numerics`` record.  Each sub-step is given the NAPL
+    release source, a volumetric rate per cell volume (1/s), or ``None``; it
+    moves only the right-hand side of the pressure system, so the stepper's
+    own :class:`FactorCache`, ``cache``, serves sub-steps with and without
+    it.  ``injected_mass`` sums the NAPL the source has fed in; ``limits``
+    counts the sub-steps each bound of :data:`LIMITS` has set;
+    ``window_columns`` sums the width of each sub-step's window ``E`` and
+    ``window_max`` is the widest.
 
     A sub-step works on a window of whole grid columns around the NAPL.  Let
     ``N`` be the columns holding NAPL (``sn != 0``) or fed by the sub-step's
@@ -155,12 +149,7 @@ class ImpesStepper:
     therefore those of a whole-grid sub-step, bit for bit.
     """
 
-    def __init__(
-        self,
-        material: MaterialMap,
-        fluids: FluidProps,
-        numerics: Numerics = Numerics(),
-    ):
+    def __init__(self, material: MaterialMap, fluids: FluidProps, numerics: NumericsCfg):
         grid = self.grid = material.grid
         self.material = material
         self.fluids = fluids
@@ -269,7 +258,7 @@ class ImpesStepper:
         with np.errstate(divide="ignore"):
             dt_adv = np.where(out > 0, MAX_DS * pv / out, np.inf).min()
             avail = np.maximum(1.0 - self.material.swr[:, cols] - state.sn[:, cols], 0.02)
-            dt_in = np.where(inflow > 0, num.cfl * avail * pv / inflow, np.inf).min()
+            dt_in = np.where(inflow > 0, num.two_phase_cfl * avail * pv / inflow, np.inf).min()
 
         # explicit capillary-diffusion bound (Coats-type): the saturation
         # update feels the mixed fractional-flow mobility lw*ln/(lw+ln),
@@ -280,7 +269,7 @@ class ImpesStepper:
                         for (lo, hi), (lw, ln, _, _) in zip(FACES, (fx, fy)))
         cond = scatter_faces(np.zeros_like(out), g_x, g_x, g_y, g_y)
         with np.errstate(divide="ignore"):
-            dt_cap = np.where(cond > 0, num.cfl * pv / cond, np.inf).min()
+            dt_cap = np.where(cond > 0, num.two_phase_cfl * pv / cond, np.inf).min()
 
         bounds = dict(zip(LIMITS, (dt_adv, dt_in, dt_cap, dt_target)))
         limit = min(bounds, key=bounds.get)
@@ -352,8 +341,8 @@ def source_zone_stats(
     sn: np.ndarray,
     material: MaterialMap,
     grid,
-    rho_n: float = 1470.0,
-    pool_threshold: float = 0.3,
+    rho_n: float,
+    pool_threshold: float,
 ) -> SourceZoneStats:
     mass = material.porosity * sn * grid.cell_volume * rho_n
     total = float(mass.sum())

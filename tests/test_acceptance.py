@@ -18,11 +18,10 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.special import erfc
 
-from remsim.config import LithologyCfg, RunConfig
-from remsim.flow import FlowBC, FlowField, solve_pressure
+from remsim.config import CloggingCfg, CmcCfg, LithologyCfg, ReactionCfg, RunConfig, TransportCfg
+from remsim.flow import FlowField, solve_pressure
 from remsim.grid import CLAY, MaterialMap, build_grid
 from remsim.nzvi import (
-    CmcParams,
     clogging_update,
     cmc_viscosity,
     collector_diameter,
@@ -31,9 +30,9 @@ from remsim.nzvi import (
 )
 from remsim.pipeline import checkpoint_path
 from remsim.pipeline import run as pipeline_run
-from remsim.reaction import KineticParams, reactive_step
+from remsim.reaction import reactive_step
 from remsim.scenario import Scenario
-from remsim.solute import TransportKernel, TransportParams
+from remsim.solute import TransportKernel
 from remsim.stages import (
     run_stage1,
     run_stage2,
@@ -43,7 +42,6 @@ from remsim.stages import (
 from remsim.twophase import (
     FluidProps,
     ImpesStepper,
-    Numerics,
     capillary_pressure,
     hydrostatic_two_phase,
 )
@@ -120,18 +118,17 @@ def test_criterion_01_closure_hand_values(capsys):
                    == pytest.approx(katt_want, rel=1e-12)))
 
     # clogging identity: zero deposit leaves porosity/permeability untouched
-    from remsim.nzvi import CloggingParams
-    clog = CloggingParams(a0=4.99e3, ap=2.34e8, gamma=1.04e-3)
-    theta_m, k, a = clogging_update(np.array(0.0), 1e-12, 0.4, 4.99e3, clog, 6100.0)
+    clog = CloggingCfg(a0=4.99e3, zvi_specific_area=2.34e8, gamma=1.04e-3)
+    theta_m, k, a = clogging_update(np.array(0.0), 1e-12, 0.4, clog, 6100.0)
     checks.append(("clogging identity at zero deposit",
                    theta_m == 0.4 and k == 1e-12 and a == 4.99e3))
 
     # viscosity mixing endpoints
-    cmc = CmcParams(injected_concentration=3.0, injected_viscosity=0.0027)
+    cmc = CmcCfg(concentration=3.0, solution_viscosity=0.0027)
     checks.append(("viscosity at zero polymer",
-                   float(cmc_viscosity(0.0, cmc)) == pytest.approx(1e-3, rel=1e-12)))
+                   float(cmc_viscosity(0.0, cmc, 1e-3)) == pytest.approx(1e-3, rel=1e-12)))
     checks.append(("viscosity at injected polymer",
-                   float(cmc_viscosity(3.0, cmc)) == pytest.approx(2.7e-3, rel=1e-12)))
+                   float(cmc_viscosity(3.0, cmc, 1e-3)) == pytest.approx(2.7e-3, rel=1e-12)))
 
     checks.append(("runtime < 1 s", time.perf_counter() - t0 < 1.0))
     _finish(1, "closure formulas match hand values", checks, capsys)
@@ -149,7 +146,7 @@ def test_criterion_02_advection_dispersion_analytic(capsys):
     flow = FlowField(pressure=np.zeros((g.ny, g.nx)),
                      qx=np.full((g.ny, g.nx + 1), q),
                      qy=np.zeros((g.ny + 1, g.nx)))
-    kernel = TransportKernel(g, theta, flow, TransportParams(0.0, alpha), cfl=0.5)
+    kernel = TransportKernel(g, theta, flow, TransportCfg(alpha, 0.0, 0.0), 0.5)
     c = np.zeros((g.ny, g.nx))
     t_end, t = 5.0e4, 0.0
     while t < t_end:
@@ -186,7 +183,7 @@ def test_criterion_03_filtration_column_steady_state(capsys):
     flow = FlowField(pressure=np.zeros((g.ny, g.nx)),
                      qx=np.full((g.ny, g.nx + 1), q),
                      qy=np.zeros((g.ny + 1, g.nx)))
-    kernel = TransportKernel(g, theta, flow, TransportParams(0.0, 0.0), cfl=0.5)
+    kernel = TransportKernel(g, theta, flow, TransportCfg(0.0, 0.0, 0.0), 0.5)
     c = np.zeros((g.ny, g.nx))
     s = np.zeros_like(c)
     t, t_end = 0.0, 8e5                               # many residence times
@@ -215,15 +212,14 @@ def test_criterion_03_filtration_column_steady_state(capsys):
 def test_criterion_04_batch_kinetics_oracle(capsys):
     t0 = time.perf_counter()
     k_sa = 2.6e-3 * 1e-3 / 3600.0                     # L/h/m^2 in SI
-    params = KineticParams(k_sa=k_sa, specific_area=2.3e4, stoichiometry=0.85)
+    params = ReactionCfg(k_sa=k_sa, alpha_s=2.3e4, stoichiometry=0.85)
     checks = []
 
     # unit-conversion check: first-order constant at 1 kg/m^3 iron
+    kk, x = k_sa * params.alpha_s, 0.85
     checks.append(("rate constant 0.0598 per hour",
-                   params.rate_coefficient * 3600.0
-                   == pytest.approx(0.0598, rel=1e-3)))
+                   kk * 3600.0 == pytest.approx(0.0598, rel=1e-3)))
 
-    kk, x = params.rate_coefficient, 0.85
     c0, r0 = 1.1, 3.0
 
     def rhs(t, y):
@@ -256,7 +252,7 @@ def _gravity_column(dy: float):
     _, yv = g.cell_centers()
     st.sn[yv > 7.0] = 0.4                             # 1 m slug at the top
     st.sw = 1.0 - st.sn
-    stepper = ImpesStepper(m, fl, Numerics())
+    stepper = ImpesStepper(m, fl, RunConfig.default().numerics)
     m0 = stepper.napl_mass(st)
     t, t_end = 0.0, 4.0 * DAY
     while t < t_end - 1e-6:
@@ -301,8 +297,7 @@ def test_criterion_06_darcy_velocity_bands(capsys):
         s = Scenario.build(cfg, seed)
         g, m = s.grid, s.material
         flow = solve_pressure(
-            g, m.k, np.full_like(m.k, s.fluids.mu_w),
-            FlowBC(cfg.head_left, cfg.head_right),
+            g, m.k, np.full_like(m.k, s.fluids.mu_w), 1.0, cfg.head_left, cfg.head_right,
             rho=s.fluids.rho_w, g=s.fluids.g,
         )
         vx, _ = flow.cell_velocity()
@@ -330,7 +325,7 @@ def test_criterion_07_release_structure(scn, staged, capsys):
     sn = res.checkpoint.fields["sn"]
     lith = scn.material.lithology
     stats = res.diagnostics["source_zone"]
-    pool = sn >= scn.config.pool_threshold
+    pool = sn >= scn.config.numerics.pool_threshold
 
     atop_clay = bool((pool[1:, :] & (lith[:-1, :] == CLAY)).any())
     at_bedrock = bool(pool[0, :].any())
@@ -388,11 +383,12 @@ def test_criterion_09_injection_suite(scn, staged, capsys):
     # hand-verify the clogging closure at the most clogged cell
     cfg = scn.config
     j, i = np.unravel_index(np.argmax(s_bulk), s_bulk.shape)
-    vol = s_bulk[j, i] / cfg.particle_density
+    clog = cfg.clogging
+    vol = s_bulk[j, i] / cfg.nzvi.particle_density
     theta0 = scn.material.porosity[j, i]
     k0 = scn.material.k[j, i]
-    a = cfg.a0 + cfg.zvi_specific_area * cfg.gamma * vol
-    k_hand = k0 * ((theta0 - vol) / theta0) ** 3 * (cfg.a0 / a) ** 2
+    a = clog.a0 + clog.zvi_specific_area * clog.gamma * vol
+    k_hand = k0 * ((theta0 - vol) / theta0) ** 3 * (clog.a0 / a) ** 2
     checks = [
         ("nZVI mass balance <= 0.1 %", res.audit["nzvi"] <= 1e-3),
         ("deposited mass non-decreasing", _monotone(s_series, direction=+1)),

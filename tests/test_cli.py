@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,15 @@ def cfg_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "fast.cfg"
     path.write_text(fast_config_text())
     return path
+
+
+@pytest.fixture(scope="module")
+def stage1_ckpt(cfg_file, tmp_path_factory):
+    """A stage-1 checkpoint of the fast config, next to a copy of the config."""
+    out = tmp_path_factory.mktemp("stage1")
+    shutil.copy(cfg_file, out / "fast.cfg")
+    assert main(["--config", str(out / "fast.cfg"), "--stage", "1", "--out", str(out)]) == 0
+    return out / "stage1.ckpt"
 
 
 class TestParser:
@@ -52,6 +62,14 @@ class TestExitCodes:
         bad.write_text(fast_config_text().replace("width = 35 m", "width = 35"))
         assert main(["--config", str(bad), "--stage", "1", "--out", str(tmp_path)]) == 2
 
+    def test_bad_physics_value_returns_2_before_stage_1(self, tmp_path, capsys):
+        # a negative rate constant is found when the file is read, not in stage 4
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(fast_config_text().replace("k_sa = 2.6e-3", "k_sa = -2.6e-3"))
+        assert main(["--config", str(bad), "--stage", "all", "--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "stage1.ckpt").exists()
+
     def test_unreadable_stage_returns_2(self, cfg_file, tmp_path):
         assert main(["--config", str(cfg_file), "--stage", "nine", "--out", str(tmp_path)]) == 2
 
@@ -63,6 +81,21 @@ class TestExitCodes:
         (tmp_path / "stage1.ckpt").write_bytes(b"garbage")
         code = main(["--config", str(cfg_file), "--stage", "2", "--out", str(tmp_path)])
         assert code == 3
+
+    @pytest.mark.parametrize("old, new", [
+        (b'"nx":35', b'"nx":36'),              # grid size disagrees with the field sizes
+        (b'"seed":0,', b''),                   # manifest key missing
+        (b'"name":"sw"', b'"name":"zz"'),      # field renamed
+    ], ids=["nx", "seed_missing", "field_renamed"])
+    def test_edited_manifest_returns_3(self, stage1_ckpt, tmp_path, capsys, old, new):
+        data = stage1_ckpt.read_bytes()
+        assert data.count(old) == 1
+        (tmp_path / "stage1.ckpt").write_bytes(data.replace(old, new))
+        code = main(["--config", str(stage1_ckpt.parent / "fast.cfg"), "--stage", "2",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "checkpoint error" in capsys.readouterr().err
+        assert not (tmp_path / "stage2.ckpt").exists()
 
     def test_foreign_checkpoint_returns_3(self, cfg_file, tmp_path):
         assert main(["--config", str(cfg_file), "--stage", "1", "--out", str(tmp_path)]) == 0

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from remsim.config import ConfigError, RunConfig, parse_sections
@@ -52,6 +54,51 @@ class TestSectionParser:
             parse_sections("x = 1 m\n")
 
 
+def set_key(text: str, section: str, key: str, value: str) -> str:
+    """``text`` with ``key`` of ``[section]`` set to ``value``."""
+    out, n = re.subn(rf"(^\[{re.escape(section)}\]\n[^\[]*?^){key} = [^\n]*",
+                     rf"\g<1>{key} = {value}", text, count=1, flags=re.M | re.S)
+    assert n == 1, (section, key)
+    return out
+
+
+# (section, key, value) of every physics value the model cannot run with
+BAD_VALUES = {
+    "dispersivity=nan": ("transport", "dispersivity", "nan m"),
+    "dispersivity<0": ("transport", "dispersivity", "-0.02 m"),
+    "diffusion<0": ("transport", "diffusion", "-1e-8 m^2/s"),
+    "mass_transfer<0": ("transport", "mass_transfer", "-1200 1/day"),
+    "nzvi_concentration<0": ("nzvi", "concentration", "-0.2 kg/m^3"),
+    "particle_diameter=0": ("nzvi", "particle_diameter", "0 nm"),
+    "particle_density=0": ("nzvi", "particle_density", "0 kg/m^3"),
+    "attachment_efficiency>1": ("nzvi", "attachment_efficiency", "1.5"),
+    "attachment_efficiency<0": ("nzvi", "attachment_efficiency", "-0.02"),
+    "temperature=0": ("nzvi", "temperature", "0 K"),
+    "hamaker=0": ("nzvi", "hamaker", "0 J"),
+    "cmc_concentration=0": ("cmc", "concentration", "0 kg/m^3"),
+    "solution_viscosity=0": ("cmc", "solution_viscosity", "0 Pa*s"),
+    "a0=0": ("clogging", "a0", "0 1/m"),
+    "zvi_specific_area=0": ("clogging", "zvi_specific_area", "0 1/m"),
+    "gamma=0": ("clogging", "gamma", "0"),
+    "gamma>1": ("clogging", "gamma", "1.5"),
+    "k_sa<0": ("reaction", "k_sa", "-2.6e-3 L/h/m^2"),
+    "alpha_s<0": ("reaction", "alpha_s", "-23 m^2/g"),
+    "stoichiometry<0": ("reaction", "stoichiometry", "-0.85"),
+    "stoichiometry=0": ("reaction", "stoichiometry", "0"),
+    "water_density<0": ("fluids", "water_density", "-1000 kg/m^3"),
+    "tce_density=0": ("fluids", "tce_density", "0 kg/m^3"),
+    "water_viscosity=0": ("fluids", "water_viscosity", "0 Pa*s"),
+    "tce_viscosity=0": ("fluids", "tce_viscosity", "0 Pa*s"),
+    "solubility=0": ("fluids", "solubility", "0 kg/m^3"),
+    "gravity=0": ("fluids", "gravity", "0 m/s^2"),
+    "two_phase_cfl=0": ("numerics", "two_phase_cfl", "0"),
+    "two_phase_cfl<0": ("numerics", "two_phase_cfl", "-0.5"),
+    "transport_cfl=0": ("numerics", "transport_cfl", "0"),
+    "transport_cfl>1": ("numerics", "transport_cfl", "1.5"),
+    "se_clamp=0": ("numerics", "se_clamp", "0"),
+}
+
+
 class TestRunConfig:
     def test_default_loads(self):
         cfg = RunConfig.default()
@@ -80,9 +127,11 @@ class TestRunConfig:
         assert len(a.config_hash) == 16
 
     def test_missing_key(self):
-        text = RunConfig.default().source_text.replace("width = 35 m", "")
-        with pytest.raises(ConfigError, match="width"):
-            RunConfig.from_text(text)
+        text = RunConfig.default().source_text
+        for old, new, key in (("width = 35 m", "", "width"),
+                              ("stage2_snapshots =", "old_stage2_snapshots =", "stage2_snapshots")):
+            with pytest.raises(ConfigError, match=key):
+                RunConfig.from_text(text.replace(old, new))
 
     def test_unitless_physical_quantity_rejected(self):
         text = RunConfig.default().source_text.replace("width = 35 m", "width = 35")
@@ -98,6 +147,32 @@ class TestRunConfig:
         text = RunConfig.default().source_text.replace("swr = 0.08", "swr = 0.95", 1)
         with pytest.raises(ConfigError):
             RunConfig.from_text(text)
+
+    @pytest.mark.parametrize("section, key, value", BAD_VALUES.values(), ids=BAD_VALUES)
+    def test_value_rejected_at_load(self, section, key, value):
+        text = set_key(RunConfig.default().source_text, section, key, value)
+        with pytest.raises(ConfigError, match=section):
+            RunConfig.from_text(text)
+
+    def test_range_ends_accepted(self):
+        text = RunConfig.default().source_text
+        for section, key, value in (("numerics", "transport_cfl", "1"), ("clogging", "gamma", "1"),
+                                    ("nzvi", "attachment_efficiency", "1"),
+                                    ("nzvi", "concentration", "0 kg/m^3"),
+                                    ("reaction", "k_sa", "0 L/h/m^2"),
+                                    ("transport", "diffusion", "0 m^2/s")):
+            text = set_key(text, section, key, value)
+        cfg = RunConfig.from_text(text)
+        assert cfg.numerics.transport_cfl == 1.0 and cfg.reaction.k_sa == 0.0
+
+    def test_sections_are_records(self):
+        cfg = RunConfig.default()
+        assert cfg.transport.mass_transfer == pytest.approx(1200.0 / 86400.0, rel=1e-14)
+        assert cfg.nzvi.particle_diameter == pytest.approx(1.4e-7, rel=1e-14)
+        assert cfg.cmc.solution_viscosity == 0.0027
+        assert cfg.clogging.gamma == 1.04e-3
+        assert cfg.reaction.alpha_s == pytest.approx(2.3e4, rel=1e-14)
+        assert cfg.numerics.roi_threshold == 0.01
 
     def test_well_modes(self):
         cfg = RunConfig.default()

@@ -1,12 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from remsim.config import CloggingCfg, CmcCfg, ConfigError, NzviCfg, TransportCfg
 from remsim.flow import FlowField
 from remsim.grid import build_grid
 from remsim.nzvi import (
-    CloggingParams,
-    CmcParams,
-    NzviParams,
     attachment_rate,
     clogging_update,
     cmc_viscosity,
@@ -16,15 +16,13 @@ from remsim.nzvi import (
     radius_of_influence,
     single_collector_efficiency,
 )
-from remsim.solute import TransportKernel, TransportParams
+from remsim.solute import TransportKernel
 
 KB = 1.380649e-23
 
-PARAMS = NzviParams(
-    particle_diameter=1.4e-7,
-    particle_density=6100.0,
-    attachment_efficiency=0.02,
-)
+PARAMS = NzviCfg(concentration=0.2, particle_diameter=1.4e-7, attachment_efficiency=0.02,
+                 particle_density=6100.0, temperature=293.0, hamaker=1e-20)
+WATER = (1000.0, 9.81)  # rho_w (kg/m^3), g (m/s^2)
 
 
 def reference_eta0(dp, dc, u, mu, rho_p, temp=293.0, hamaker=1e-20,
@@ -61,26 +59,26 @@ class TestCollectorDiameter:
 class TestCollectorEfficiency:
     def test_matches_reference(self):
         for u in (1e-6, 1e-5, 1e-4, 1e-3):
-            got = single_collector_efficiency(3.182e-5, 0.4, u, 0.0027, PARAMS)
+            got = single_collector_efficiency(3.182e-5, 0.4, u, 0.0027, PARAMS, *WATER)
             want = reference_eta0(1.4e-7, 3.182e-5, u, 0.0027, 6100.0)
             assert got == pytest.approx(min(want, 1.0), rel=1e-12)
 
     def test_decreases_with_velocity_in_diffusive_regime(self):
         us = np.logspace(-5, -3, 20)  # below ~1e-6 m/s eta clips at 1
         etas = [
-            float(single_collector_efficiency(3.182e-5, 0.4, u, 0.001, PARAMS))
+            float(single_collector_efficiency(3.182e-5, 0.4, u, 0.001, PARAMS, *WATER))
             for u in us
         ]
         assert all(a > b for a, b in zip(etas, etas[1:]))
 
     def test_clamped_to_unity_when_stagnant(self):
-        eta = single_collector_efficiency(3.182e-5, 0.4, 0.0, 0.001, PARAMS)
+        eta = single_collector_efficiency(3.182e-5, 0.4, 0.0, 0.001, PARAMS, *WATER)
         assert eta == 1.0
 
     def test_positive_everywhere(self):
         eta = single_collector_efficiency(
             np.full(4, 3.182e-5), np.full(4, 0.4),
-            np.array([0.0, 1e-8, 1e-5, 1e-2]), 0.0027, PARAMS,
+            np.array([0.0, 1e-8, 1e-5, 1e-2]), 0.0027, PARAMS, *WATER,
         )
         assert (eta > 0).all() and (eta <= 1.0).all()
 
@@ -93,9 +91,9 @@ class TestAttachment:
 
     def test_attachment_uses_pore_velocity(self):
         u, theta = 1e-4, 0.4
-        eta = single_collector_efficiency(3.182e-5, theta, u, 0.0027, PARAMS)
+        eta = single_collector_efficiency(3.182e-5, theta, u, 0.0027, PARAMS, *WATER)
         expected = 1.5 * (1 - theta) * (u / theta) * 0.02 * eta / 3.182e-5
-        got = attachment_rate(3.182e-5, theta, u, 0.0027, PARAMS)
+        got = attachment_rate(3.182e-5, theta, u, 0.0027, PARAMS, *WATER)
         assert got == pytest.approx(float(expected), rel=1e-12)
 
     def test_column_breakthrough_profile(self):
@@ -108,7 +106,7 @@ class TestAttachment:
             qx=np.full((g.ny, g.nx + 1), q),
             qy=np.zeros((g.ny + 1, g.nx)),
         )
-        kernel = TransportKernel(g, theta, flow, TransportParams(0.0, 0.0), cfl=0.5)
+        kernel = TransportKernel(g, theta, flow, TransportCfg(0.0, 0.0, 0.0), 0.5)
         katt = 2e-5
         c = np.zeros((g.ny, g.nx))
         s = np.zeros_like(c)
@@ -138,17 +136,17 @@ class TestAttachment:
 
 
 class TestClogging:
-    CLOG = CloggingParams(a0=4.99e3, ap=2.34e8, gamma=1.04e-3)
+    CLOG = CloggingCfg(a0=4.99e3, zvi_specific_area=2.34e8, gamma=1.04e-3)
 
     def test_identity_at_zero_deposit(self):
         theta_m, k, a = clogging_update(
-            np.array(0.0), 1e-12, 0.4, 4.99e3, self.CLOG, 6100.0
+            np.array(0.0), 1e-12, 0.4, self.CLOG, 6100.0
         )
         assert theta_m == 0.4 and k == 1e-12 and a == 4.99e3
 
     def test_hand_value(self):
         s = 3.14  # kg per m^3 bulk
-        theta_m, k, a = clogging_update(np.array(s), 1e-12, 0.4, 4.99e3, self.CLOG, 6100.0)
+        theta_m, k, a = clogging_update(np.array(s), 1e-12, 0.4, self.CLOG, 6100.0)
         vol = s / 6100.0
         assert theta_m == pytest.approx(0.4 - vol, rel=1e-12)
         a_want = 4.99e3 + 2.34e8 * 1.04e-3 * vol
@@ -159,34 +157,33 @@ class TestClogging:
 
     def test_monotone_decline(self):
         s = np.linspace(0.0, 50.0, 20)
-        theta_m, k, _ = clogging_update(s, 1e-12, 0.4, 4.99e3, self.CLOG, 6100.0)
+        theta_m, k, _ = clogging_update(s, 1e-12, 0.4, self.CLOG, 6100.0)
         assert (np.diff(k) < 0).all() and (np.diff(theta_m) < 0).all()
 
     def test_pore_space_exhaustion_raises(self):
         with pytest.raises(ValueError):
-            clogging_update(np.array(3000.0), 1e-12, 0.4, 4.99e3, self.CLOG, 6100.0)
+            clogging_update(np.array(3000.0), 1e-12, 0.4, self.CLOG, 6100.0)
 
     def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            CloggingParams(a0=0.0, ap=1.0, gamma=0.5)
-        with pytest.raises(ValueError):
-            CloggingParams(a0=1.0, ap=1.0, gamma=0.0)
+        for bad in (replace(self.CLOG, a0=0.0), replace(self.CLOG, gamma=0.0)):
+            with pytest.raises(ConfigError):
+                bad.validate("clogging")
 
 
 class TestCmcViscosity:
-    CMC = CmcParams(injected_concentration=3.0, injected_viscosity=0.0027)
+    CMC = CmcCfg(concentration=3.0, solution_viscosity=0.0027)
 
     def test_endpoints(self):
-        assert cmc_viscosity(0.0, self.CMC) == pytest.approx(1e-3, rel=1e-12)
-        assert cmc_viscosity(3.0, self.CMC) == pytest.approx(2.7e-3, rel=1e-12)
+        assert cmc_viscosity(0.0, self.CMC, 1e-3) == pytest.approx(1e-3, rel=1e-12)
+        assert cmc_viscosity(3.0, self.CMC, 1e-3) == pytest.approx(2.7e-3, rel=1e-12)
 
     def test_log_linear_midpoint(self):
-        assert cmc_viscosity(1.5, self.CMC) == pytest.approx(
+        assert cmc_viscosity(1.5, self.CMC, 1e-3) == pytest.approx(
             np.sqrt(1e-3 * 2.7e-3), rel=1e-12
         )
 
     def test_clipped_above_injected(self):
-        assert cmc_viscosity(9.0, self.CMC) == pytest.approx(2.7e-3, rel=1e-12)
+        assert cmc_viscosity(9.0, self.CMC, 1e-3) == pytest.approx(2.7e-3, rel=1e-12)
 
 
 class TestRoi:
@@ -214,7 +211,6 @@ class TestRoi:
 
 
 def test_nzvi_params_validation():
-    with pytest.raises(ValueError):
-        NzviParams(particle_diameter=0.0, particle_density=6100.0, attachment_efficiency=0.02)
-    with pytest.raises(ValueError):
-        NzviParams(particle_diameter=1e-7, particle_density=6100.0, attachment_efficiency=1.5)
+    for bad in (replace(PARAMS, particle_diameter=0.0), replace(PARAMS, attachment_efficiency=1.5)):
+        with pytest.raises(ConfigError):
+            bad.validate("nzvi")

@@ -1,28 +1,32 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from remsim.reaction import KineticParams, reactive_step
+from remsim.config import ConfigError, ReactionCfg
+from remsim.reaction import reactive_step
 
 # 2.6e-3 L/h/m^2 in SI, 23 m^2/g in SI
 K_SA = 2.6e-3 * 1e-3 / 3600.0
 ALPHA_S = 2.3e4
-PARAMS = KineticParams(k_sa=K_SA, specific_area=ALPHA_S, stoichiometry=0.85)
+PARAMS = ReactionCfg(k_sa=K_SA, alpha_s=ALPHA_S, stoichiometry=0.85)
+KK = K_SA * ALPHA_S  # first-order rate per unit iron concentration (m^3/(kg s))
 
 
 class TestRateCoefficient:
     def test_hand_value_per_hour(self):
         # K * (1 kg/m^3 iron) = 0.0598 1/h
-        assert PARAMS.rate_coefficient * 3600.0 == pytest.approx(0.0598, rel=1e-3)
+        assert KK * 3600.0 == pytest.approx(0.0598, rel=1e-3)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            KineticParams(-1.0, 1.0, 0.85)
+        with pytest.raises(ConfigError):
+            replace(PARAMS, k_sa=-1.0).validate("reaction")
 
 
 class TestReactiveStep:
     def test_matches_ode_oracle(self):
-        kk, x = PARAMS.rate_coefficient, 0.85
+        kk, x = KK, 0.85
         c0, r0 = 1.1, 3.0
 
         def rhs(t, y):
@@ -48,7 +52,7 @@ class TestReactiveStep:
         np.testing.assert_allclose((r0 - r1) / (c0 - c1), 0.85, rtol=1e-10)
 
     def test_zero_rate_is_bitwise_noop(self):
-        p0 = KineticParams(0.0, ALPHA_S, 0.85)
+        p0 = ReactionCfg(0.0, ALPHA_S, 0.85)
         c = np.random.default_rng(0).uniform(0, 1.27, (5, 5))
         r = np.random.default_rng(1).uniform(0, 3, (5, 5))
         c1, r1 = reactive_step(c, r, p0, 3600.0)
@@ -77,7 +81,7 @@ class TestReactiveStep:
         r0 = 0.85 * c0
         dt = 1e6
         c1, r1 = reactive_step(np.array(c0), np.array(r0), PARAMS, dt)
-        kk = PARAMS.rate_coefficient
+        kk = KK
         assert c1 == pytest.approx(c0 / (1.0 + 0.85 * kk * c0 * dt), rel=1e-12)
         assert r1 == pytest.approx(0.85 * float(c1), rel=1e-12)
 

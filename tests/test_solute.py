@@ -9,15 +9,16 @@ import pytest
 from scipy.special import erfc
 
 import remsim
+from remsim.config import ConfigError, TransportCfg
 from remsim.flow import FlowField, scatter_faces
 from remsim.grid import build_grid
-from remsim.solute import (
-    DissolutionParams,
-    TransportKernel,
-    TransportParams,
-    dissolution_substep,
-    probe,
-)
+from remsim.solute import TransportKernel, dissolution_substep, probe
+
+CS = 1.27  # solubility (kg/m^3)
+
+
+def transport(diffusion=0.0, dispersivity=0.0, mass_transfer=0.0):
+    return TransportCfg(dispersivity=dispersivity, diffusion=diffusion, mass_transfer=mass_transfer)
 
 
 def uniform_flow(grid, qx=0.0, qy=0.0):
@@ -113,14 +114,14 @@ def random_case(nx, ny, seed, decades=1.0):
 
 
 class TestStencil:
-    params = TransportParams(1e-9, 0.1)
+    params = transport(1e-9, 0.1)
 
     @pytest.mark.parametrize("nx, ny", [(9, 6), (6, 9)])
     def test_matches_face_by_face_reference(self, nx, ny):
         g, theta, flow, wells, rng = random_case(nx, ny, seed=nx)
         for q in (flow.qx[:, 1:-1], flow.qx[:, [0, -1]], flow.qy[1:-1, :], flow.qy[[0, -1], :]):
             assert (q > 0).any() and (q < 0).any()
-        kernel = TransportKernel(g, theta, flow, self.params, well_sources=wells)
+        kernel = TransportKernel(g, theta, flow, self.params, 0.9, well_sources=wells)
         ref = ReferenceKernel(g, theta, flow, self.params, well_sources=wells)
         assert kernel.stable_dt == ref.stable_dt
         c = c_ref = rng.uniform(0.0, 2.0, (ny, nx))
@@ -155,7 +156,7 @@ class TestKernel:
         q, alpha, c0 = 1e-4, 0.5, 1.0
         theta = np.ones((g.ny, g.nx))
         flow = uniform_flow(g, qx=q)
-        kernel = TransportKernel(g, theta, flow, TransportParams(0.0, alpha), cfl=0.5)
+        kernel = TransportKernel(g, theta, flow, transport(dispersivity=alpha), 0.5)
         c = np.zeros((g.ny, g.nx))
         t_end, t = 5.0e4, 0.0
         while t < t_end:
@@ -173,7 +174,7 @@ class TestKernel:
         g = build_grid((10.0, 10.0), (0.5, 0.5))
         theta = np.full((g.ny, g.nx), 0.3)
         flow = uniform_flow(g)
-        kernel = TransportKernel(g, theta, flow, TransportParams(1e-7, 0.0))
+        kernel = TransportKernel(g, theta, flow, transport(1e-7), 0.9)
         c = np.zeros((g.ny, g.nx))
         c[10, 10] = 5.0
         m0 = float((kernel.pv * c).sum())
@@ -184,7 +185,7 @@ class TestKernel:
     def test_diffusion_spreads_symmetrically(self):
         g = build_grid((10.0, 10.0), (0.5, 0.5))
         theta = np.ones((g.ny, g.nx))
-        kernel = TransportKernel(g, theta, uniform_flow(g), TransportParams(1e-7, 0.0))
+        kernel = TransportKernel(g, theta, uniform_flow(g), transport(1e-7), 0.9)
         c = np.zeros((g.ny, g.nx))
         c[10, 10] = 1.0
         c, _ = kernel.step(c, 1e6)
@@ -194,7 +195,7 @@ class TestKernel:
     def test_advected_pulse_exports_mass(self):
         g = build_grid((10.0, 0.5), (0.5, 0.5))
         theta = np.ones((g.ny, g.nx))
-        kernel = TransportKernel(g, theta, uniform_flow(g, qx=1e-4), TransportParams(0.0, 0.0))
+        kernel = TransportKernel(g, theta, uniform_flow(g, qx=1e-4), transport(), 0.9)
         c = np.zeros((g.ny, g.nx))
         c[0, 2] = 3.0
         m0 = float((kernel.pv * c).sum())
@@ -205,7 +206,7 @@ class TestKernel:
     def test_export_is_per_step(self):
         g = build_grid((10.0, 0.5), (0.5, 0.5))
         theta = np.ones((g.ny, g.nx))
-        kernel = TransportKernel(g, theta, uniform_flow(g, qx=1e-4), TransportParams(0.0, 0.0))
+        kernel = TransportKernel(g, theta, uniform_flow(g, qx=1e-4), transport(), 0.9)
         c = np.zeros((g.ny, g.nx))
         c[0, -1] = 3.0
         m0 = float((kernel.pv * c).sum())
@@ -219,7 +220,7 @@ class TestKernel:
         theta = np.full((g.ny, g.nx), 0.4)
         rate, conc, dt = 2e-5, 10.0, 1e4
         kernel = TransportKernel(
-            g, theta, uniform_flow(g), TransportParams(0.0, 0.0),
+            g, theta, uniform_flow(g), transport(), 0.9,
             well_sources={(3, 4): rate},
         )
         c, _ = kernel.step(np.zeros((g.ny, g.nx)), dt, well_conc={(3, 4): conc})
@@ -230,7 +231,7 @@ class TestKernel:
         g = build_grid((5.0, 5.0), (0.5, 0.5))
         theta = np.full((g.ny, g.nx), 0.4)
         kernel = TransportKernel(
-            g, theta, uniform_flow(g), TransportParams(0.0, 0.0),
+            g, theta, uniform_flow(g), transport(), 0.9,
             well_sources={(3, 4): -2e-5},
         )
         c0 = np.full((g.ny, g.nx), 1.0)
@@ -239,10 +240,9 @@ class TestKernel:
         assert np.count_nonzero(c < 1.0) == 1
 
     def test_negative_params_rejected(self):
-        with pytest.raises(ValueError):
-            TransportParams(-1e-9, 0.02)
-        with pytest.raises(ValueError):
-            TransportParams(1e-9, -0.02)
+        for bad in (transport(diffusion=-1e-9), transport(dispersivity=-0.02)):
+            with pytest.raises(ConfigError):
+                bad.validate("transport")
 
     def test_export_independent_of_blas_threads(self):
         # the export of 20 random fields on the 175 x 60 grid, computed in a
@@ -251,13 +251,14 @@ class TestKernel:
             import numpy as np
             from remsim.flow import FlowField
             from remsim.grid import build_grid
-            from remsim.solute import TransportKernel, TransportParams
+            from remsim.config import TransportCfg
+            from remsim.solute import TransportKernel
             g = build_grid((35.0, 12.0), (0.2, 0.2))
             rng = np.random.default_rng(0)
             flow = FlowField(np.zeros((g.ny, g.nx)), rng.uniform(1e-7, 1e-6, (g.ny, g.nx + 1)),
                              np.zeros((g.ny + 1, g.nx)))
             kernel = TransportKernel(g, np.full((g.ny, g.nx), 0.3), flow,
-                                     TransportParams(1e-9, 0.1))
+                                     TransportCfg(0.1, 1e-9, 0.0), 0.9)
             for _ in range(20):
                 print(kernel.step(rng.uniform(0.0, 1.0, (g.ny, g.nx)), 86400.0)[1].hex())
         """)
@@ -272,28 +273,28 @@ class TestKernel:
         assert exports[0] == exports[1]
 
 
-def whole_grid_dissolution(c, sn, rho_n, params, dt):
+def whole_grid_dissolution(c, sn, rho_n, cs, params, dt):
     """The dissolution step evaluated on every cell, NAPL or not."""
-    dc = np.where(sn > 0, (params.cs - c) * (-np.expm1(-params.kl * dt)), 0.0)
+    dc = np.where(sn > 0, (cs - c) * (-np.expm1(-params.mass_transfer * dt)), 0.0)
     dc = np.minimum(dc, np.maximum(sn, 0.0) * rho_n)
     return c + dc, sn - dc / rho_n
 
 
 class TestDissolution:
     def test_matches_whole_grid_formula_bitwise(self):
-        p = DissolutionParams(kl=1e-4, cs=1.27)
+        p = transport(mass_transfer=1e-4)
         rng = np.random.default_rng(2)
         c = rng.uniform(0.0, 1.27, (6, 9))
         sn = rng.uniform(0.0, 0.3, (6, 9))
         sn[0, :4] = 0.0            # no NAPL, one cell at -0.0
         c[0, 3] = -0.0
         sn[1, :3] = -1e-12         # rounding-level negative saturation
-        c[2, :3] = p.cs            # saturated water
+        c[2, :3] = CS  # saturated water
         sn[3, 0], c[3, 0] = 1e-9, 0.0  # the NAPL cap binds
         for order in ("C", "F"):
             ci, sni = np.array(c, order=order), np.array(sn, order=order)
-            c1, sn1 = dissolution_substep(ci, sni, 1470.0, p, 1e5)
-            c2, sn2 = whole_grid_dissolution(ci, sni, 1470.0, p, 1e5)
+            c1, sn1 = dissolution_substep(ci, sni, 1470.0, CS, p, 1e5)
+            c2, sn2 = whole_grid_dissolution(ci, sni, 1470.0, CS, p, 1e5)
             assert c1.tobytes() == c2.tobytes() and sn1.tobytes() == sn2.tobytes(), order
             assert c1[3, 0] == 1e-9 * 1470.0
             # new arrays, the inputs untouched: snapshots keep references
@@ -303,41 +304,41 @@ class TestDissolution:
 
     def test_relaxation_matches_ode(self):
         # dc/dt = Kl (Cs - c) in a sealed cell -> exponential approach
-        p = DissolutionParams(kl=1200.0 / 86400.0, cs=1.27)
+        p = transport(mass_transfer=1200.0 / 86400.0)
         c = np.array([[0.2]])
         sn = np.array([[0.5]])
         dt = 600.0
-        c1, sn1 = dissolution_substep(c, sn, 1470.0, p, dt)
-        exact = p.cs - (p.cs - 0.2) * np.exp(-p.kl * dt)
+        c1, sn1 = dissolution_substep(c, sn, 1470.0, CS, p, dt)
+        exact = CS - (CS - 0.2) * np.exp(-p.mass_transfer * dt)
         assert c1[0, 0] == pytest.approx(exact, rel=1e-12)
         assert sn1[0, 0] == pytest.approx(0.5 - (exact - 0.2) / 1470.0, rel=1e-12)
 
     def test_exhaustion_clipped(self):
-        p = DissolutionParams(kl=1e-2, cs=1.27)
+        p = transport(mass_transfer=1e-2)
         c = np.array([[0.0]])
         sn = np.array([[1e-7]])  # only 1.47e-4 kg/m^3 of NAPL available
-        c1, sn1 = dissolution_substep(c, sn, 1470.0, p, 1e6)
+        c1, sn1 = dissolution_substep(c, sn, 1470.0, CS, p, 1e6)
         assert c1[0, 0] == pytest.approx(1e-7 * 1470.0, rel=1e-12)
         assert sn1[0, 0] == 0.0
 
     def test_no_napl_no_flux(self):
-        p = DissolutionParams(kl=1e-2)
+        p = transport(mass_transfer=1e-2)
         c1, sn1 = dissolution_substep(
-            np.array([[0.4]]), np.array([[0.0]]), 1470.0, p, 1e5
+            np.array([[0.4]]), np.array([[0.0]]), 1470.0, CS, p, 1e5
         )
         assert c1[0, 0] == 0.4 and sn1[0, 0] == 0.0
 
     def test_saturated_water_no_transfer(self):
-        p = DissolutionParams(kl=1e-2, cs=1.27)
+        p = transport(mass_transfer=1e-2)
         c1, sn1 = dissolution_substep(
-            np.array([[1.27]]), np.array([[0.3]]), 1470.0, p, 1e5
+            np.array([[1.27]]), np.array([[0.3]]), 1470.0, CS, p, 1e5
         )
         assert c1[0, 0] == pytest.approx(1.27, rel=1e-14)
         assert sn1[0, 0] == pytest.approx(0.3, rel=1e-14)
 
     def test_negative_kl_rejected(self):
-        with pytest.raises(ValueError):
-            DissolutionParams(kl=-1.0)
+        with pytest.raises(ConfigError):
+            transport(mass_transfer=-1.0).validate("transport")
 
 
 def test_probe_reads_cell():

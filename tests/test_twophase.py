@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from remsim.config import LithologyCfg, RunConfig
+from remsim.config import LithologyCfg, NumericsCfg, RunConfig
 from remsim.flow import (FACES, FactorCache, SolverError, TpfaSystem, _harmonic, lateral_heads,
                          scatter_faces)
 from remsim.grid import MaterialMap, build_grid
@@ -13,7 +13,6 @@ from remsim.twophase import (
     SAT_TOL,
     FluidProps,
     ImpesStepper,
-    Numerics,
     TwoPhaseState,
     capillary_pressure,
     effective_saturation,
@@ -24,12 +23,15 @@ from remsim.twophase import (
 )
 from tests.test_stages import every_limit_config_text
 
+NUMERICS = NumericsCfg(two_phase_cfl=0.5, transport_cfl=0.9, se_clamp=0.01, pool_threshold=0.3,
+                       roi_threshold=0.01)
+
 
 def impes_step(state, material, fluids, dt, source=None, stepper=None):
     """Advance a copy of ``state`` by ``dt`` under the NAPL ``source``,
     sub-stepping as the stability bounds require."""
     if stepper is None:
-        stepper = ImpesStepper(material, fluids)
+        stepper = ImpesStepper(material, fluids, NUMERICS)
     out = TwoPhaseState(state.sw.copy(), state.sn.copy(), state.pw.copy())
     t = 0.0
     while t < dt - 1e-9:
@@ -41,7 +43,7 @@ class ReferenceStepper:
     """Whole-grid IMPES sub-steps, the form the column window replaced: the
     closures, face terms, bounds and saturation update cover every cell."""
 
-    def __init__(self, material, fluids, numerics=Numerics()):
+    def __init__(self, material, fluids, numerics=NUMERICS):
         grid = material.grid
         self.grid, self.material, self.fluids, self.numerics = grid, material, fluids, numerics
         self.cache = FactorCache()
@@ -99,7 +101,7 @@ class ReferenceStepper:
         with np.errstate(divide="ignore"):
             dt_adv = np.where(out > 0, MAX_DS * pv / out, np.inf).min()
             avail = np.maximum(1.0 - m.swr - state.sn, 0.02)
-            dt_in = np.where(inflow > 0, num.cfl * avail * pv / inflow, np.inf).min()
+            dt_in = np.where(inflow > 0, num.two_phase_cfl * avail * pv / inflow, np.inf).min()
         se = effective_saturation(state.sw, m.swr, m.snr, num.se_clamp)
         dpc = (m.entry_pressure / m.bc_lambda * se ** (-1.0 / m.bc_lambda - 1.0)
                / (1.0 - m.swr - m.snr))
@@ -109,7 +111,7 @@ class ReferenceStepper:
                         for (lo, hi), (lw, ln, _, _) in zip(FACES, (fx, fy)))
         cond = scatter_faces(np.zeros_like(out), g_x, g_x, g_y, g_y)
         with np.errstate(divide="ignore"):
-            dt_cap = np.where(cond > 0, num.cfl * pv / cond, np.inf).min()
+            dt_cap = np.where(cond > 0, num.two_phase_cfl * pv / cond, np.inf).min()
         bounds = dict(zip(LIMITS, (dt_adv, dt_in, dt_cap, dt_target)))
         limit = min(bounds, key=bounds.get)
         return float(bounds[limit]), limit
@@ -158,7 +160,7 @@ def homogeneous(grid, **over):
 class TestClosures:
     def test_effective_saturation_hand_value(self):
         # (0.54 - 0.08) / (1 - 0.08 - 0.08)
-        assert effective_saturation(0.54, 0.08, 0.08) == pytest.approx(
+        assert effective_saturation(0.54, 0.08, 0.08, 0.01) == pytest.approx(
             0.46 / 0.84, rel=1e-12
         )
 
@@ -170,7 +172,7 @@ class TestClosures:
         assert capillary_pressure(0.25, 1500.0, 2.0) == pytest.approx(3000.0, rel=1e-12)
 
     def test_pc_clamped_near_residual(self):
-        se = effective_saturation(0.08, 0.08, 0.08)  # at residual -> clamp 0.01
+        se = effective_saturation(0.08, 0.08, 0.08, 0.01)  # at residual -> clamp
         assert se == 0.01
         assert capillary_pressure(se, 1300.0, 2.0) == pytest.approx(
             1300.0 * 0.01 ** -0.5, rel=1e-12
@@ -187,10 +189,6 @@ class TestClosures:
         krw1, krn1 = rel_perm(1.0, 2.0)
         assert (krw0, krn0) == (0.0, 1.0)
         assert (krw1, krn1) == (1.0, 0.0)
-
-    def test_fluid_props_validation(self):
-        with pytest.raises(ValueError):
-            FluidProps(mu_n=0.0)
 
 
 class TestInterfaceRule:
@@ -243,7 +241,7 @@ class TestStepping:
         src = np.zeros((g.ny, g.nx))
         flux = 1e-3  # kg/m^2/s over one top cell
         src[-1, 2] = flux / (fluids.rho_n * g.dy)
-        stepper = ImpesStepper(m, fluids)
+        stepper = ImpesStepper(m, fluids, NUMERICS)
         st = hydrostatic_two_phase(g, fluids)
         t = 3600.0
         st = impes_step(st, m, fluids, dt=t, source=src, stepper=stepper)
@@ -258,7 +256,7 @@ class TestStepping:
         st = hydrostatic_two_phase(g, fluids)
         st.sn[-3:, 4:6] = 0.3
         st.sw = 1.0 - st.sn
-        stepper = ImpesStepper(m, fluids)
+        stepper = ImpesStepper(m, fluids, NUMERICS)
         m0 = stepper.napl_mass(st)
         out = impes_step(st, m, fluids, dt=86400.0, stepper=stepper)
         assert stepper.napl_mass(out) == pytest.approx(m0, rel=1e-12)
@@ -282,7 +280,7 @@ class TestStepping:
         st = hydrostatic_two_phase(g, fluids)
         st.sn[-5:, :] = 0.4
         st.sw = 1.0 - st.sn
-        stepper = ImpesStepper(m, fluids)
+        stepper = ImpesStepper(m, fluids, NUMERICS)
         _, yv = g.cell_centers()
 
         def com(s):
@@ -309,14 +307,14 @@ class TestStepping:
             st.sw = 1.0 - st.sn
             return st
 
-        free = ImpesStepper(m, fluids)
+        free = ImpesStepper(m, fluids, NUMERICS)
         dt = free.substep(slug(), 43200.0)
         assert dt < 43200.0
         assert free.limits == {"advection": 1, "inflow": 0, "capillary": 0, "chunk_end": 0}
-        tie = ImpesStepper(m, fluids)
+        tie = ImpesStepper(m, fluids, NUMERICS)
         assert tie.substep(slug(), dt) == dt
         assert tie.limits["advection"] == 1
-        short = ImpesStepper(m, fluids)
+        short = ImpesStepper(m, fluids, NUMERICS)
         short.substep(slug(), dt / 2)
         assert short.limits["chunk_end"] == 1
 
@@ -332,7 +330,7 @@ class TestStepping:
         st = hydrostatic_two_phase(g, fluids)
         st.sn[-4:, :] = 0.5
         st.sw = 1.0 - st.sn
-        stepper = ImpesStepper(m, fluids)
+        stepper = ImpesStepper(m, fluids, NUMERICS)
         out = impes_step(st, m, fluids, dt=5 * 86400.0, stepper=stepper)
         assert out.sn[:10, :].max() == 0.0
         assert out.sn[10, :].max() > 0.05  # pooled on the interface
@@ -342,7 +340,7 @@ class TestSourceZoneStats:
     def test_empty_field(self):
         g = build_grid((1.0, 1.0), (0.5, 0.5))
         m = homogeneous(g)
-        s = source_zone_stats(np.zeros((g.ny, g.nx)), m, g)
+        s = source_zone_stats(np.zeros((g.ny, g.nx)), m, g, 1470.0, 0.3)
         assert s.total_mass == 0.0
 
     def test_fractions_sum_to_one(self):
@@ -350,7 +348,7 @@ class TestSourceZoneStats:
         m = homogeneous(g)
         rng = np.random.default_rng(0)
         sn = rng.uniform(0.0, 0.6, (g.ny, g.nx))
-        s = source_zone_stats(sn, m, g)
+        s = source_zone_stats(sn, m, g, 1470.0, 0.3)
         assert s.pool_fraction + s.ganglia_fraction == pytest.approx(1.0, rel=1e-12)
         assert s.upper_fraction + s.lower_fraction == pytest.approx(1.0, rel=1e-12)
 
@@ -358,7 +356,7 @@ class TestSourceZoneStats:
         g = build_grid((1.0, 1.0), (0.5, 0.5))
         m = homogeneous(g)
         sn = np.array([[0.5, 0.0], [0.0, 0.1]])
-        s = source_zone_stats(sn, m, g, pool_threshold=0.3)
+        s = source_zone_stats(sn, m, g, 1470.0, pool_threshold=0.3)
         assert s.pool_fraction == pytest.approx(0.5 / 0.6, rel=1e-12)
 
 
@@ -387,7 +385,7 @@ def lockstep(state, stepper, reference, segments):
     return ours, substeps
 
 
-def pair(material, fluids, numerics=Numerics()):
+def pair(material, fluids, numerics=NUMERICS):
     """A windowed stepper and its whole-grid reference, each with its own cache."""
     return (ImpesStepper(material, fluids, numerics),
             ReferenceStepper(material, fluids, numerics))
@@ -455,8 +453,7 @@ class TestWindow:
     def test_every_limit_matches_reference(self):
         scn = Scenario.build(RunConfig.from_text(every_limit_config_text()), 0)
         cfg, source = scn.config, scn.napl_source_field()
-        stepper, reference = pair(scn.material, scn.fluids,
-                                  Numerics(se_clamp=cfg.se_clamp, cfl=cfg.two_phase_cfl))
+        stepper, reference = pair(scn.material, scn.fluids, cfg.numerics)
         # stage 1's chunks, the source on until the release ends
         duration = cfg.stage_durations[0]
         marks = set(cfg.snapshots[0]) | {cfg.infil_duration, duration - 10 * 86400.0}
