@@ -11,13 +11,14 @@ from .checkpoint import StageCheckpoint, read_checkpoint, write_checkpoint
 from .config import ConfigError, RunConfig
 from .pipeline import run
 from .scenario import Scenario
-from .stages import run_stage1, run_stage2, run_stage3, run_stage4
+from .stages import initial_checkpoint, run_stage1, run_stage2, run_stage3, run_stage4
 
 __all__ = [
     "ConfigError",
     "RunConfig",
     "Scenario",
     "StageCheckpoint",
+    "initial_checkpoint",
     "read_checkpoint",
     "run",
     "run_stage1",

@@ -113,13 +113,6 @@ def _parse_manifest(data: bytes, path) -> tuple[dict, int]:
     return manifest, sep + len(_SEPARATOR)
 
 
-def read_manifest(path) -> dict:
-    """Manifest-only inspection without loading the arrays."""
-    with open(path, "rb") as fh:
-        head = fh.read(65536)
-    return _parse_manifest(head, path)[0]
-
-
 def read_checkpoint(path) -> StageCheckpoint:
     """Read the file once and check it: the manifest keys, the fields of
     :data:`FIELD_NAMES` in order, each of ``nx * ny`` values, and the payload

@@ -288,9 +288,14 @@ class RunConfig:
             )
 
         def schedule(key: str) -> tuple[float, ...]:
+            """Snapshot times after the stage start; one past the stage's end
+            writes nothing."""
             if key not in sec.get("output", {}):
                 raise ConfigError(f"missing [output] {key}")
-            return tuple(parse_quantity(part) for part in sec["output"][key].split(","))
+            times = tuple(parse_quantity(part) for part in sec["output"][key].split(","))
+            if not all(math.isfinite(t) and t > 0 for t in times):
+                raise ConfigError(f"[output] {key}: every snapshot time must be finite and > 0")
+            return times
 
         cfg = cls(
             width=get("domain", "width"),

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .checkpoint import CheckpointError, StageCheckpoint, read_checkpoint, write_checkpoint
+from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from .config import ConfigError, RunConfig
 from .export import write_csv, write_series_csv, write_vtk
 from .scenario import Scenario
@@ -18,6 +18,7 @@ from .stages import (
     DAY,
     LEDGER_TERMS,
     StageResult,
+    initial_checkpoint,
     run_stage1,
     run_stage2,
     run_stage3,
@@ -116,8 +117,9 @@ def run(
     ckpt_dir.mkdir(parents=True, exist_ok=True)
 
     scn = Scenario.build(config, seed)
-    prev: StageCheckpoint | None = None
-    if stages[0] > 1:
+    if stages[0] == 1:
+        prev = initial_checkpoint(scn)
+    else:
         path = checkpoint_path(ckpt_dir, stages[0] - 1)
         if not path.exists():
             raise MissingCheckpointError(
@@ -140,7 +142,7 @@ def run(
     report_lines: list[str] = []
     failed = []
     for stage in stages:
-        res = runners[stage](scn) if stage == 1 else runners[stage](scn, prev)
+        res = runners[stage](scn, prev)
         results[stage] = res
         write_checkpoint(res.checkpoint, checkpoint_path(ckpt_dir, stage))
         if export:

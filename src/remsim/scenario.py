@@ -1,7 +1,7 @@
 """Shared scenario setup: grid, lithology, permeability field and well cells
 resolved from a RunConfig + seed.  Every stage runner starts here so the
 stages agree on geometry bit-for-bit; lithologies and wells stay the
-config's own records."""
+config's own records, and the fluid values are read from the config."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from .grid import (
     strip_columns,
 )
 from .randfield import generate_log_normal_field
-from .twophase import FluidProps
 
 
 @dataclass
@@ -28,7 +27,6 @@ class Scenario:
     seed: int
     grid: Grid
     material: MaterialMap
-    fluids: FluidProps
     well_cells: dict[str, list[tuple[int, int]]]
     infil_columns: np.ndarray
 
@@ -39,19 +37,11 @@ class Scenario:
         material.k = generate_log_normal_field(
             grid, material, config.log_variance, config.correlation_length, seed
         )
-        fluids = FluidProps(
-            rho_w=config.rho_w,
-            rho_n=config.rho_n,
-            mu_w=config.mu_w,
-            mu_n=config.mu_n,
-            g=config.gravity,
-        )
         return cls(
             config=config,
             seed=seed,
             grid=grid,
             material=material,
-            fluids=fluids,
             well_cells={name: locate_well_cells(grid, w) for name, w in config.wells.items()},
             infil_columns=strip_columns(grid, config.infil_center, config.infil_width),
         )
@@ -79,6 +69,6 @@ class Scenario:
         """Volumetric NAPL source rate per cell volume (1/s) for the strip."""
         src = np.zeros((self.grid.ny, self.grid.nx))
         # mass flux (kg/m^2/s) over the strip's top area -> volumetric rate
-        rate = self.config.infil_flux / (self.fluids.rho_n * self.grid.dy)
+        rate = self.config.infil_flux / (self.config.rho_n * self.grid.dy)
         src[-1, self.infil_columns] = rate
         return src

@@ -7,16 +7,18 @@ Stage 3  CMC-nZVI injection with filtration and clogging feedback
 Stage 4  contaminant degradation on the emplaced iron
 
 The stages communicate only through :class:`StageCheckpoint`, so any stage
-can restart from a file produced by the previous one.  All four stages walk
-one schedule (:func:`_march`): stage 1 takes the IMPES sub-steps its
-stability bounds allow, stages 2-4 fixed operator-split steps.  Stages 2-4
-also share one field state: a copy of the incoming checkpoint's ``fields``
-dict whose entries the runner replaces as the stage advances and hands on
-to the outgoing checkpoint.
+can restart from a file produced by the previous one; stage 1 starts from
+the stage-0 checkpoint of :func:`initial_checkpoint`, built in memory.  All
+four stages walk one schedule (:func:`_march`): stage 1 takes the IMPES
+sub-steps its stability bounds allow, stages 2-4 fixed operator-split steps.
+All four also share one field state: a copy of the incoming checkpoint's
+``fields`` dict whose entries the runner replaces as the stage advances and
+hands on to the outgoing checkpoint.
 
 Every stage keeps a :class:`Ledger` for each species it moves: initial,
-injected, dissolved, exported, degraded and final mass.  ``audit_report.txt``
-prints every term with the ledger's relative closure error.
+injected, dissolved, exported, degraded and final mass, each weighed by
+:func:`_mass`.  ``audit_report.txt`` prints every term with the ledger's
+relative closure error.
 """
 
 from __future__ import annotations
@@ -92,6 +94,23 @@ def _make_checkpoint(scn: Scenario, stage: int, clock: float, fields: dict) -> S
     )
 
 
+def initial_checkpoint(scn: Scenario) -> StageCheckpoint:
+    """The stage-0 state stage 1 starts from: water at rest under a water
+    table at the grid top, no NAPL, the clean bed's ``theta_m`` and ``k``,
+    and every other field zero."""
+    m = scn.material
+    return _make_checkpoint(scn, 0, 0.0, {**hydrostatic_two_phase(scn.grid, scn.config),
+                                          "theta_m": m.porosity.copy(), "k": m.k.copy()})
+
+
+def _mass(f: dict, c, cell_volume: float) -> float:
+    """Mass per metre of thickness of a quantity ``c`` per unit pore volume
+    on the field state ``f``: ``theta_m * cell_volume * c``, summed.  Every
+    ledger term is weighed here; only the bulk deposit ``s_bulk``, a mass
+    per bulk volume, is summed on its own."""
+    return float((f["theta_m"] * cell_volume * c).sum())
+
+
 def _chunks(duration: float, marks) -> list[float]:
     """Sorted unique stop times in (0, duration]."""
     times = {float(t) for t in marks if 0.0 < t <= duration}
@@ -129,7 +148,7 @@ def _darcy(scn: Scenario, f: dict, mu, mobility, cache: FactorCache, sources=Non
     state."""
     cfg = scn.config
     flow = solve_pressure(scn.grid, f["k"], mu, mobility, cfg.head_left, cfg.head_right,
-                          rho=scn.fluids.rho_w, g=scn.fluids.g, well_sources=sources, cache=cache)
+                          rho=cfg.rho_w, g=cfg.gravity, well_sources=sources, cache=cache)
     f["pw"] = flow.pressure
     return flow
 
@@ -145,42 +164,39 @@ def _transport(kernel: TransportKernel, f: dict, ledger: dict, dt: float, well_c
 # Stage 1
 # ---------------------------------------------------------------------------
 
-def run_stage1(scn: Scenario) -> StageResult:
+def run_stage1(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     cfg, g, m = scn.config, scn.grid, scn.material
+    rho_n, cv = cfg.rho_n, g.cell_volume
     duration = cfg.stage_durations[0]
+    f = dict(ckpt.fields)
     # no ambient groundwater flow during the release
-    state = hydrostatic_two_phase(g, scn.fluids)
-    stepper = ImpesStepper(m, scn.fluids, cfg.numerics)
+    stepper = ImpesStepper(m, cfg)
     source = scn.napl_source_field()
+    ledger = {"napl": Ledger(initial=_mass(f, f["sn"], cv) * rho_n)}
 
     def step(t, dt):
         # the release end is a mark, so no sub-step straddles it; t snaps to
         # each chunk stop, as in stages 2-4 (see _march)
-        return stepper.substep(state, dt, source if t < cfg.infil_duration else None)
+        return stepper.substep(f, dt, source if t < cfg.infil_duration else None)
 
     marks = set(cfg.snapshots[0]) | {cfg.infil_duration, duration - 10.0 * DAY}
     snapshots, series = [], []
-    sn_near_end = state.sn
+    sn_near_end = f["sn"]
     for t in _march(duration, marks, np.inf, step):
-        stats_t = source_zone_stats(state.sn, m, g, scn.fluids.rho_n, cfg.numerics.pool_threshold)
+        stats_t = source_zone_stats(f["sn"], m, g, rho_n, cfg.numerics.pool_threshold)
         series.append([t, stats_t.total_mass, stats_t.pool_fraction,
                        stats_t.ganglia_fraction, stats_t.upper_fraction,
                        stats_t.lower_fraction])
         if t in set(cfg.snapshots[0]):
-            snapshots.append((t, {"sn": state.sn.copy(), "sw": state.sw.copy()}))
+            snapshots.append((t, {"sn": f["sn"], "sw": f["sw"]}))
         if abs(t - (duration - 10.0 * DAY)) < 1.0:
-            sn_near_end = state.sn.copy()
+            sn_near_end = f["sn"]
 
-    # the release starts NAPL-free
-    ledger = {"napl": Ledger(injected=stepper.injected_mass, final=stepper.napl_mass(state))}
-    stats = source_zone_stats(state.sn, m, g, scn.fluids.rho_n, cfg.numerics.pool_threshold)
-    ckpt = _make_checkpoint(scn, 1, t, {
-        "sw": state.sw, "sn": state.sn, "pw": state.pw,
-        "theta_m": m.porosity.copy(), "k": m.k.copy(),
-    })
+    ledger["napl"].injected = stepper.injected_mass
+    ledger["napl"].final = _mass(f, f["sn"], cv) * rho_n
     diagnostics = {
-        "source_zone": stats,
-        "near_static_max_dsn": float(np.abs(state.sn - sn_near_end).max()),
+        "source_zone": source_zone_stats(f["sn"], m, g, rho_n, cfg.numerics.pool_threshold),
+        "near_static_max_dsn": float(np.abs(f["sn"] - sn_near_end).max()),
         "pressure": stepper.cache.stats(),
         # sub-steps set by each bound (advection, inflow, capillary, chunk end)
         "limits": stepper.limits,
@@ -191,7 +207,8 @@ def run_stage1(scn: Scenario) -> StageResult:
         "series_header": ["t", "napl_mass", "pool_fraction", "ganglia_fraction",
                           "upper_fraction", "lower_fraction"],
     }
-    return StageResult(1, ckpt, diagnostics, ledger, snapshots, series)
+    ckpt_out = _make_checkpoint(scn, 1, ckpt.clock + t, f)
+    return StageResult(1, ckpt_out, diagnostics, ledger, snapshots, series)
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +217,15 @@ def run_stage1(scn: Scenario) -> StageResult:
 
 def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     cfg, g, m = scn.config, scn.grid, scn.material
-    rho_n = scn.fluids.rho_n
+    rho_n, cv = cfg.rho_n, g.cell_volume
     f = dict(ckpt.fields)
 
     cache = FactorCache()
-    flow = _darcy(scn, f, np.full_like(f["k"], scn.fluids.mu_w), _water_mobility(f["sw"], m), cache)
+    flow = _darcy(scn, f, np.full_like(f["k"], cfg.mu_w), _water_mobility(f["sw"], m), cache)
     kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport, cfg.numerics.transport_cfl)
-    pv = f["theta_m"] * g.cell_volume
 
-    def mass(c):
-        return float((pv * c).sum())
-
-    napl0 = mass(f["sn"]) * rho_n
-    ledger = {"tce": Ledger(initial=mass(f["c_tce"]), napl=napl0)}
+    napl0 = _mass(f, f["sn"], cv) * rho_n
+    ledger = {"tce": Ledger(initial=_mass(f, f["c_tce"], cv), napl=napl0)}
     mon = scn.monitoring_cells()
     marks = set(cfg.snapshots[1])
     snapshots, series = [], []
@@ -221,7 +234,7 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         _transport(kernel, f, ledger, dt)
         f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, cfg.solubility,
                                                   cfg.transport, dt)
-        napl_mass = mass(f["sn"]) * rho_n
+        napl_mass = _mass(f, f["sn"], cv) * rho_n
         series.append([t + dt, napl_mass, napl_mass / max(napl0, 1e-300)]
                       + [probe(f["c_tce"], cell) for cell in mon.values()])
         return dt
@@ -230,9 +243,9 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         if t in marks:
             snapshots.append((t, {"c_tce": f["c_tce"], "sn": f["sn"]}))
 
-    napl_end = mass(f["sn"]) * rho_n
+    napl_end = _mass(f, f["sn"], cv) * rho_n
     ledger["tce"].dissolved = napl0 - napl_end
-    ledger["tce"].final = mass(f["c_tce"])
+    ledger["tce"].final = _mass(f, f["c_tce"], cv)
     # water enters only across the upgradient boundary; at solubility it
     # carries at most this much TCE out of the source over the stage
     inflow = float(np.maximum(flow.qx[:, 0], 0.0).sum()) * g.dy
@@ -254,8 +267,8 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
 # ---------------------------------------------------------------------------
 
 def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
-    cfg, g, m, fl = scn.config, scn.grid, scn.material, scn.fluids
-    rho_n, cv = fl.rho_n, g.cell_volume
+    cfg, g, m = scn.config, scn.grid, scn.material
+    rho_n, cv = cfg.rho_n, g.cell_volume
     f = dict(ckpt.fields)
     theta0 = m.porosity
     k0 = m.k
@@ -280,15 +293,15 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
 
     marks = set(cfg.snapshots[2])
     snapshots, series = [], []
-    napl0 = float((f["theta_m"] * f["sn"]).sum()) * cv * rho_n
+    napl0 = _mass(f, f["sn"], cv) * rho_n
     ledger = {
-        "nzvi": Ledger(initial=float((f["theta_m"] * f["c_nzvi"] + f["s_bulk"]).sum()) * cv),
-        "cmc": Ledger(initial=float((f["theta_m"] * f["c_cmc"]).sum()) * cv),
-        "tce": Ledger(initial=float((f["theta_m"] * f["c_tce"]).sum()) * cv, napl=napl0),
+        "nzvi": Ledger(initial=_mass(f, f["c_nzvi"], cv) + float(f["s_bulk"].sum()) * cv),
+        "cmc": Ledger(initial=_mass(f, f["c_cmc"], cv)),
+        "tce": Ledger(initial=_mass(f, f["c_tce"], cv), napl=napl0),
     }
 
     def step(t, dt):
-        mu = nz.cmc_viscosity(f["c_cmc"], cfg.cmc, fl.mu_w)
+        mu = nz.cmc_viscosity(f["c_cmc"], cfg.cmc, cfg.mu_w)
         flow = _darcy(scn, f, mu, mobility, cache, sources)
         # background flow is +x; injection pushes the upgradient faces back
         if flow.qx[jw, max(iw - 2, 0): iw + 1].min() < 0:
@@ -302,7 +315,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, cfg.solubility,
                                                   cfg.transport, dt)
         katt = nz.attachment_rate(dc, f["theta_m"], flow.velocity_magnitude(), mu, cfg.nzvi,
-                                  fl.rho_w, fl.g)
+                                  cfg.rho_w, cfg.gravity)
         f["c_nzvi"], f["s_bulk"] = nz.deposit_step(f["c_nzvi"], f["s_bulk"], katt, f["theta_m"], dt)
         f["theta_m"], f["k"], _ = nz.clogging_update(f["s_bulk"], k0, theta0, cfg.clogging, rho_p)
         return dt
@@ -314,10 +327,11 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
             snapshots.append((t, {name: f[name] for name in ("c_nzvi", "s_bulk", "c_cmc", "k")}))
 
     theta_m, s_bulk = f["theta_m"], f["s_bulk"]
-    ledger["nzvi"].final = float((theta_m * f["c_nzvi"]).sum()) * cv + float(s_bulk.sum()) * cv
-    ledger["cmc"].final = float((theta_m * f["c_cmc"]).sum()) * cv
-    ledger["tce"].final = float((theta_m * f["c_tce"]).sum()) * cv
-    ledger["tce"].dissolved = napl0 - float((theta_m * f["sn"]).sum()) * cv * rho_n
+    retained = float(s_bulk.sum()) * cv
+    ledger["nzvi"].final = _mass(f, f["c_nzvi"], cv) + retained
+    ledger["cmc"].final = _mass(f, f["c_cmc"], cv)
+    ledger["tce"].final = _mass(f, f["c_tce"], cv)
+    ledger["tce"].dissolved = napl0 - _mass(f, f["sn"], cv) * rho_n
 
     diagnostics.update({
         "roi": nz.radius_of_influence(s_bulk, g, screen, roi_threshold),
@@ -329,7 +343,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         ),
         "max_k_reduction": float(1.0 - (f["k"] / k0).min()),
         "max_theta_reduction": float(1.0 - (theta_m / theta0).min()),
-        "retained_mass": float(s_bulk.sum()) * cv,
+        "retained_mass": retained,
         "pressure": cache.stats(),
         "series_header": ["t", "roi", "max_s_bulk", "max_k_reduction"],
     })
@@ -345,36 +359,31 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
 def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> StageResult:
     """Degradation stage; ``reactive=False`` leaves out the reaction operator."""
     cfg, g, m = scn.config, scn.grid, scn.material
-    rho_n = scn.fluids.rho_n
+    rho_n, cv = cfg.rho_n, g.cell_volume
     f = dict(ckpt.fields)
 
     mobility = _water_mobility(f["sw"], m)
-    pv = f["theta_m"] * g.cell_volume
-
-    def mass(c):
-        return float((pv * c).sum())
-
-    iron0 = mass(f["rho_m"])
-    napl0 = mass(f["sn"]) * rho_n
-    ledger = {"tce": Ledger(initial=mass(f["c_tce"]), napl=napl0),
-              "cmc": Ledger(initial=mass(f["c_cmc"]))}
+    iron0 = _mass(f, f["rho_m"], cv)
+    napl0 = _mass(f, f["sn"], cv) * rho_n
+    ledger = {"tce": Ledger(initial=_mass(f, f["c_tce"], cv), napl=napl0),
+              "cmc": Ledger(initial=_mass(f, f["c_cmc"], cv))}
     mon = scn.monitoring_cells()
     marks = set(cfg.snapshots[3])
     snapshots, series = [], []
     cache = FactorCache()
 
     def step(t, dt):
-        mu = nz.cmc_viscosity(f["c_cmc"], cfg.cmc, scn.fluids.mu_w)
+        mu = nz.cmc_viscosity(f["c_cmc"], cfg.cmc, cfg.mu_w)
         flow = _darcy(scn, f, mu, mobility, cache)
         kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport, cfg.numerics.transport_cfl)
         _transport(kernel, f, ledger, dt)
         f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, cfg.solubility,
                                                   cfg.transport, dt)
         if reactive:
-            pre = mass(f["c_tce"])
+            pre = _mass(f, f["c_tce"], cv)
             f["c_tce"], f["rho_m"] = reactive_step(f["c_tce"], f["rho_m"], cfg.reaction, dt)
-            ledger["tce"].degraded += pre - mass(f["c_tce"])
-        iron_frac = mass(f["rho_m"]) / max(iron0, 1e-300)
+            ledger["tce"].degraded += pre - _mass(f, f["c_tce"], cv)
+        iron_frac = _mass(f, f["rho_m"], cv) / max(iron0, 1e-300)
         series.append([t + dt, iron_frac] + [probe(f["c_tce"], cell) for cell in mon.values()])
         return dt
 
@@ -382,14 +391,14 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> S
         if t in marks:
             snapshots.append((t, {"c_tce": f["c_tce"], "rho_m": f["rho_m"]}))
 
-    ledger["tce"].dissolved = napl0 - mass(f["sn"]) * rho_n
+    ledger["tce"].dissolved = napl0 - _mass(f, f["sn"], cv) * rho_n
     for name in ledger:
-        ledger[name].final = mass(f["c_" + name])
+        ledger[name].final = _mass(f, f["c_" + name], cv)
     f["s_bulk"] = f["rho_m"] * f["theta_m"]
     ckpt_out = _make_checkpoint(scn, 4, ckpt.clock + t, f)
     diagnostics = {
         "iron_initial": iron0,
-        "iron_final": mass(f["rho_m"]),
+        "iron_final": _mass(f, f["rho_m"], cv),
         "degraded_mass": ledger["tce"].degraded,
         "pressure": cache.stats(),
         # the iron can degrade at most its mass over the stoichiometry

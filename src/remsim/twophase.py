@@ -26,21 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NumericsCfg
+from .config import RunConfig
 from .flow import (FACES, FactorCache, SolverError, TpfaSystem, _harmonic, lateral_heads,
                    scatter_faces)
 from .grid import MaterialMap
-
-
-@dataclass(frozen=True)
-class FluidProps:
-    """The config's [fluids] values, checked when it is read."""
-
-    rho_w: float = 1000.0
-    rho_n: float = 1470.0
-    mu_w: float = 0.001
-    mu_n: float = 0.0005
-    g: float = 9.81
 
 
 # ---------------------------------------------------------------------------
@@ -68,31 +57,19 @@ def rel_perm(se, lam):
     return krw, krn
 
 
-# ---------------------------------------------------------------------------
-# State
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TwoPhaseState:
-    sw: np.ndarray
-    sn: np.ndarray
-    pw: np.ndarray
-
-
 # target largest NAPL saturation change per sub-step (the advection bound)
 MAX_DS = 0.1
 # a sub-step snaps saturation excursions past [0, 1] up to 10 * SAT_TOL back
 SAT_TOL = 1e-9
 
 
-def hydrostatic_two_phase(grid, fluids: FluidProps) -> TwoPhaseState:
-    """NAPL-free water at rest under a water table at the top of the grid."""
+def hydrostatic_two_phase(grid, config: RunConfig) -> dict:
+    """The fields ``sw``, ``sn`` and ``pw`` of NAPL-free water at rest under a
+    water table at the top of the grid."""
     _, yv = grid.cell_centers()
-    return TwoPhaseState(
-        sw=np.ones((grid.ny, grid.nx)),
-        sn=np.zeros((grid.ny, grid.nx)),
-        pw=fluids.rho_w * fluids.g * (grid.height - yv),
-    )
+    return {"sw": np.ones((grid.ny, grid.nx)),
+            "sn": np.zeros((grid.ny, grid.nx)),
+            "pw": config.rho_w * config.gravity * (grid.height - yv)}
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +98,11 @@ def _window_faces(cols: slice):
 
 class ImpesStepper:
     """Face permeabilities and audit state for repeated IMPES sub-steps on
-    ``material.grid``, with the capillary clamp and the step safety factor of
-    the config's ``numerics`` record.  Each sub-step is given the NAPL
-    release source, a volumetric rate per cell volume (1/s), or ``None``; it
+    ``material.grid``, with the fluid values of ``config`` and the capillary
+    clamp and the step safety factor of its ``numerics`` record.  Each
+    sub-step advances the ``sw``, ``sn`` and ``pw`` entries of a field
+    state, a checkpoint's field dict.  It is given the NAPL release source,
+    a volumetric rate per cell volume (1/s), or ``None``; the source
     moves only the right-hand side of the pressure system, so the stepper's
     own :class:`FactorCache`, ``cache``, serves sub-steps with and without
     it.  ``injected_mass`` sums the NAPL the source has fed in; ``limits``
@@ -149,11 +128,10 @@ class ImpesStepper:
     therefore those of a whole-grid sub-step, bit for bit.
     """
 
-    def __init__(self, material: MaterialMap, fluids: FluidProps, numerics: NumericsCfg):
+    def __init__(self, material: MaterialMap, config: RunConfig):
         grid = self.grid = material.grid
         self.material = material
-        self.fluids = fluids
-        self.numerics = numerics
+        self.config = config
         self.cache = FactorCache()
         k = material.k
         self.kfx = _harmonic(k[:, :-1], k[:, 1:]) * grid.dy / grid.dx
@@ -179,11 +157,11 @@ class ImpesStepper:
                 slice(max(first - 2, 0), min(stop + 2, nx)))
 
     # -- closures ---------------------------------------------------------
-    def closures(self, state: TwoPhaseState, cols: slice):
-        """``(pc, dpc, krw, krn)`` on the grid columns ``cols``: ``dpc`` is
-        -dpc/dSw, the slope the capillary bound feels."""
-        m, num = self.material, self.numerics
-        sw = state.sw[:, cols]
+    def closures(self, f: dict, cols: slice):
+        """``(pc, dpc, krw, krn)`` of the field state ``f`` on the grid columns
+        ``cols``: ``dpc`` is -dpc/dSw, the slope the capillary bound feels."""
+        m, num = self.material, self.config.numerics
+        sw = f["sw"][:, cols]
         swr, snr, pd, lam = (a[:, cols] for a in (m.swr, m.snr, m.entry_pressure, m.bc_lambda))
         se_pc = effective_saturation(sw, swr, snr, num.se_clamp)
         se_kr = np.clip((sw - swr) / (1.0 - swr - snr), 0.0, 1.0)
@@ -196,15 +174,15 @@ class ImpesStepper:
         """Upwinded face mobilities and known (capillary+gravity) potentials
         ``(lw, ln, grav_w, grav_n)`` of the x-faces and of the y-faces between
         the cells of the columns ``cols``, from their ``pw`` and closures."""
-        f, m = self.fluids, self.material
+        c, m = self.config, self.material
         pn = pw + pc
         pd, lith = m.entry_pressure[:, cols], m.lithology[:, cols]
         x_faces, y_faces = _window_faces(cols)
         faces = []
         for (lo, hi), kf, dz in zip(FACES, (self.kfx[x_faces], self.kfy[y_faces]),
                                     (0.0, self.grid.dy)):
-            up_w = pw[hi] - pw[lo] + f.rho_w * f.g * dz < 0  # True: lower cell upwind
-            up_n = pn[hi] - pn[lo] + f.rho_n * f.g * dz < 0
+            up_w = pw[hi] - pw[lo] + c.rho_w * c.gravity * dz < 0  # True: lower cell upwind
+            up_n = pn[hi] - pn[lo] + c.rho_n * c.gravity * dz < 0
             # entry-pressure rule, applied in the NAPL flow direction
             blocked = np.where(
                 up_n,
@@ -212,25 +190,25 @@ class ImpesStepper:
                 interface_block_mask(pd[hi], pd[lo], pc[hi], lith[hi], lith[lo]),
             )
             krn_f = np.where(blocked, 0.0, np.where(up_n, krn[lo], krn[hi]))
-            lw = kf * np.where(up_w, krw[lo], krw[hi]) / f.mu_w
-            faces.append((lw, kf * krn_f / f.mu_n, f.rho_w * f.g * dz,
-                          pc[hi] - pc[lo] + f.rho_n * f.g * dz))
+            lw = kf * np.where(up_w, krw[lo], krw[hi]) / c.mu_w
+            faces.append((lw, kf * krn_f / c.mu_n, c.rho_w * c.gravity * dz,
+                          pc[hi] - pc[lo] + c.rho_n * c.gravity * dz))
         return faces
 
     def _solve_pressure(self, krw, fx, fy, cols, source):
         """Implicit total-velocity pressure solve on the whole grid, from the
         window's ``krw`` and face terms; returns new pw."""
-        g, f, perm = self.grid, self.fluids, self.material.k
-        lam = perm / f.mu_w
-        lam[:, cols] = perm[:, cols] * krw / f.mu_w
-        d, b = lateral_heads(g, lam, g.height, g.height, f.rho_w, f.g)
+        g, c, perm = self.grid, self.config, self.material.k
+        lam = perm / c.mu_w
+        lam[:, cols] = perm[:, cols] * krw / c.mu_w
+        d, b = lateral_heads(g, lam, g.height, g.height, c.rho_w, c.gravity)
         if source is not None:
             b += source * g.cell_volume
 
         # face outflow o->nb: F = -t (p_nb - p_o) - known, with t = lw + ln
         # and known = lw grav_w + ln grav_n; NAPL-free outside the window
-        t_x, t_y = self.kfx / f.mu_w, self.kfy / f.mu_w
-        k_x, k_y = np.zeros_like(t_x), t_y * (f.rho_w * f.g * g.dy)
+        t_x, t_y = self.kfx / c.mu_w, self.kfy / c.mu_w
+        k_x, k_y = np.zeros_like(t_x), t_y * (c.rho_w * c.gravity * g.dy)
         for t, known, faces, (lw, ln, gw, gn) in zip((t_x, t_y), (k_x, k_y),
                                                      _window_faces(cols), (fx, fy)):
             t[faces] = lw + ln
@@ -244,11 +222,11 @@ class ImpesStepper:
         """Per-face NAPL volumetric fluxes (m^3/s), positive owner->neighbor."""
         return [-ln * ((pw[hi] - pw[lo]) + gn) for (lo, hi), (_, ln, _, gn) in zip(FACES, (fx, fy))]
 
-    def _stable_dt(self, state, source, cols, out, fn_x, fn_y, fx, fy, dpc, dt_target):
+    def _stable_dt(self, sn, source, cols, out, fn_x, fn_y, fx, fy, dpc, dt_target):
         """Sub-step length from the NAPL outflow ``out`` of each cell of the
         columns ``cols``, and the bound of :data:`LIMITS` that sets it (the
         first of equal bounds)."""
-        num = self.numerics
+        num = self.config.numerics
         pv = self.pore_vol[:, cols]
         inflow = scatter_faces(np.zeros_like(out), np.maximum(-fn_x, 0.0), np.maximum(fn_x, 0.0),
                                np.maximum(-fn_y, 0.0), np.maximum(fn_y, 0.0))
@@ -257,7 +235,7 @@ class ImpesStepper:
 
         with np.errstate(divide="ignore"):
             dt_adv = np.where(out > 0, MAX_DS * pv / out, np.inf).min()
-            avail = np.maximum(1.0 - self.material.swr[:, cols] - state.sn[:, cols], 0.02)
+            avail = np.maximum(1.0 - self.material.swr[:, cols] - sn[:, cols], 0.02)
             dt_in = np.where(inflow > 0, num.two_phase_cfl * avail * pv / inflow, np.inf).min()
 
         # explicit capillary-diffusion bound (Coats-type): the saturation
@@ -275,25 +253,26 @@ class ImpesStepper:
         limit = min(bounds, key=bounds.get)
         return float(bounds[limit]), limit
 
-    def substep(self, state: TwoPhaseState, dt_target: float,
-                source: np.ndarray | None = None) -> float:
+    def substep(self, f: dict, dt_target: float, source: np.ndarray | None = None) -> float:
         """One IMPES sub-step of at most ``dt_target`` under the NAPL release
-        ``source`` (1/s per cell volume, or ``None``); returns dt taken."""
-        update, cols = self._window(state.sn, source)
+        ``source`` (1/s per cell volume, or ``None``): replaces the ``sw``,
+        ``sn`` and ``pw`` entries of the field state ``f`` and returns the dt
+        taken."""
+        update, cols = self._window(f["sn"], source)
         self.window_columns += cols.stop - cols.start
         self.window_max = max(self.window_max, cols.stop - cols.start)
-        pc, dpc, krw, krn = self.closures(state, cols)
-        fx, fy = self._face_quantities(state.pw[:, cols], pc, krw, krn, cols)
+        pc, dpc, krw, krn = self.closures(f, cols)
+        fx, fy = self._face_quantities(f["pw"][:, cols], pc, krw, krn, cols)
         pw = self._solve_pressure(krw, fx, fy, cols, source)
         fn_x, fn_y = self._napl_fluxes(pw[:, cols], fx, fy)
         out = scatter_faces(np.zeros_like(pc), np.maximum(fn_x, 0.0), np.maximum(-fn_x, 0.0),
                             np.maximum(fn_y, 0.0), np.maximum(-fn_y, 0.0))
-        dt, limit = self._stable_dt(state, source, cols, out, fn_x, fn_y, fx, fy, dpc, dt_target)
+        dt, limit = self._stable_dt(f["sn"], source, cols, out, fn_x, fn_y, fx, fy, dpc, dt_target)
         self.limits[limit] += 1
 
         # limit each cell's outgoing NAPL flux to its content (conservative:
         # both sides of a face see the same scaled flux)
-        sn, pv = state.sn[:, cols], self.pore_vol[:, cols]
+        sn, pv = f["sn"][:, cols], self.pore_vol[:, cols]
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(out * dt > 0, np.minimum(1.0, sn * pv / (out * dt)), 1.0)
         fn_x, fn_y = (fn * np.where(fn > 0, scale[lo], scale[hi])
@@ -304,10 +283,10 @@ class ImpesStepper:
         if source is not None:
             dsn += source[:, cols] * dt * self.grid.cell_volume / pv
             self.injected_mass += float(
-                np.sum(source) * self.grid.cell_volume * dt * self.fluids.rho_n
+                np.sum(source) * self.grid.cell_volume * dt * self.config.rho_n
             )
         # outside C every cell keeps its saturation, 0
-        sn_new = state.sn.copy()
+        sn_new = f["sn"].copy()
         changed = sn_new[:, update]
         changed += dsn[:, update.start - cols.start:update.stop - cols.start]
         if changed.min() < -10 * SAT_TOL or changed.max() > 1.0 + 10 * SAT_TOL:
@@ -315,13 +294,8 @@ class ImpesStepper:
                 f"saturation out of bounds: [{sn_new.min():.3e}, {sn_new.max():.3e}]")
         # snap rounding-scale excursions back onto the physical bounds
         np.clip(changed, 0.0, 1.0, out=changed)
-        state.sn = sn_new
-        state.sw = 1.0 - sn_new
-        state.pw = pw
+        f["sn"], f["sw"], f["pw"] = sn_new, 1.0 - sn_new, pw
         return dt
-
-    def napl_mass(self, state: TwoPhaseState) -> float:
-        return float(np.sum(self.pore_vol * state.sn) * self.fluids.rho_n)
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,14 @@ from remsim.reaction import reactive_step
 from remsim.scenario import Scenario
 from remsim.solute import TransportKernel
 from remsim.stages import (
+    _mass,
+    initial_checkpoint,
     run_stage1,
     run_stage2,
     run_stage3,
     run_stage4,
 )
 from remsim.twophase import (
-    FluidProps,
     ImpesStepper,
     capillary_pressure,
     hydrostatic_two_phase,
@@ -80,11 +81,11 @@ def staged(scn):
     Returns {stage: (StageResult, wall_seconds)}.
     """
     out = {}
-    prev = None
+    prev = initial_checkpoint(scn)
     for num, runner in ((1, run_stage1), (2, run_stage2),
                         (3, run_stage3), (4, run_stage4)):
         t0 = time.perf_counter()
-        res = runner(scn) if num == 1 else runner(scn, prev)
+        res = runner(scn, prev)
         out[num] = (res, time.perf_counter() - t0)
         prev = res.checkpoint
     return out
@@ -247,19 +248,20 @@ def _gravity_column(dy: float):
     props = LithologyCfg(permeability=1e-12, porosity=0.4, swr=0.08, snr=0.08,
                          entry_pressure=1300.0, bc_lambda=2.0)
     m = MaterialMap(grid=g, lithology=lith, props={0: props})
-    fl = FluidProps()
-    st = hydrostatic_two_phase(g, fl)
+    cfg = RunConfig.default()
+    st = hydrostatic_two_phase(g, cfg)
     _, yv = g.cell_centers()
-    st.sn[yv > 7.0] = 0.4                             # 1 m slug at the top
-    st.sw = 1.0 - st.sn
-    stepper = ImpesStepper(m, fl, RunConfig.default().numerics)
-    m0 = stepper.napl_mass(st)
+    st["sn"][yv > 7.0] = 0.4                          # 1 m slug at the top
+    st["sw"] = 1.0 - st["sn"]
+    stepper = ImpesStepper(m, cfg)
+    pore = {"theta_m": m.porosity}
+    m0 = _mass(pore, st["sn"], g.cell_volume) * cfg.rho_n
     t, t_end = 0.0, 4.0 * DAY
     while t < t_end - 1e-6:
         t += stepper.substep(st, t_end - t)
-    mass_err = abs(stepper.napl_mass(st) - m0) / m0
+    mass_err = abs(_mass(pore, st["sn"], g.cell_volume) * cfg.rho_n - m0) / m0
 
-    prof = st.sn.mean(axis=1)
+    prof = st["sn"].mean(axis=1)
     thr = 0.05
     j = int(np.nonzero(prof >= thr)[0][0])            # deepest occupied cell
     if j == 0:
@@ -297,8 +299,8 @@ def test_criterion_06_darcy_velocity_bands(capsys):
         s = Scenario.build(cfg, seed)
         g, m = s.grid, s.material
         flow = solve_pressure(
-            g, m.k, np.full_like(m.k, s.fluids.mu_w), 1.0, cfg.head_left, cfg.head_right,
-            rho=s.fluids.rho_w, g=s.fluids.g,
+            g, m.k, np.full_like(m.k, cfg.mu_w), 1.0, cfg.head_left, cfg.head_right,
+            rho=cfg.rho_w, g=cfg.gravity,
         )
         vx, _ = flow.cell_velocity()
         cm_day = vx * 100.0 * DAY

@@ -6,7 +6,6 @@ from remsim.checkpoint import (
     CheckpointError,
     StageCheckpoint,
     read_checkpoint,
-    read_manifest,
     write_checkpoint,
 )
 
@@ -41,13 +40,6 @@ class TestRoundTrip:
         write_checkpoint(ck, path)
         assert (read_checkpoint(path).fields["s_bulk"] == 0.0).all()
 
-    def test_manifest_only_read(self, tmp_path):
-        path = tmp_path / "s1.ckpt"
-        write_checkpoint(make_ckpt(), path)
-        man = read_manifest(path)
-        assert man["stage"] == 1 and man["nx"] == 6 and man["ny"] == 4
-        assert man["config_hash"] == "abcd1234abcd1234"
-
 
 class TestErrors:
     def test_truncated_payload(self, tmp_path):
@@ -70,7 +62,7 @@ class TestErrors:
         data = path.read_bytes()
         path.write_bytes(data.replace(b'"version":1', b'"version":9', 1))
         with pytest.raises(CheckpointError, match="version"):
-            read_manifest(path)
+            read_checkpoint(path)
 
     def test_bad_field_shape(self, tmp_path):
         ck = make_ckpt()

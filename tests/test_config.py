@@ -96,6 +96,9 @@ BAD_VALUES = {
     "transport_cfl=0": ("numerics", "transport_cfl", "0"),
     "transport_cfl>1": ("numerics", "transport_cfl", "1.5"),
     "se_clamp=0": ("numerics", "se_clamp", "0"),
+    "snapshot<0": ("output", "stage2_snapshots", "-5 day"),
+    "snapshot=nan": ("output", "stage2_snapshots", "nan day"),
+    "snapshot=0": ("output", "stage2_snapshots", "0 day"),
 }
 
 
@@ -160,7 +163,9 @@ class TestRunConfig:
                                     ("nzvi", "attachment_efficiency", "1"),
                                     ("nzvi", "concentration", "0 kg/m^3"),
                                     ("reaction", "k_sa", "0 L/h/m^2"),
-                                    ("transport", "diffusion", "0 m^2/s")):
+                                    ("transport", "diffusion", "0 m^2/s"),
+                                    # past the stage's end: loads, writes nothing
+                                    ("output", "stage2_snapshots", "99 year")):
             text = set_key(text, section, key, value)
         cfg = RunConfig.from_text(text)
         assert cfg.numerics.transport_cfl == 1.0 and cfg.reaction.k_sa == 0.0

@@ -11,6 +11,7 @@ from remsim.scenario import Scenario
 from remsim.stages import (
     LEDGER_TERMS,
     Ledger,
+    initial_checkpoint,
     run_stage1,
     run_stage3,
     run_stage4,
@@ -58,6 +59,39 @@ class TestLedgers:
             assert line.split()[::2] == [*LEDGER_TERMS, "kg/m"]
 
 
+class TestHandOff:
+    """On cells of 0.1 m^2 (on 1 m^2 cells the cell volume cannot change the
+    rounding of a mass) every stage weighs what it hands on as the next stage
+    weighs what it receives, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def results(self, tmp_path_factory):
+        text = fast_config_text()
+        for old, new in (("dx = 1 m", "dx = 0.5 m"), ("dy = 1 m", "dy = 0.2 m")):
+            assert old in text, old
+            text = text.replace(old, new)
+        cfg = RunConfig.from_text(text)
+        return run(cfg, [1, 2, 3, 4], tmp_path_factory.mktemp("out"), seed=0,
+                   export=None).results
+
+    def test_species_final_is_next_initial(self, results):
+        for n in (1, 2, 3):
+            carried = set(results[n].ledger) & set(results[n + 1].ledger)
+            assert carried == {1: set(), 2: {"tce"}, 3: {"tce", "cmc"}}[n]
+            for name in carried:
+                assert results[n].ledger[name].final == results[n + 1].ledger[name].initial, (
+                    n, name)
+
+    def test_napl_left_is_next_napl(self, results):
+        left = {1: results[1].ledger["napl"].final}
+        for n in (2, 3):
+            tce = results[n].ledger["tce"]
+            left[n] = tce.napl - tce.dissolved
+        for n, napl in left.items():
+            assert napl > 0.0
+            assert napl == results[n + 1].ledger["tce"].napl, n
+
+
 class TestDegradation:
     def test_saturated_iron_zone_degrades(self, fast_run):
         # the fast run's own plume barely meets its iron: put dissolved TCE at
@@ -103,7 +137,8 @@ class TestSubstepLimits:
         assert sum(limits.values()) == res.diagnostics["pressure"]["solves"]
 
     def test_stage1_meets_every_limit(self):
-        res = run_stage1(Scenario.build(RunConfig.from_text(every_limit_config_text()), 0))
+        scn = Scenario.build(RunConfig.from_text(every_limit_config_text()), 0)
+        res = run_stage1(scn, initial_checkpoint(scn))
         limits = res.diagnostics["limits"]
         assert min(limits.values()) >= 1, limits
         assert sum(limits.values()) == res.diagnostics["pressure"]["solves"]
