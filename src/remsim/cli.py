@@ -20,7 +20,6 @@ from .pipeline import (
     run,
 )
 from .solute import TransportError
-from .units import UnitError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +50,7 @@ def main(argv=None) -> int:
             checkpoint_dir=args.checkpoint,
             export=args.export,
         )
-    except (ConfigError, UnitError) as err:
+    except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except MissingCheckpointError as err:

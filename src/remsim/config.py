@@ -1,25 +1,27 @@
 """Run configuration: sectioned key=value files with explicit units.
 
 The parser is deliberately small: sections in brackets, one ``key = value``
-per line, ``#`` comments.  Values of physical quantities must carry a unit
-suffix; everything is converted to SI on load.
+per line, ``#`` comments.  Everything is converted to SI on load.
 
-Each lithology and physics section is read into one frozen record whose
-fields are named after the section's keys; its ``dimensionless`` names the
-keys that may be bare numbers, and its ``validate`` rejects a value the
-model cannot run with, so a bad value fails when the file is read.  The
-kernels take these records as they are.
+Each config value is declared once, in the metadata of the dataclass field
+that holds it (:func:`quantity`): its unit, whose dimension the value must
+have, and the interval it must lie in.  A bare number is accepted only
+where that unit is dimensionless (``-``).  Each lithology and physics
+section is read into one frozen record whose fields are named after the
+section's keys; the flat :class:`RunConfig` fields name their section and
+key.  :meth:`RunConfig.from_text` reads every value through one checked
+reader, so a value of the wrong dimension, outside its interval or not
+finite fails when the file is read, naming its section and key.  The
+kernels take the records as they are.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
-from typing import ClassVar
 
-from .units import UnitError, parse_quantity
+from .units import parse_quantity
 
 
 class ConfigError(ValueError):
@@ -45,95 +47,73 @@ def parse_sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
+def quantity(unit: str, interval: str = "(-inf, inf)", at: tuple[str, str] | None = None,
+             default=MISSING):
+    """A field read from the config: a value of ``unit``'s dimension lying in
+    ``interval`` (``(`` and ``)`` open, ``[`` and ``]`` closed); ``at`` is the
+    ``(section, key)`` of a field not named after a key of its record's section,
+    and a key with a ``default`` may be left out."""
+    return field(default=default, metadata={"unit": unit, "interval": interval, "at": at})
+
+
+def _within(value: float, interval: str) -> bool:
+    # no interval includes an infinite end, and NaN compares false, so a
+    # value that is not finite is never within
+    lo, hi = (float(b) for b in interval[1:-1].split(","))
+    above = lo < value if interval[0] == "(" else lo <= value
+    below = value < hi if interval[-1] == ")" else value <= hi
+    return above and below
+
+
 @dataclass(frozen=True)
 class LithologyCfg:
     """Hydrogeological properties of one lithological unit."""
 
-    dimensionless: ClassVar[tuple[str, ...]] = ("porosity", "swr", "snr", "bc_lambda")
-
-    permeability: float            # geometric-mean permeability (m^2)
-    porosity: float
-    swr: float
-    snr: float
-    entry_pressure: float
-    bc_lambda: float
-
-    def validate(self, name: str) -> None:
-        if not 0.0 < self.porosity < 1.0:
-            raise ConfigError(f"{name}: porosity must be in (0,1)")
-        if self.swr + self.snr >= 1.0:
-            raise ConfigError(f"{name}: Swr + Snr must be < 1")
-        if self.entry_pressure <= 0 or self.bc_lambda <= 0 or self.permeability <= 0:
-            raise ConfigError(f"{name}: entry pressure, lambda and permeability must be positive")
+    permeability: float = quantity("m^2", "(0, inf)")    # geometric mean
+    porosity: float = quantity("-", "(0, 1)")
+    swr: float = quantity("-", "[0, 1)")
+    snr: float = quantity("-", "[0, 1)")
+    entry_pressure: float = quantity("Pa", "(0, inf)")
+    bc_lambda: float = quantity("-", "(0, inf)")
 
 
 @dataclass(frozen=True)
 class TransportCfg:
     """[transport]: dispersion of every aqueous species and NAPL dissolution."""
 
-    dimensionless: ClassVar[tuple[str, ...]] = ()
-
-    dispersivity: float            # longitudinal dispersivity alpha_L (m)
-    diffusion: float               # molecular diffusion Dd (m^2/s)
-    mass_transfer: float           # lumped volumetric NAPL mass-transfer coefficient (1/s)
-
-    def validate(self, name: str) -> None:
-        if min(self.dispersivity, self.diffusion, self.mass_transfer) < 0:
-            raise ConfigError(f"{name}: dispersivity, diffusion and mass_transfer must be >= 0")
+    dispersivity: float = quantity("m", "[0, inf)")      # longitudinal alpha_L
+    diffusion: float = quantity("m^2/s", "[0, inf)")     # molecular Dd
+    # lumped volumetric NAPL mass-transfer coefficient
+    mass_transfer: float = quantity("1/s", "[0, inf)")
 
 
 @dataclass(frozen=True)
 class NzviCfg:
     """[nzvi]: the injected particles and their filtration."""
 
-    dimensionless: ClassVar[tuple[str, ...]] = ("attachment_efficiency",)
-
-    concentration: float           # injected aqueous concentration (kg/m^3)
-    particle_diameter: float       # dp (m)
-    attachment_efficiency: float   # alpha (-)
-    particle_density: float        # rho_p (kg/m^3)
-    temperature: float             # T (K)
-    hamaker: float                 # Hamaker constant A (J)
-
-    def validate(self, name: str) -> None:
-        if self.concentration < 0:
-            raise ConfigError(f"{name}: concentration must be >= 0")
-        if min(self.particle_diameter, self.particle_density, self.temperature, self.hamaker) <= 0:
-            raise ConfigError(
-                f"{name}: particle size and density, temperature and hamaker must be positive")
-        if not 0.0 <= self.attachment_efficiency <= 1.0:
-            raise ConfigError(f"{name}: attachment efficiency must lie in [0, 1]")
+    concentration: float = quantity("kg/m^3", "[0, inf)")         # injected, aqueous
+    particle_diameter: float = quantity("m", "(0, inf)")          # dp
+    attachment_efficiency: float = quantity("-", "[0, 1]")        # alpha
+    particle_density: float = quantity("kg/m^3", "(0, inf)")      # rho_p
+    temperature: float = quantity("K", "(0, inf)")
+    hamaker: float = quantity("J", "(0, inf)")                    # Hamaker constant A
 
 
 @dataclass(frozen=True)
 class CmcCfg:
     """[cmc]: the polymer carrier solution."""
 
-    dimensionless: ClassVar[tuple[str, ...]] = ()
-
-    concentration: float           # injected CMC concentration (kg/m^3)
-    solution_viscosity: float      # viscosity at the injected concentration (Pa s)
-
-    def validate(self, name: str) -> None:
-        if self.concentration <= 0 or self.solution_viscosity <= 0:
-            raise ConfigError(f"{name}: concentration and solution_viscosity must be positive")
+    concentration: float = quantity("kg/m^3", "(0, inf)")         # injected CMC
+    solution_viscosity: float = quantity("Pa*s", "(0, inf)")      # at that concentration
 
 
 @dataclass(frozen=True)
 class CloggingCfg:
     """[clogging]: specific-surface growth of the clogging feedback."""
 
-    dimensionless: ClassVar[tuple[str, ...]] = ("gamma",)
-
-    a0: float                      # clean-bed specific surface (1/m)
-    zvi_specific_area: float       # deposited-particle specific surface (1/m)
-    gamma: float                   # fraction of deposit surface exposed to flow (-)
-
-    def validate(self, name: str) -> None:
-        if self.a0 <= 0 or self.zvi_specific_area <= 0:
-            raise ConfigError(f"{name}: a0 and zvi_specific_area must be positive")
-        if not 0 < self.gamma <= 1:
-            raise ConfigError(f"{name}: gamma must lie in (0, 1]")
+    a0: float = quantity("1/m", "(0, inf)")                 # clean-bed specific surface
+    zvi_specific_area: float = quantity("1/m", "(0, inf)")  # deposited-particle specific surface
+    gamma: float = quantity("-", "(0, 1]")                  # deposit surface exposed to flow
 
 
 @dataclass(frozen=True)
@@ -141,51 +121,34 @@ class ReactionCfg:
     """[reaction]: degradation on the iron, at the rate k_sa * alpha_s per
     unit iron concentration."""
 
-    dimensionless: ClassVar[tuple[str, ...]] = ("stoichiometry",)
-
-    k_sa: float                    # surface-area-normalized rate constant (m^3/(m^2 s))
-    alpha_s: float                 # reactive surface per unit iron mass (m^2/kg)
-    stoichiometry: float           # kg iron consumed per kg contaminant degraded
-
-    def validate(self, name: str) -> None:
-        if self.k_sa < 0 or self.alpha_s < 0:
-            raise ConfigError(f"{name}: k_sa and alpha_s must be >= 0")
-        if self.stoichiometry <= 0:
-            raise ConfigError(f"{name}: stoichiometry must be > 0")
+    k_sa: float = quantity("m^3/m^2/s", "[0, inf)")    # surface-area-normalized rate constant
+    alpha_s: float = quantity("m^2/kg", "[0, inf)")    # reactive surface per unit iron mass
+    stoichiometry: float = quantity("-", "(0, inf)")   # kg iron per kg contaminant degraded
 
 
 @dataclass(frozen=True)
 class NumericsCfg:
     """[numerics]: time-step safety factors and diagnostic thresholds."""
 
-    dimensionless: ClassVar[tuple[str, ...]] = (
-        "two_phase_cfl", "transport_cfl", "se_clamp", "pool_threshold")
-
-    two_phase_cfl: float           # IMPES inflow and capillary bounds
-    transport_cfl: float           # fraction of the transport positivity bound
-    se_clamp: float                # least effective saturation the capillary pressure sees
-    pool_threshold: float          # NAPL saturation counted as pooled
-    roi_threshold: float           # deposit counted in the radius of influence (kg/m^3)
-
-    def validate(self, name: str) -> None:
-        if self.two_phase_cfl <= 0:
-            raise ConfigError(f"{name}: two_phase_cfl must be > 0")
-        # above 1 the explicit upwind update loses positivity
-        if not 0 < self.transport_cfl <= 1:
-            raise ConfigError(f"{name}: transport_cfl must lie in (0, 1]")
-        if not 0 < self.se_clamp <= 1:
-            raise ConfigError(f"{name}: se_clamp must lie in (0, 1]")
+    two_phase_cfl: float = quantity("-", "(0, inf)")       # IMPES inflow and capillary bounds
+    # fraction of the transport positivity bound; above 1 the explicit
+    # upwind update loses positivity
+    transport_cfl: float = quantity("-", "(0, 1]")
+    se_clamp: float = quantity("-", "(0, 1]")    # least effective saturation Pc sees
+    pool_threshold: float = quantity("-", "(0, 1]")        # NAPL saturation counted as pooled
+    roi_threshold: float = quantity("kg/m^3", "[0, inf)")  # deposit counted in the ROI
 
 
 @dataclass(frozen=True)
 class WellCfg:
     """Vertical well with a short screen; depths measured from the surface."""
 
-    x: float
-    depth: float
-    screen_length: float
+    x: float = quantity("m")
+    depth: float = quantity("m")
+    screen_length: float = quantity("m", "(0, inf)")
     mode: str                      # "injection" or "monitoring"
-    velocity: float = 0.0          # injection Darcy velocity at the screen (m/s)
+    # injection Darcy velocity at the screen
+    velocity: float = quantity("m/s", "[0, inf)", default=0.0)
 
     def screen_area(self) -> float:
         # both faces of the screen per unit thickness of the 2D slice
@@ -194,46 +157,43 @@ class WellCfg:
 
 @dataclass(frozen=True)
 class RunConfig:
-    width: float
-    height: float
-    dx: float
-    dy: float
-    split_elevation: float
+    width: float = quantity("m", "(0, inf)", ("domain", "width"))
+    height: float = quantity("m", "(0, inf)", ("domain", "height"))
+    dx: float = quantity("m", "(0, inf)", ("grid", "dx"))
+    dy: float = quantity("m", "(0, inf)", ("grid", "dy"))
+    split_elevation: float = quantity("m", at=("layers", "split_elevation"))
     upper_sand: LithologyCfg
     lower_sand: LithologyCfg
     clay: LithologyCfg
-    lenses: tuple[tuple[float, float, float, float], ...]
-    # infiltration
-    infil_center: float
-    infil_width: float
-    infil_flux: float
-    infil_duration: float
-    # random field
-    log_variance: float
-    correlation_length: float
-    # fluids
-    rho_w: float
-    rho_n: float
-    mu_w: float
-    mu_n: float
-    solubility: float
-    gravity: float
-    # flow
-    head_left: float
-    head_right: float
-    # wells
+    # corners (x0, y0, x1, y1) of [lens.1], [lens.2], ...
+    lenses: tuple[tuple[float, float, float, float], ...] = quantity("m")
+    infil_center: float = quantity("m", at=("infiltration", "center"))
+    infil_width: float = quantity("m", "(0, inf)", ("infiltration", "width"))
+    infil_flux: float = quantity("kg/m^2/s", "[0, inf)", ("infiltration", "flux"))
+    infil_duration: float = quantity("s", "[0, inf)", ("infiltration", "duration"))
+    log_variance: float = quantity("-", "[0, inf)", ("randfield", "log_variance"))
+    correlation_length: float = quantity("m", "(0, inf)", ("randfield", "correlation_length"))
+    rho_w: float = quantity("kg/m^3", "(0, inf)", ("fluids", "water_density"))
+    rho_n: float = quantity("kg/m^3", "(0, inf)", ("fluids", "tce_density"))
+    mu_w: float = quantity("Pa*s", "(0, inf)", ("fluids", "water_viscosity"))
+    mu_n: float = quantity("Pa*s", "(0, inf)", ("fluids", "tce_viscosity"))
+    solubility: float = quantity("kg/m^3", "(0, inf)", ("fluids", "solubility"))
+    gravity: float = quantity("m/s^2", "(0, inf)", ("fluids", "gravity"))
+    head_left: float = quantity("m", at=("flow", "head_left"))
+    head_right: float = quantity("m", at=("flow", "head_right"))
+    # [well.<name>] sections
     wells: dict[str, WellCfg]
-    # physics sections
     transport: TransportCfg
     nzvi: NzviCfg
     cmc: CmcCfg
     clogging: CloggingCfg
     reaction: ReactionCfg
     numerics: NumericsCfg
-    # stage durations
-    stage_durations: tuple[float, float, float, float]
-    # output schedules (seconds from stage start)
-    snapshots: tuple[tuple[float, ...], ...]
+    # [stages] stage1_duration ... stage4_duration
+    stage_durations: tuple[float, float, float, float] = quantity("s", "[0, inf)")
+    # [output] stage1_snapshots ...: times after the stage start; one past
+    # the stage's end writes nothing
+    snapshots: tuple[tuple[float, ...], ...] = quantity("s", "(0, inf)")
     # canonical source text, for hashing
     source_text: str = field(default="", compare=False)
 
@@ -244,83 +204,51 @@ class RunConfig:
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
         sec = parse_sections(text)
+        declared = {f.name: f.metadata for f in fields(cls)}
 
-        def get(section: str, key: str, *, bare: bool = False) -> float:
+        def raw(section: str, key: str) -> str:
             try:
-                raw = sec[section][key]
+                return sec[section][key]
             except KeyError as err:
                 raise ConfigError(f"missing [{section}] {key}") from err
+
+        def get(section: str, key: str, meta, item: str | None = None) -> float:
+            """``[section] key`` (or ``item``, one of its list), checked
+            against its declared unit and interval."""
+            item = (raw(section, key) if item is None else item).strip()
             try:
-                value = parse_quantity(raw, dimensionless=bare)
-            except (UnitError, ValueError) as err:
+                value = parse_quantity(item, meta["unit"])
+            except ValueError as err:   # UnitError included
                 raise ConfigError(f"[{section}] {key}: {err}") from err
-            if not math.isfinite(value):
-                raise ConfigError(f"[{section}] {key}: {raw!r} is not a finite number")
+            if not _within(value, meta["interval"]):
+                raise ConfigError(f"[{section}] {key}: {item} is outside {meta['interval']}")
             return value
 
-        def read(section: str, record: type):
-            """The section's keys, in one pass, as its checked record."""
-            values = record(**{f.name: get(section, f.name, bare=f.name in record.dimensionless)
-                               for f in fields(record)})
-            values.validate(section)
-            return values
+        def read(section: str, record: type, **given):
+            """The section's keys, in one pass, as its record."""
+            keys = sec.get(section, {})
+            return record(**given, **{f.name: get(section, f.name, f.metadata)
+                                      for f in fields(record) if f.name not in given
+                                      and (f.name in keys or f.default is MISSING)})
 
         lenses = []
-        i = 1
-        while f"lens.{i}" in sec:
-            lenses.append(tuple(get(f"lens.{i}", k) for k in ("x0", "y0", "x1", "y1")))
-            i += 1
+        while (lens := f"lens.{len(lenses) + 1}") in sec:
+            lenses.append(tuple(get(lens, k, declared["lenses"]) for k in ("x0", "y0", "x1", "y1")))
 
         wells = {}
         for name in sec:
-            if not name.startswith("well."):
-                continue
-            wname = name[len("well."):]
-            mode = sec[name].get("mode", "monitoring")
-            if mode not in ("injection", "monitoring"):
-                raise ConfigError(f"[{name}] mode must be injection or monitoring")
-            wells[wname] = WellCfg(
-                x=get(name, "x"),
-                depth=get(name, "depth"),
-                screen_length=get(name, "screen_length"),
-                mode=mode,
-                velocity=get(name, "velocity") if "velocity" in sec[name] else 0.0,
-            )
-
-        def schedule(key: str) -> tuple[float, ...]:
-            """Snapshot times after the stage start; one past the stage's end
-            writes nothing."""
-            if key not in sec.get("output", {}):
-                raise ConfigError(f"missing [output] {key}")
-            times = tuple(parse_quantity(part) for part in sec["output"][key].split(","))
-            if not all(math.isfinite(t) and t > 0 for t in times):
-                raise ConfigError(f"[output] {key}: every snapshot time must be finite and > 0")
-            return times
+            if name.startswith("well."):
+                mode = sec[name].get("mode", "monitoring")
+                if mode not in ("injection", "monitoring"):
+                    raise ConfigError(f"[{name}] mode must be injection or monitoring")
+                wells[name[len("well."):]] = read(name, WellCfg, mode=mode)
 
         cfg = cls(
-            width=get("domain", "width"),
-            height=get("domain", "height"),
-            dx=get("grid", "dx"),
-            dy=get("grid", "dy"),
-            split_elevation=get("layers", "split_elevation"),
+            **{name: get(*meta["at"], meta) for name, meta in declared.items() if meta.get("at")},
             upper_sand=read("upper_sand", LithologyCfg),
             lower_sand=read("lower_sand", LithologyCfg),
             clay=read("clay", LithologyCfg),
             lenses=tuple(lenses),
-            infil_center=get("infiltration", "center"),
-            infil_width=get("infiltration", "width"),
-            infil_flux=get("infiltration", "flux"),
-            infil_duration=get("infiltration", "duration"),
-            log_variance=get("randfield", "log_variance", bare=True),
-            correlation_length=get("randfield", "correlation_length"),
-            rho_w=get("fluids", "water_density"),
-            rho_n=get("fluids", "tce_density"),
-            mu_w=get("fluids", "water_viscosity"),
-            mu_n=get("fluids", "tce_viscosity"),
-            solubility=get("fluids", "solubility"),
-            gravity=get("fluids", "gravity"),
-            head_left=get("flow", "head_left"),
-            head_right=get("flow", "head_right"),
             wells=wells,
             transport=read("transport", TransportCfg),
             nzvi=read("nzvi", NzviCfg),
@@ -328,13 +256,12 @@ class RunConfig:
             clogging=read("clogging", CloggingCfg),
             reaction=read("reaction", ReactionCfg),
             numerics=read("numerics", NumericsCfg),
-            stage_durations=(
-                get("stages", "stage1_duration"),
-                get("stages", "stage2_duration"),
-                get("stages", "stage3_duration"),
-                get("stages", "stage4_duration"),
-            ),
-            snapshots=tuple(schedule(f"stage{n}_snapshots") for n in (1, 2, 3, 4)),
+            stage_durations=tuple(get("stages", f"stage{n}_duration", declared["stage_durations"])
+                                  for n in (1, 2, 3, 4)),
+            snapshots=tuple(
+                tuple(get("output", key, declared["snapshots"], part)
+                      for part in raw("output", key).split(","))
+                for key in (f"stage{n}_snapshots" for n in (1, 2, 3, 4))),
             source_text=text,
         )
         cfg._validate()
@@ -351,19 +278,14 @@ class RunConfig:
         return cls.from_text(text)
 
     def _validate(self) -> None:
-        if min(self.width, self.height, self.dx, self.dy) <= 0:
-            raise ConfigError("domain extents and resolution must be positive")
-        if min(self.rho_w, self.rho_n, self.mu_w, self.mu_n, self.solubility, self.gravity) <= 0:
-            raise ConfigError("fluids: every value must be positive")
+        """The checks that span fields; each value's own range is declared."""
+        for name in ("upper_sand", "lower_sand", "clay"):
+            lith = getattr(self, name)
+            if lith.swr + lith.snr >= 1.0:
+                raise ConfigError(f"[{name}] swr + snr must be < 1")
         for x0, y0, x1, y1 in self.lenses:
             if not (0 <= x0 < x1 <= self.width and 0 <= y0 < y1 <= self.height):
                 raise ConfigError(f"lens ({x0},{y0})-({x1},{y1}) outside domain")
         for name, w in self.wells.items():
             if not 0 <= w.x <= self.width or not 0 < w.depth < self.height:
                 raise ConfigError(f"well {name} outside domain")
-            if w.velocity < 0:
-                raise ConfigError(f"well {name}: injection velocity must be >= 0")
-        if self.log_variance < 0 or self.correlation_length <= 0:
-            raise ConfigError("log_variance must be >= 0 and correlation_length > 0")
-        if any(d < 0 for d in self.stage_durations):
-            raise ConfigError("stage durations must be >= 0")

@@ -70,6 +70,17 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "stage1.ckpt").exists()
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("stage2_snapshots = 10 day", "stage2_snapshots = abc year", "[output] stage2_snapshots"),
+        ("width = 35 m", "width = 35 Pa", "[domain] width: 35 Pa is kg m^-1 s^-2, expected m"),
+    ], ids=["snapshot_not_a_number", "wrong_dimension"])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, old, new, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(fast_config_text().replace(old, new))
+        assert main(["--config", str(bad), "--stage", "1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+
     def test_unreadable_stage_returns_2(self, cfg_file, tmp_path):
         assert main(["--config", str(cfg_file), "--stage", "nine", "--out", str(tmp_path)]) == 2
 

@@ -8,40 +8,53 @@ from remsim.units import UnitError, parse_quantity
 
 class TestUnits:
     def test_si_passthrough(self):
-        assert parse_quantity("3.5 m") == 3.5
+        assert parse_quantity("3.5 m", "m") == 3.5
 
     def test_velocity_per_day(self):
-        assert parse_quantity("88 m/day") == pytest.approx(88.0 / 86400.0, rel=1e-14)
+        assert parse_quantity("88 m/day", "m/s") == pytest.approx(88.0 / 86400.0, rel=1e-14)
 
     def test_rate_per_day(self):
-        assert parse_quantity("1200 1/day") == pytest.approx(1200.0 / 86400.0, rel=1e-14)
+        assert parse_quantity("1200 1/day", "1/s") == pytest.approx(1200.0 / 86400.0, rel=1e-14)
 
     def test_compound_rate_constant(self):
         # L/h/m^2 -> m^3 per second per m^2
-        assert parse_quantity("2.6e-3 L/h/m^2") == pytest.approx(
+        assert parse_quantity("2.6e-3 L/h/m^2", "m^3/m^2/s") == pytest.approx(
             2.6e-3 * 1e-3 / 3600.0, rel=1e-14
         )
 
     def test_area_per_mass(self):
-        assert parse_quantity("23 m^2/g") == pytest.approx(2.3e4, rel=1e-14)
+        assert parse_quantity("23 m^2/g", "m^2/kg") == pytest.approx(2.3e4, rel=1e-14)
 
     def test_nanometers(self):
-        assert parse_quantity("140 nm") == pytest.approx(1.4e-7, rel=1e-14)
+        assert parse_quantity("140 nm", "m") == pytest.approx(1.4e-7, rel=1e-14)
 
     def test_flux_units(self):
-        assert parse_quantity("0.001 kg/m^2/s") == pytest.approx(1e-3, rel=1e-14)
+        assert parse_quantity("0.001 kg/m^2/s", "kg/m^2/s") == pytest.approx(1e-3, rel=1e-14)
 
     def test_missing_unit_rejected(self):
-        with pytest.raises(UnitError):
-            parse_quantity("88")
+        with pytest.raises(UnitError, match=re.escape("88 is dimensionless, expected m s^-1")):
+            parse_quantity("88", "m/s")
 
     def test_unknown_unit_rejected(self):
         with pytest.raises(UnitError):
-            parse_quantity("1 furlong")
+            parse_quantity("1 furlong", "m")
 
     def test_dimensionless(self):
-        assert parse_quantity("0.4", dimensionless=True) == 0.4
-        assert parse_quantity("0.4 -", dimensionless=True) == 0.4
+        assert parse_quantity("0.4", "-") == 0.4
+        assert parse_quantity("0.4 -", "-") == 0.4
+        for unit in ("m", "m/m"):
+            with pytest.raises(UnitError):
+                parse_quantity(f"0.4 {unit}", "-")
+
+    @pytest.mark.parametrize("text, unit, message", [
+        ("35 Pa", "m", "35 Pa is kg m^-1 s^-2, expected m"),
+        ("1e-20 J", "Pa*s", "1e-20 J is m^2 kg s^-2, expected kg m^-1 s^-1"),
+        ("293 K", "-", "293 K is K, expected dimensionless"),
+        ("1200 1/day", "m", "1200 1/day is s^-1, expected m"),
+    ])
+    def test_both_dimensions_named(self, text, unit, message):
+        with pytest.raises(UnitError, match=re.escape(message)):
+            parse_quantity(text, unit)
 
 
 class TestSectionParser:
@@ -99,7 +112,24 @@ BAD_VALUES = {
     "snapshot<0": ("output", "stage2_snapshots", "-5 day"),
     "snapshot=nan": ("output", "stage2_snapshots", "nan day"),
     "snapshot=0": ("output", "stage2_snapshots", "0 day"),
+    "snapshot=abc": ("output", "stage2_snapshots", "abc year"),
+    "snapshot_unit_unknown": ("output", "stage2_snapshots", "0.1 furlong"),
+    "screen_length<0": ("well.injection", "screen_length", "-0.02 m"),
+    "swr<0": ("upper_sand", "swr", "-0.05"),
+    "porosity=1": ("lower_sand", "porosity", "1"),
+    "head_left=inf": ("flow", "head_left", "inf m"),
+    "pool_threshold>1": ("numerics", "pool_threshold", "7"),
+    "roi_threshold<0": ("numerics", "roi_threshold", "-1 kg/m^3"),
+    "infiltration_flux<0": ("infiltration", "flux", "-0.001 kg/m^2/s"),
+    "infiltration_duration<0": ("infiltration", "duration", "-5 day"),
+    "infiltration_width=0": ("infiltration", "width", "0 m"),
 }
+
+DEFAULT_TEXT = RunConfig.default().source_text
+# every quantity key of default.cfg (a well's mode is a word, not a quantity)
+DEFAULT_KEYS = [(section, key, value)
+                for section, values in parse_sections(DEFAULT_TEXT).items()
+                for key, value in values.items() if key != "mode"]
 
 
 class TestRunConfig:
@@ -157,6 +187,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=section):
             RunConfig.from_text(text)
 
+    @pytest.mark.parametrize("section, key, value", DEFAULT_KEYS,
+                             ids=[f"{s}.{k}" for s, k, _ in DEFAULT_KEYS])
+    def test_wrong_dimension_rejected(self, section, key, value):
+        # a dimensionless key gets a length, a physical one a temperature
+        # (a temperature a length); a list is cut to its first item
+        number, _, unit = value.split(",")[0].partition(" ")
+        wrong = "m" if unit in ("", "K") else "K"
+        text = set_key(DEFAULT_TEXT, section, key, f"{number} {wrong}")
+        with pytest.raises(ConfigError, match=rf"^\[{re.escape(section)}\] {key}: "
+                                              rf"{re.escape(number)} {wrong} is {wrong}, expected \S"):
+            RunConfig.from_text(text)
+
     def test_range_ends_accepted(self):
         text = RunConfig.default().source_text
         for section, key, value in (("numerics", "transport_cfl", "1"), ("clogging", "gamma", "1"),
@@ -164,6 +206,11 @@ class TestRunConfig:
                                     ("nzvi", "concentration", "0 kg/m^3"),
                                     ("reaction", "k_sa", "0 L/h/m^2"),
                                     ("transport", "diffusion", "0 m^2/s"),
+                                    ("upper_sand", "swr", "0"),
+                                    ("numerics", "pool_threshold", "1"),
+                                    ("numerics", "roi_threshold", "0 kg/m^3"),
+                                    ("infiltration", "flux", "0 kg/m^2/s"),
+                                    ("infiltration", "duration", "0 day"),
                                     # past the stage's end: loads, writes nothing
                                     ("output", "stage2_snapshots", "99 year")):
             text = set_key(text, section, key, value)

@@ -1,9 +1,7 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from remsim.config import CloggingCfg, CmcCfg, ConfigError, NzviCfg, TransportCfg
+from remsim.config import CloggingCfg, CmcCfg, NzviCfg, TransportCfg
 from remsim.flow import FlowField
 from remsim.grid import build_grid
 from remsim.nzvi import (
@@ -164,11 +162,6 @@ class TestClogging:
         with pytest.raises(ValueError):
             clogging_update(np.array(3000.0), 1e-12, 0.4, self.CLOG, 6100.0)
 
-    def test_invalid_params(self):
-        for bad in (replace(self.CLOG, a0=0.0), replace(self.CLOG, gamma=0.0)):
-            with pytest.raises(ConfigError):
-                bad.validate("clogging")
-
 
 class TestCmcViscosity:
     CMC = CmcCfg(concentration=3.0, solution_viscosity=0.0027)
@@ -209,8 +202,3 @@ class TestRoi:
         roi = radius_of_influence(s, g, (5.25, 5.25), 0.01, layer_mask=upper)
         assert roi == pytest.approx(np.hypot(0.0, 9.25 - 5.25), rel=1e-12)
 
-
-def test_nzvi_params_validation():
-    for bad in (replace(PARAMS, particle_diameter=0.0), replace(PARAMS, attachment_efficiency=1.5)):
-        with pytest.raises(ConfigError):
-            bad.validate("nzvi")

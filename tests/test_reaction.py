@@ -1,10 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from remsim.config import ConfigError, ReactionCfg
+from remsim.config import ReactionCfg
 from remsim.reaction import reactive_step
 
 # 2.6e-3 L/h/m^2 in SI, 23 m^2/g in SI
@@ -18,10 +16,6 @@ class TestRateCoefficient:
     def test_hand_value_per_hour(self):
         # K * (1 kg/m^3 iron) = 0.0598 1/h
         assert KK * 3600.0 == pytest.approx(0.0598, rel=1e-3)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            replace(PARAMS, k_sa=-1.0).validate("reaction")
 
 
 class TestReactiveStep:
