@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _SEPARATOR = b"\n\x00"
 
-# canonical field order in every checkpoint
+# canonical field order in every checkpoint; ``sw`` is ``1 - sn``, read by no stage
 FIELD_NAMES = (
     "sw",
     "sn",
@@ -28,7 +28,6 @@ FIELD_NAMES = (
     "c_cmc",
     "c_nzvi",
     "s_bulk",
-    "rho_m",
     "theta_m",
     "k",
 )
@@ -105,10 +104,10 @@ def _parse_manifest(data: bytes, path) -> tuple[dict, int]:
     if missing:
         raise CheckpointError(f"{path}: manifest lacks {', '.join(missing)}")
     version = manifest["version"]
-    if type(version) is not int or version > FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise CheckpointError(
-            f"{path}: checkpoint version {version!r} is not an integer up to the "
-            f"supported version {FORMAT_VERSION}"
+            f"{path}: checkpoint version {version!r} is not the supported version "
+            f"{FORMAT_VERSION}"
         )
     return manifest, sep + len(_SEPARATOR)
 

@@ -13,7 +13,11 @@ four stages walk one schedule (:func:`_march`): stage 1 takes the IMPES
 sub-steps its stability bounds allow, stages 2-4 fixed operator-split steps.
 All four also share one field state: a copy of the incoming checkpoint's
 ``fields`` dict whose entries the runner replaces as the stage advances and
-hands on to the outgoing checkpoint.
+hands on to the outgoing checkpoint.  The state holds each quantity once:
+the NAPL saturation ``sn``, whose complement is the water saturation, and
+the bulk iron deposit ``s_bulk``, which stage 4 reacts as the iron per unit
+pore volume ``s_bulk / theta_m``.  No stage reads the checkpoint's ``sw``;
+:func:`_make_checkpoint` writes it as ``1 - sn`` for readers of the file.
 
 Every stage keeps a :class:`Ledger` for each species it moves: initial,
 injected, dissolved, exported, degraded and final mass, each weighed by
@@ -82,6 +86,7 @@ class StageResult:
 
 
 def _make_checkpoint(scn: Scenario, stage: int, clock: float, fields: dict) -> StageCheckpoint:
+    """The checkpoint of the field state ``fields``, with ``sw = 1 - sn``."""
     g = scn.grid
     return StageCheckpoint(
         stage=stage,
@@ -90,7 +95,7 @@ def _make_checkpoint(scn: Scenario, stage: int, clock: float, fields: dict) -> S
         ny=g.ny,
         seed=scn.seed,
         config_hash=scn.config.config_hash,
-        fields=fields,
+        fields={**fields, "sw": 1.0 - fields["sn"]},
     )
 
 
@@ -135,9 +140,10 @@ def _march(duration: float, marks, dt_max: float, step):
         yield t
 
 
-def _water_mobility(sw, material):
-    """Water relative permeability with trapped NAPL (mobility scale)."""
-    se = np.clip((sw - material.swr) / (1.0 - material.swr - material.snr), 0.0, 1.0)
+def _water_mobility(sn, material):
+    """Water relative permeability at the water saturation ``1 - sn``, with
+    trapped NAPL (mobility scale)."""
+    se = np.clip((1.0 - sn - material.swr) / (1.0 - material.swr - material.snr), 0.0, 1.0)
     krw, _ = rel_perm(se, material.bc_lambda)
     return np.maximum(krw, 1e-6)
 
@@ -183,19 +189,18 @@ def run_stage1(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     snapshots, series = [], []
     sn_near_end = f["sn"]
     for t in _march(duration, marks, np.inf, step):
-        stats_t = source_zone_stats(f["sn"], m, g, rho_n, cfg.numerics.pool_threshold)
-        series.append([t, stats_t.total_mass, stats_t.pool_fraction,
-                       stats_t.ganglia_fraction, stats_t.upper_fraction,
-                       stats_t.lower_fraction])
+        stats = source_zone_stats(f["sn"], m, g, rho_n, cfg.numerics.pool_threshold)
+        series.append([t, stats.total_mass, stats.pool_fraction, stats.ganglia_fraction,
+                       stats.upper_fraction, stats.lower_fraction])
         if t in set(cfg.snapshots[0]):
-            snapshots.append((t, {"sn": f["sn"], "sw": f["sw"]}))
+            snapshots.append((t, {"sn": f["sn"], "sw": 1.0 - f["sn"]}))
         if abs(t - (duration - 10.0 * DAY)) < 1.0:
             sn_near_end = f["sn"]
 
     ledger["napl"].injected = stepper.injected_mass
     ledger["napl"].final = _mass(f, f["sn"], cv) * rho_n
     diagnostics = {
-        "source_zone": source_zone_stats(f["sn"], m, g, rho_n, cfg.numerics.pool_threshold),
+        "source_zone": stats,
         "near_static_max_dsn": float(np.abs(f["sn"] - sn_near_end).max()),
         "pressure": stepper.cache.stats(),
         # sub-steps set by each bound (advection, inflow, capillary, chunk end)
@@ -221,7 +226,7 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     f = dict(ckpt.fields)
 
     cache = FactorCache()
-    flow = _darcy(scn, f, np.full_like(f["k"], cfg.mu_w), _water_mobility(f["sw"], m), cache)
+    flow = _darcy(scn, f, np.full_like(f["k"], cfg.mu_w), _water_mobility(f["sn"], m), cache)
     kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport, cfg.numerics.transport_cfl)
 
     napl0 = _mass(f, f["sn"], cv) * rho_n
@@ -284,7 +289,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         "cmc": {cell: cfg.cmc.concentration for cell in sources},
     }
     q_total = sum(sources.values())
-    mobility = _water_mobility(f["sw"], m)
+    mobility = _water_mobility(f["sn"], m)
     well = cfg.wells["injection"]
     screen = (well.x, g.height - well.depth)
     iw, jw = scn.well_cells["injection"][0]
@@ -333,21 +338,21 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     ledger["tce"].final = _mass(f, f["c_tce"], cv)
     ledger["tce"].dissolved = napl0 - _mass(f, f["sn"], cv) * rho_n
 
+    _, roi, _, max_k_reduction = series[-1]
     diagnostics.update({
-        "roi": nz.radius_of_influence(s_bulk, g, screen, roi_threshold),
+        "roi": roi,
         "roi_upper": nz.radius_of_influence(
             s_bulk, g, screen, roi_threshold, m.layer_mask(upper=True)
         ),
         "roi_lower": nz.radius_of_influence(
             s_bulk, g, screen, roi_threshold, m.layer_mask(upper=False)
         ),
-        "max_k_reduction": float(1.0 - (f["k"] / k0).min()),
+        "max_k_reduction": max_k_reduction,
         "max_theta_reduction": float(1.0 - (theta_m / theta0).min()),
         "retained_mass": retained,
         "pressure": cache.stats(),
         "series_header": ["t", "roi", "max_s_bulk", "max_k_reduction"],
     })
-    f["rho_m"] = s_bulk / theta_m
     ckpt_out = _make_checkpoint(scn, 3, ckpt.clock + t, f)
     return StageResult(3, ckpt_out, diagnostics, ledger, snapshots, series)
 
@@ -361,9 +366,11 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> S
     cfg, g, m = scn.config, scn.grid, scn.material
     rho_n, cv = cfg.rho_n, g.cell_volume
     f = dict(ckpt.fields)
+    # the iron that reacts, per unit pore volume; written back as s_bulk
+    rho_m = f["s_bulk"] / f["theta_m"]
 
-    mobility = _water_mobility(f["sw"], m)
-    iron0 = _mass(f, f["rho_m"], cv)
+    mobility = _water_mobility(f["sn"], m)
+    iron0 = _mass(f, rho_m, cv)
     napl0 = _mass(f, f["sn"], cv) * rho_n
     ledger = {"tce": Ledger(initial=_mass(f, f["c_tce"], cv), napl=napl0),
               "cmc": Ledger(initial=_mass(f, f["c_cmc"], cv))}
@@ -373,6 +380,7 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> S
     cache = FactorCache()
 
     def step(t, dt):
+        nonlocal rho_m
         mu = nz.cmc_viscosity(f["c_cmc"], cfg.cmc, cfg.mu_w)
         flow = _darcy(scn, f, mu, mobility, cache)
         kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport, cfg.numerics.transport_cfl)
@@ -380,25 +388,25 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> S
         f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, cfg.solubility,
                                                   cfg.transport, dt)
         if reactive:
-            pre = _mass(f, f["c_tce"], cv)
-            f["c_tce"], f["rho_m"] = reactive_step(f["c_tce"], f["rho_m"], cfg.reaction, dt)
-            ledger["tce"].degraded += pre - _mass(f, f["c_tce"], cv)
-        iron_frac = _mass(f, f["rho_m"], cv) / max(iron0, 1e-300)
+            pre = f["c_tce"]
+            f["c_tce"], rho_m = reactive_step(pre, rho_m, cfg.reaction, dt)
+            ledger["tce"].degraded += _mass(f, pre - f["c_tce"], cv)
+        iron_frac = _mass(f, rho_m, cv) / max(iron0, 1e-300)
         series.append([t + dt, iron_frac] + [probe(f["c_tce"], cell) for cell in mon.values()])
         return dt
 
     for t in _march(cfg.stage_durations[3], marks, STAGE4_DT, step):
         if t in marks:
-            snapshots.append((t, {"c_tce": f["c_tce"], "rho_m": f["rho_m"]}))
+            snapshots.append((t, {"c_tce": f["c_tce"], "rho_m": rho_m}))
 
     ledger["tce"].dissolved = napl0 - _mass(f, f["sn"], cv) * rho_n
     for name in ledger:
         ledger[name].final = _mass(f, f["c_" + name], cv)
-    f["s_bulk"] = f["rho_m"] * f["theta_m"]
+    f["s_bulk"] = rho_m * f["theta_m"]
     ckpt_out = _make_checkpoint(scn, 4, ckpt.clock + t, f)
     diagnostics = {
         "iron_initial": iron0,
-        "iron_final": _mass(f, f["rho_m"], cv),
+        "iron_final": _mass(f, rho_m, cv),
         "degraded_mass": ledger["tce"].degraded,
         "pressure": cache.stats(),
         # the iron can degrade at most its mass over the stoichiometry

@@ -64,11 +64,10 @@ SAT_TOL = 1e-9
 
 
 def hydrostatic_two_phase(grid, config: RunConfig) -> dict:
-    """The fields ``sw``, ``sn`` and ``pw`` of NAPL-free water at rest under a
-    water table at the top of the grid."""
+    """The fields ``sn`` and ``pw`` of NAPL-free water at rest under a water
+    table at the top of the grid."""
     _, yv = grid.cell_centers()
-    return {"sw": np.ones((grid.ny, grid.nx)),
-            "sn": np.zeros((grid.ny, grid.nx)),
+    return {"sn": np.zeros((grid.ny, grid.nx)),
             "pw": config.rho_w * config.gravity * (grid.height - yv)}
 
 
@@ -100,15 +99,15 @@ class ImpesStepper:
     """Face permeabilities and audit state for repeated IMPES sub-steps on
     ``material.grid``, with the fluid values of ``config`` and the capillary
     clamp and the step safety factor of its ``numerics`` record.  Each
-    sub-step advances the ``sw``, ``sn`` and ``pw`` entries of a field
-    state, a checkpoint's field dict.  It is given the NAPL release source,
-    a volumetric rate per cell volume (1/s), or ``None``; the source
-    moves only the right-hand side of the pressure system, so the stepper's
-    own :class:`FactorCache`, ``cache``, serves sub-steps with and without
-    it.  ``injected_mass`` sums the NAPL the source has fed in; ``limits``
-    counts the sub-steps each bound of :data:`LIMITS` has set;
-    ``window_columns`` sums the width of each sub-step's window ``E`` and
-    ``window_max`` is the widest.
+    sub-step advances the ``sn`` and ``pw`` entries of a field state, a
+    checkpoint's field dict; the water saturation is ``1 - sn``.  It is
+    given the NAPL release source, a volumetric rate per cell volume (1/s),
+    or ``None``; the source moves only the right-hand side of the pressure
+    system, so the stepper's own :class:`FactorCache`, ``cache``, serves
+    sub-steps with and without it.  ``injected_mass`` sums the NAPL the
+    source has fed in; ``limits`` counts the sub-steps each bound of
+    :data:`LIMITS` has set; ``window_columns`` sums the width of each
+    sub-step's window ``E`` and ``window_max`` is the widest.
 
     A sub-step works on a window of whole grid columns around the NAPL.  Let
     ``N`` be the columns holding NAPL (``sn != 0``) or fed by the sub-step's
@@ -120,12 +119,12 @@ class ImpesStepper:
     face terms, NAPL fluxes, stability bounds and divergence are evaluated
     on ``E``, and ``sn`` is updated on ``C``, each cell summing its faces in
     the same order as on the whole grid.  A cell outside ``E`` is NAPL-free
-    (``sn = 0``, ``sw = 1``: every sub-step leaves ``sw = 1 - sn``), so
-    ``krw = 1``, ``krn = 0`` and ``pc = pd`` there; its faces carry no NAPL
-    flux and bound nothing, and the pressure system, still assembled on the
-    whole grid, takes their closed forms ``lw = kf / mu_w`` and ``ln = 0``,
-    which equal the closures' ``kf * 1.0 / mu_w`` bit for bit.  Results are
-    therefore those of a whole-grid sub-step, bit for bit.
+    (``sn = 0``, ``sw = 1``), so ``krw = 1``, ``krn = 0`` and ``pc = pd``
+    there; its faces carry no NAPL flux and bound nothing, and the pressure
+    system, still assembled on the whole grid, takes their closed forms
+    ``lw = kf / mu_w`` and ``ln = 0``, which equal the closures'
+    ``kf * 1.0 / mu_w`` bit for bit.  Results are therefore those of a
+    whole-grid sub-step, bit for bit.
     """
 
     def __init__(self, material: MaterialMap, config: RunConfig):
@@ -159,9 +158,10 @@ class ImpesStepper:
     # -- closures ---------------------------------------------------------
     def closures(self, f: dict, cols: slice):
         """``(pc, dpc, krw, krn)`` of the field state ``f`` on the grid columns
-        ``cols``: ``dpc`` is -dpc/dSw, the slope the capillary bound feels."""
+        ``cols``, at the water saturation ``1 - sn``: ``dpc`` is -dpc/dSw, the
+        slope the capillary bound feels."""
         m, num = self.material, self.config.numerics
-        sw = f["sw"][:, cols]
+        sw = 1.0 - f["sn"][:, cols]
         swr, snr, pd, lam = (a[:, cols] for a in (m.swr, m.snr, m.entry_pressure, m.bc_lambda))
         se_pc = effective_saturation(sw, swr, snr, num.se_clamp)
         se_kr = np.clip((sw - swr) / (1.0 - swr - snr), 0.0, 1.0)
@@ -255,9 +255,8 @@ class ImpesStepper:
 
     def substep(self, f: dict, dt_target: float, source: np.ndarray | None = None) -> float:
         """One IMPES sub-step of at most ``dt_target`` under the NAPL release
-        ``source`` (1/s per cell volume, or ``None``): replaces the ``sw``,
-        ``sn`` and ``pw`` entries of the field state ``f`` and returns the dt
-        taken."""
+        ``source`` (1/s per cell volume, or ``None``): replaces the ``sn`` and
+        ``pw`` entries of the field state ``f`` and returns the dt taken."""
         update, cols = self._window(f["sn"], source)
         self.window_columns += cols.stop - cols.start
         self.window_max = max(self.window_max, cols.stop - cols.start)
@@ -294,7 +293,7 @@ class ImpesStepper:
                 f"saturation out of bounds: [{sn_new.min():.3e}, {sn_new.max():.3e}]")
         # snap rounding-scale excursions back onto the physical bounds
         np.clip(changed, 0.0, 1.0, out=changed)
-        f["sn"], f["sw"], f["pw"] = sn_new, 1.0 - sn_new, pw
+        f["sn"], f["pw"] = sn_new, pw
         return dt
 
 

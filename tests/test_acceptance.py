@@ -252,7 +252,6 @@ def _gravity_column(dy: float):
     st = hydrostatic_two_phase(g, cfg)
     _, yv = g.cell_centers()
     st["sn"][yv > 7.0] = 0.4                          # 1 m slug at the top
-    st["sw"] = 1.0 - st["sn"]
     stepper = ImpesStepper(m, cfg)
     pore = {"theta_m": m.porosity}
     m0 = _mass(pore, st["sn"], g.cell_volume) * cfg.rho_n

@@ -3,6 +3,7 @@ import pytest
 
 from remsim.checkpoint import (
     FIELD_NAMES,
+    FORMAT_VERSION,
     CheckpointError,
     StageCheckpoint,
     read_checkpoint,
@@ -56,12 +57,16 @@ class TestErrors:
         with pytest.raises(CheckpointError):
             read_checkpoint(path)
 
-    def test_newer_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [FORMAT_VERSION - 1, 9], ids=["older", "newer"])
+    def test_other_version_rejected(self, tmp_path, version):
         path = tmp_path / "s1.ckpt"
         write_checkpoint(make_ckpt(), path)
         data = path.read_bytes()
-        path.write_bytes(data.replace(b'"version":1', b'"version":9', 1))
-        with pytest.raises(CheckpointError, match="version"):
+        current = f'"version":{FORMAT_VERSION}'.encode()
+        assert data.count(current) == 1
+        path.write_bytes(data.replace(current, f'"version":{version}'.encode()))
+        with pytest.raises(CheckpointError, match=f"version {version} is not the supported "
+                                                  f"version {FORMAT_VERSION}"):
             read_checkpoint(path)
 
     def test_bad_field_shape(self, tmp_path):

@@ -96,7 +96,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("old, new", [
         (b'"nx":35', b'"nx":36'),              # grid size disagrees with the field sizes
         (b'"seed":0,', b''),                   # manifest key missing
-        (b'"name":"sw"', b'"name":"zz"'),      # field renamed
+        (b'"name":"sn"', b'"name":"zz"'),      # field renamed
     ], ids=["nx", "seed_missing", "field_renamed"])
     def test_edited_manifest_returns_3(self, stage1_ckpt, tmp_path, capsys, old, new):
         data = stage1_ckpt.read_bytes()

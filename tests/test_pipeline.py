@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,14 @@ def fast_cfg():
     return RunConfig.from_text(fast_config_text())
 
 
+@pytest.fixture(scope="module")
+def straight_run(fast_cfg, tmp_path_factory):
+    """The output directory of one run of stages 1-4."""
+    out = tmp_path_factory.mktemp("straight")
+    run(fast_cfg, [1, 2, 3, 4], out, export=None)
+    return out
+
+
 class TestStageSelection:
     def test_all(self):
         assert parse_stage_selection("all") == [1, 2, 3, 4]
@@ -84,6 +94,16 @@ class TestRun:
         assert ck.stage == 2
         assert ck.clock > read_checkpoint(checkpoint_path(out, 1)).clock
         assert 2 in result.results
+
+    @pytest.mark.parametrize("first", [2, 3, 4])
+    def test_restart_reproduces_straight_run(self, fast_cfg, straight_run, tmp_path, first):
+        # a stage gets nothing from the one before it but the checkpoint file
+        shutil.copyfile(checkpoint_path(straight_run, first - 1),
+                        checkpoint_path(tmp_path, first - 1))
+        run(fast_cfg, list(range(first, 5)), tmp_path, export=None)
+        for stage in range(first, 5):
+            assert (checkpoint_path(tmp_path, stage).read_bytes()
+                    == checkpoint_path(straight_run, stage).read_bytes()), stage
 
     def test_missing_prerequisite(self, fast_cfg, tmp_path):
         with pytest.raises(MissingCheckpointError):

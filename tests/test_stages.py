@@ -99,7 +99,7 @@ class TestDegradation:
         scn = Scenario.build(RunConfig.from_text(fast_config_text()), 0)
         ckpt = fast_run.results[3].checkpoint
         fields = dict(ckpt.fields)
-        fields["c_tce"] = np.where(fields["rho_m"] > 0, scn.config.solubility, fields["c_tce"])
+        fields["c_tce"] = np.where(fields["s_bulk"] > 0, scn.config.solubility, fields["c_tce"])
         res = run_stage4(scn, dataclasses.replace(ckpt, fields=fields))
         # the iron is used up here, so the degraded mass meets the capacity to
         # rounding (it is summed over the steps, the capacity is not)
@@ -180,7 +180,7 @@ class TestBudgets:
 
     def test_stage4_iron_capacity(self, fast_run):
         f = fast_run.results[3].checkpoint.fields
-        iron = float((f["theta_m"] * f["rho_m"]).sum())              # kg/m on 1 m^2 cells
+        iron = float(f["s_bulk"].sum())                              # kg/m on 1 m^2 cells
         res = fast_run.results[4]
         budget = res.diagnostics["budget"]
         assert budget["iron_capacity"] == pytest.approx(iron / 0.85, rel=1e-12)

@@ -55,8 +55,9 @@ class ReferenceStepper:
 
     def closures(self, state):
         m, num = self.material, self.numerics
-        se_pc = effective_saturation(state["sw"], m.swr, m.snr, num.se_clamp)
-        se_kr = np.clip((state["sw"] - m.swr) / (1.0 - m.swr - m.snr), 0.0, 1.0)
+        sw = 1.0 - state["sn"]
+        se_pc = effective_saturation(sw, m.swr, m.snr, num.se_clamp)
+        se_kr = np.clip((sw - m.swr) / (1.0 - m.swr - m.snr), 0.0, 1.0)
         pc = capillary_pressure(se_pc, m.entry_pressure, m.bc_lambda)
         krw, krn = rel_perm(se_kr, m.bc_lambda)
         return pc, krw, krn
@@ -103,7 +104,7 @@ class ReferenceStepper:
             dt_adv = np.where(out > 0, MAX_DS * pv / out, np.inf).min()
             avail = np.maximum(1.0 - m.swr - state["sn"], 0.02)
             dt_in = np.where(inflow > 0, num.two_phase_cfl * avail * pv / inflow, np.inf).min()
-        se = effective_saturation(state["sw"], m.swr, m.snr, num.se_clamp)
+        se = effective_saturation(1.0 - state["sn"], m.swr, m.snr, num.se_clamp)
         dpc = (m.entry_pressure / m.bc_lambda * se ** (-1.0 / m.bc_lambda - 1.0)
                / (1.0 - m.swr - m.snr))
         with np.errstate(invalid="ignore"):
@@ -144,7 +145,7 @@ class ReferenceStepper:
             raise SolverError(
                 f"saturation out of bounds: [{sn.min():.3e}, {sn.max():.3e}]")
         np.clip(sn, 0.0, 1.0, out=sn)
-        state["sn"], state["sw"], state["pw"] = sn, 1.0 - sn, pw
+        state["sn"], state["pw"] = sn, pw
         return dt
 
 
@@ -220,7 +221,7 @@ class TestHydrostaticState:
     def test_initial_state(self):
         g = build_grid((1.0, 12.0), (0.5, 0.5))
         st = hydrostatic_two_phase(g, CONFIG)
-        assert (st["sn"] == 0.0).all() and (st["sw"] == 1.0).all()
+        assert set(st) == {"sn", "pw"} and (st["sn"] == 0.0).all()
         assert st["pw"][0, 0] == pytest.approx(1000.0 * 9.81 * 11.75)
 
 
@@ -259,7 +260,6 @@ class TestStepping:
         m = homogeneous(g, entry_pressure=500.0)
         st = hydrostatic_two_phase(g, CONFIG)
         st["sn"][-3:, 4:6] = 0.3
-        st["sw"] = 1.0 - st["sn"]
         stepper = ImpesStepper(m, CONFIG)
         m0 = napl_mass(m, st)
         out = impes_step(st, m, dt=86400.0, stepper=stepper)
@@ -270,7 +270,6 @@ class TestStepping:
         m = homogeneous(g, entry_pressure=500.0)
         st = hydrostatic_two_phase(g, CONFIG)
         st["sn"][-3:, 4:6] = 0.5
-        st["sw"] = 1.0 - st["sn"]
         out = impes_step(st, m, dt=2 * 86400.0)
         assert out["sn"].min() >= 0.0
         assert out["sn"].max() <= 1.0 - m.swr.min() + 1e-9
@@ -281,7 +280,6 @@ class TestStepping:
         m = homogeneous(g, entry_pressure=10.0, swr=0.05, snr=0.0)
         st = hydrostatic_two_phase(g, CONFIG)
         st["sn"][-5:, :] = 0.4
-        st["sw"] = 1.0 - st["sn"]
         stepper = ImpesStepper(m, CONFIG)
         _, yv = g.cell_centers()
 
@@ -305,7 +303,6 @@ class TestStepping:
         def slug():
             st = hydrostatic_two_phase(g, CONFIG)
             st["sn"][-5:, :] = 0.4
-            st["sw"] = 1.0 - st["sn"]
             return st
 
         free = ImpesStepper(m, CONFIG)
@@ -329,7 +326,6 @@ class TestStepping:
         m = MaterialMap(grid=g, lithology=lith, props={0: sand, 2: clay})
         st = hydrostatic_two_phase(g, CONFIG)
         st["sn"][-4:, :] = 0.5
-        st["sw"] = 1.0 - st["sn"]
         stepper = ImpesStepper(m, CONFIG)
         out = impes_step(st, m, dt=5 * 86400.0, stepper=stepper)
         assert out["sn"][:10, :].max() == 0.0
@@ -365,7 +361,7 @@ def lockstep(state, stepper, reference, segments):
     with its ``reference``, through ``segments`` = ``[(source, t_stop), ...]``
     from t = 0: each segment sub-steps under its NAPL ``source`` until
     ``t_stop``.  Asserts after every sub-step that dt, the limit counts, the
-    injected mass and ``sw``, ``sn``, ``pw`` agree bit for bit.  Returns the
+    injected mass, ``sn`` and ``pw`` agree bit for bit.  Returns the
     windowed state and the number of sub-steps."""
     ours, ref = dict(state), dict(state)
     t, substeps = 0.0, 0
@@ -375,7 +371,7 @@ def lockstep(state, stepper, reference, segments):
             assert reference.substep(ref, t_stop - t, source) == dt
             assert stepper.limits == reference.limits
             assert stepper.injected_mass == reference.injected_mass
-            for name in ("sw", "sn", "pw"):
+            for name in ("sn", "pw"):
                 a, b = ours[name], ref[name]
                 assert a.tobytes() == b.tobytes(), (name, substeps, np.abs(a - b).max())
             t += dt
@@ -397,7 +393,6 @@ class TestWindow:
     def slug(self, cols, sn=0.4):
         st = hydrostatic_two_phase(self.g, CONFIG)
         st["sn"][-4:, cols] = sn
-        st["sw"] = 1.0 - st["sn"]
         return st
 
     @pytest.mark.parametrize("cols", [np.s_[:2], np.s_[-2:]], ids=["column 0", "column nx-1"])
