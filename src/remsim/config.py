@@ -146,7 +146,6 @@ class WellCfg:
     x: float = quantity("m")
     depth: float = quantity("m")
     screen_length: float = quantity("m", "(0, inf)")
-    mode: str                      # "injection" or "monitoring"
     # injection Darcy velocity at the screen
     velocity: float = quantity("m/s", "[0, inf)", default=0.0)
 
@@ -181,8 +180,10 @@ class RunConfig:
     gravity: float = quantity("m/s^2", "(0, inf)", ("fluids", "gravity"))
     head_left: float = quantity("m", at=("flow", "head_left"))
     head_right: float = quantity("m", at=("flow", "head_right"))
-    # [well.<name>] sections
-    wells: dict[str, WellCfg]
+    # [well.injection], the one injection well, and every other [well.<name>],
+    # which only probes concentrations
+    injection: WellCfg
+    monitors: dict[str, WellCfg]
     transport: TransportCfg
     nzvi: NzviCfg
     cmc: CmcCfg
@@ -235,21 +236,15 @@ class RunConfig:
         while (lens := f"lens.{len(lenses) + 1}") in sec:
             lenses.append(tuple(get(lens, k, declared["lenses"]) for k in ("x0", "y0", "x1", "y1")))
 
-        wells = {}
-        for name in sec:
-            if name.startswith("well."):
-                mode = sec[name].get("mode", "monitoring")
-                if mode not in ("injection", "monitoring"):
-                    raise ConfigError(f"[{name}] mode must be injection or monitoring")
-                wells[name[len("well."):]] = read(name, WellCfg, mode=mode)
-
         cfg = cls(
             **{name: get(*meta["at"], meta) for name, meta in declared.items() if meta.get("at")},
             upper_sand=read("upper_sand", LithologyCfg),
             lower_sand=read("lower_sand", LithologyCfg),
             clay=read("clay", LithologyCfg),
             lenses=tuple(lenses),
-            wells=wells,
+            injection=read("well.injection", WellCfg),
+            monitors={name[len("well."):]: read(name, WellCfg) for name in sec
+                      if name.startswith("well.") and name != "well.injection"},
             transport=read("transport", TransportCfg),
             nzvi=read("nzvi", NzviCfg),
             cmc=read("cmc", CmcCfg),
@@ -286,6 +281,6 @@ class RunConfig:
         for x0, y0, x1, y1 in self.lenses:
             if not (0 <= x0 < x1 <= self.width and 0 <= y0 < y1 <= self.height):
                 raise ConfigError(f"lens ({x0},{y0})-({x1},{y1}) outside domain")
-        for name, w in self.wells.items():
+        for name, w in {"injection": self.injection, **self.monitors}.items():
             if not 0 <= w.x <= self.width or not 0 < w.depth < self.height:
                 raise ConfigError(f"well {name} outside domain")

@@ -18,7 +18,8 @@ split step) whose mobility changes only in part of the grid: around the NAPL
 body in Stage 1, inside the CMC plume and the clogged zone in Stages 3-4.
 :class:`FactorCache` carries the factors from one solve of a sequence to the
 next and re-factors only the contiguous span of grid columns (along the
-longer side) whose matrix entries differ bitwise from the last full solve;
+longer side) whose matrix entries or right-hand side differ bitwise from the
+last full solve;
 each unchanged strip on either side enters through its Schur complement and
 costs one backward triangular sweep.
 
@@ -93,6 +94,10 @@ def lateral_heads(grid, lam, head_left: float, head_right: float, rho: float, g:
     return d, b
 
 
+# largest relative residual |A p - b| / max(|b|, |A p|) a pressure solve may leave
+RTOL = 1e-10
+
+
 class TpfaSystem:
     """Five-point TPFA pressure system on a (ny, nx) cell grid.
 
@@ -119,7 +124,9 @@ class TpfaSystem:
 
     def solve(self, cache: FactorCache | None = None) -> np.ndarray:
         """Banded Cholesky solve, re-using the factors of ``cache`` (a fresh
-        one by default); raises SolverError if not positive definite."""
+        one by default); raises SolverError if the system is not positive
+        definite or the solution is not finite or leaves a relative residual
+        above :data:`RTOL`."""
         transpose = self.diag.shape[1] > self.diag.shape[0]
         if transpose:  # number the cells along y, the shorter side
             terms = self.diag.T, self.t_y.T, self.t_x.T, self.rhs.T
@@ -129,7 +136,13 @@ class TpfaSystem:
             p = (FactorCache() if cache is None else cache).solve(*terms)
         except LinAlgError as err:
             raise SolverError(f"pressure system is not positive definite: {err}") from err
-        return p.T.copy() if transpose else p
+        p = p.T.copy() if transpose else p
+        ap = self.apply(p)
+        scale = max(np.abs(self.rhs).max(), np.abs(ap).max(), 1e-300)
+        residual = np.abs(ap - self.rhs).max() / scale
+        if not np.isfinite(p).all() or residual > RTOL:
+            raise SolverError(f"pressure solve residual {residual:.3e} exceeds {RTOL:.1e}")
+        return p
 
 
 def _band(diag, inner, outer, ab):
@@ -172,13 +185,14 @@ class FactorCache:
     The first solve factors the whole band, ``A = L L^T``, and keeps its
     terms, right-hand side and forward vector ``L^-1 rhs`` as the reference.
     A later solve factors only the span ``[a, b]`` of outer-index columns
-    whose terms differ bitwise from the reference, both columns of a changed
-    cross-column face included (block elimination, one level of nested
-    dissection).  Each unchanged strip, ``[0, a)`` and ``(b, n)``, keeps a
-    factor ``L`` and a forward vector ``y = L^-1 rhs`` of the reference
-    right-hand side: the left strip's are prefixes of the reference's, the
-    right strip's are computed once, at the first such solve, in reversed
-    cell order, so that in both the column coupled to the span comes last.
+    whose terms or right-hand side differ bitwise from the reference, both
+    columns of a changed cross-column face included (block elimination, one
+    level of nested dissection).  Each unchanged strip, ``[0, a)`` and
+    ``(b, n)``, thus holds the reference right-hand side and keeps a factor
+    ``L`` and a forward vector ``y = L^-1 rhs``: the left strip's are
+    prefixes of the reference's, the right strip's are computed once, at the
+    first such solve, in reversed cell order, so that in both the column
+    coupled to the span comes last.
     With ``L_e`` and ``y_e`` the last blocks of ``L`` and ``y``:
 
     - the span's band, columns ``[a - 1, b + 1]``, holds each strip's
@@ -189,10 +203,9 @@ class FactorCache:
       (``T`` the coupling transmissibilities): ``L^-1 (rhs + T p) = y +
       [0; L_e^-1 T p]``, so one backward sweep ``L^-T`` solves the strip.
 
-    A strip whose right-hand side differs bitwise from the reference takes
-    one fresh forward sweep.  A wider span uses prefixes of the strips, a
-    narrower one keeps the widest so far; one that reaches both ends is a
-    full solve and the new reference.
+    A wider span uses prefixes of the strips, a narrower one keeps the
+    widest so far; one that reaches both ends is a full solve and the new
+    reference.
     """
 
     def __init__(self):
@@ -221,8 +234,8 @@ class FactorCache:
         self.n_columns = n
         self.solves += 1
         if self.reference is not None:
-            ref_diag, ref_inner, ref_outer, _ = self.reference
-            changed = _differs(diag, ref_diag) | _differs(inner, ref_inner)
+            ref_diag, ref_inner, ref_outer, ref_rhs = self.reference
+            changed = _differs(diag, ref_diag) | _differs(inner, ref_inner) | _differs(rhs, ref_rhs)
             face = _differs(outer, ref_outer)
             changed[:-1] |= face
             changed[1:] |= face
@@ -245,11 +258,11 @@ class FactorCache:
 
     def _solve_span(self, diag, inner, outer, rhs, a, b):
         n, m = diag.shape
-        band, forward, ref_rhs = self.band, self.forward, self.reference[3]
+        band, forward = self.band, self.forward
         if self.span is None and b < n - 1:
             right = _factor(_band(*(t[b + 1:][::-1, ::-1] for t in (diag, inner, outer)),
                                   band[:, (b + 1) * m:]))
-            forward[(b + 1) * m:] = _sweep(right, ref_rhs[b + 1:][::-1, ::-1].ravel())
+            forward[(b + 1) * m:] = _sweep(right, rhs[b + 1:][::-1, ::-1].ravel())
         elif self.span is not None and b > self.span[1]:
             # move the prefixes of the right strip's factor and forward vector
             # still in use up to column b + 1 (1-D moves: no temporary)
@@ -272,11 +285,8 @@ class FactorCache:
         lo, hi = max(a - 1, 0), min(b + 1, n - 1)
         r = rhs[lo: hi + 1].copy()
         ys = []
-        for rows, step, col, cells, low, _ in self.strips:
+        for _, step, col, cells, low, _ in self.strips:
             ys.append(forward[cells])
-            if _differs(rhs[rows], ref_rhs[rows]).any():
-                ys[-1] = _sweep(band[:, cells], rhs[rows][::step, ::step].ravel())
-                self.strip_sweeps += 1
             r[col - lo] = (low @ ys[-1][-m:])[::step]
         # the band of [lo, hi] borrows the cells of the left factor's last
         # column and of the right factor's first, kept aside until it is solved
@@ -303,10 +313,6 @@ class FactorCache:
             self.strip_sweeps += 1
         self.columns += hi - lo + 1
         return p
-
-
-# largest relative residual |A p - b| / max(|b|, |A p|) a pressure solve may leave
-RTOL = 1e-10
 
 
 def solve_pressure(
@@ -349,11 +355,6 @@ def solve_pressure(
     # y-faces carry the gravity term rho*g*(z_nb - z_o)
     system = TpfaSystem(t_x, t_y, np.zeros_like(t_x), t_y * (rho * g * dy), d, b)
     pm = system.solve(cache)
-    ap = system.apply(pm)
-    scale = max(np.abs(system.rhs).max(), np.abs(ap).max(), 1e-300)
-    residual = np.abs(ap - system.rhs).max() / scale
-    if not np.isfinite(pm).all() or residual > RTOL:
-        raise SolverError(f"pressure solve residual {residual:.3e} exceeds {RTOL:.1e}")
 
     qx = np.zeros((ny, nx + 1))
     qy = np.zeros((ny + 1, nx))

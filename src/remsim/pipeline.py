@@ -1,8 +1,9 @@
 """Stage orchestration: checkpoint resolution, snapshot export, audits.
 
 Exit-code taxonomy (shared with the CLI):
-  0 success, 2 configuration error, 3 missing, corrupt or foreign
-  prerequisite checkpoint, 4 solver failure, 5 mass-balance audit failure.
+  0 success, 2 configuration error, 3 missing, corrupt, foreign or
+  wrong-stage prerequisite checkpoint, 4 solver failure, 5 mass-balance
+  audit failure.
 """
 
 from __future__ import annotations
@@ -126,6 +127,9 @@ def run(
                 f"stage {stages[0]} requires checkpoint {path}, which does not exist"
             )
         prev = read_checkpoint(path)
+        if prev.stage != stages[0] - 1:
+            raise CheckpointError(f"{path}: holds the state after stage {prev.stage}, "
+                                  f"not after stage {stages[0] - 1}")
         if (prev.nx, prev.ny) != (scn.grid.nx, scn.grid.ny):
             raise CheckpointError(
                 f"{path}: grid {prev.nx}x{prev.ny} does not match config "

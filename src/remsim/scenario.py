@@ -27,7 +27,8 @@ class Scenario:
     seed: int
     grid: Grid
     material: MaterialMap
-    well_cells: dict[str, list[tuple[int, int]]]
+    injection_cells: list[tuple[int, int]]
+    monitor_cells: dict[str, tuple[int, int]]    # name -> screen cell
     infil_columns: np.ndarray
 
     @classmethod
@@ -42,28 +43,18 @@ class Scenario:
             seed=seed,
             grid=grid,
             material=material,
-            well_cells={name: locate_well_cells(grid, w) for name, w in config.wells.items()},
+            injection_cells=locate_well_cells(grid, config.injection),
+            monitor_cells={name: locate_well_cells(grid, w)[0]
+                           for name, w in config.monitors.items()},
             infil_columns=strip_columns(grid, config.infil_center, config.infil_width),
         )
 
     def injection_sources(self) -> dict[tuple[int, int], float]:
-        """Volumetric well sources (m^3/s per unit thickness) for injection wells."""
-        sources: dict[tuple[int, int], float] = {}
-        for name, w in self.config.wells.items():
-            if w.mode != "injection" or w.velocity <= 0:
-                continue
-            cells = self.well_cells[name]
-            rate = w.velocity * w.screen_area() / len(cells)
-            for cell in cells:
-                sources[cell] = sources.get(cell, 0.0) + rate
-        return sources
-
-    def monitoring_cells(self) -> dict[str, tuple[int, int]]:
-        return {
-            name: self.well_cells[name][0]
-            for name, w in self.config.wells.items()
-            if w.mode == "monitoring"
-        }
+        """Volumetric sources (m^3/s per unit thickness) of the injection
+        well's screen cells."""
+        w, cells = self.config.injection, self.injection_cells
+        rate = w.velocity * w.screen_area() / len(cells)
+        return {cell: rate for cell in cells}
 
     def napl_source_field(self) -> np.ndarray:
         """Volumetric NAPL source rate per cell volume (1/s) for the strip."""

@@ -28,12 +28,13 @@ class TransportKernel:
 
     Lateral boundaries are open: advective boundary fluxes use the boundary
     cell's own concentration (zero-gradient), dispersive boundary fluxes are
-    zero.  ``well_sources`` maps (i, j) to volumetric rates; injected
-    concentrations are passed per step so one kernel serves many species.
+    zero.  ``well_sources`` maps the injection well's cells (i, j) to their
+    volumetric rates, whose sum is ``inflow``; the injected concentration is
+    passed per step so one kernel serves many species.
 
     Face fluxes ``a_lo*c_lo + a_hi*c_hi`` (``a_lo = max(f, 0) + g``, ``a_hi =
     min(f, 0) - g``) are folded once into a stencil divided by ``pv``: ``diag``
-    (faces, open sides, extraction wells) and the non-negative ``west``/
+    (faces and open sides) and the non-negative ``west``/
     ``east``/``south``/``north`` weights.  The export sums the net outflow
     ``export_weights`` of the boundary cells ``export_cells`` times their
     concentration with a numpy reduction, not a BLAS dot product, whose
@@ -53,6 +54,7 @@ class TransportKernel:
     ):
         self.pv = theta * grid.cell_volume
         self.well_sources = dict(well_sources or {})
+        self.inflow = sum(self.well_sources.values())
 
         fx, fy = flow.qx * grid.dy, flow.qy * grid.dx   # volumetric face flow (m^3/s)
         d, alpha = transport.diffusion, transport.dispersivity
@@ -60,9 +62,6 @@ class TransportKernel:
         gy = (d + alpha * np.abs(flow.qy[1:-1, :])) * grid.dx / grid.dy
         lo_x, hi_x = np.maximum(fx[:, 1:-1], 0.0) + gx, np.minimum(fx[:, 1:-1], 0.0) - gx
         lo_y, hi_y = np.maximum(fy[1:-1, :], 0.0) + gy, np.minimum(fy[1:-1, :], 0.0) - gy
-        extract = np.zeros_like(self.pv)
-        for (i, j), rate in self.well_sources.items():
-            extract[j, i] = max(-rate, 0.0)
 
         # positivity / CFL bound: dt <= cfl * pv / (sum outflux + sum conductance)
         faces = scatter_faces(np.zeros_like(self.pv), lo_x, -hi_x, lo_y, -hi_y)
@@ -71,12 +70,11 @@ class TransportKernel:
                         (np.s_[0, :], -fy[0, :]), (np.s_[-1, :], fy[-1, :])):
             out[side] += np.maximum(f, 0.0)
             outflow[side] += f
-        out += extract
         with np.errstate(divide="ignore"):
             self.stable_dt = float(cfl * np.where(out > 0, self.pv / out, np.inf).min())
 
         # flat row-major stencil; x-weights are zero across row ends, boundary inflow is -outflow
-        self.diag = ((-faces - outflow - extract) / self.pv).ravel()
+        self.diag = ((-faces - outflow) / self.pv).ravel()
         west, east = np.zeros_like(self.pv), np.zeros_like(self.pv)
         west[:, :-1], east[:, :-1] = lo_x / self.pv[:, 1:], -hi_x / self.pv[:, :-1]
         self.west, self.east = west.ravel()[:-1], east.ravel()[:-1]
@@ -84,15 +82,15 @@ class TransportKernel:
         self.export_cells = np.flatnonzero(outflow)
         self.export_weights = outflow.ravel()[self.export_cells]
 
-    def step(self, c: np.ndarray, dt: float,
-             well_conc: dict | None = None) -> tuple[np.ndarray, float]:
-        """Advance by dt (sub-stepping internally).  Returns the new field and
-        the net mass (kg per m of thickness) advected out of the domain."""
+    def step(self, c: np.ndarray, dt: float, c_in: float = 0.0) -> tuple[np.ndarray, float]:
+        """Advance by dt (sub-stepping internally), the wells injecting at the
+        concentration ``c_in``.  Returns the new field and the net mass (kg
+        per m of thickness) advected out of the domain."""
         n_sub = max(1, int(np.ceil(dt / self.stable_dt))) if np.isfinite(self.stable_dt) else 1
         sub = dt / n_sub
         ny, nx = c.shape
-        inject = [(j * nx + i, sub * rate * (well_conc or {}).get((i, j), 0.0) / self.pv[j, i])
-                  for (i, j), rate in self.well_sources.items() if rate > 0]
+        inject = [(j * nx + i, sub * rate * c_in / self.pv[j, i])
+                  for (i, j), rate in self.well_sources.items()]
         c, exported = c.ravel(), 0.0
         for _ in range(n_sub):
             r = self.diag * c

@@ -159,10 +159,14 @@ def _darcy(scn: Scenario, f: dict, mu, mobility, cache: FactorCache, sources=Non
     return flow
 
 
-def _transport(kernel: TransportKernel, f: dict, ledger: dict, dt: float, well_conc=None):
-    """Advect and disperse every ledger species over dt and book its export."""
+def _transport(kernel: TransportKernel, f: dict, ledger: dict, dt: float, c_in={}):
+    """Advect and disperse every ledger species over dt, the kernel's wells
+    injecting it at the concentration ``c_in[name]`` (none if absent), and
+    book what it injects and exports."""
     for name, entry in ledger.items():
-        f["c_" + name], exported = kernel.step(f["c_" + name], dt, (well_conc or {}).get(name))
+        conc = c_in.get(name, 0.0)
+        f["c_" + name], exported = kernel.step(f["c_" + name], dt, conc)
+        entry.injected += kernel.inflow * conc * dt
         entry.exported += exported
 
 
@@ -231,7 +235,7 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
 
     napl0 = _mass(f, f["sn"], cv) * rho_n
     ledger = {"tce": Ledger(initial=_mass(f, f["c_tce"], cv), napl=napl0)}
-    mon = scn.monitoring_cells()
+    mon = scn.monitor_cells
     marks = set(cfg.snapshots[1])
     snapshots, series = [], []
 
@@ -284,15 +288,10 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     f["theta_m"], f["k"], _ = nz.clogging_update(f["s_bulk"], k0, theta0, cfg.clogging, rho_p)
 
     sources = scn.injection_sources()
-    conc = {
-        "nzvi": {cell: cfg.nzvi.concentration for cell in sources},
-        "cmc": {cell: cfg.cmc.concentration for cell in sources},
-    }
-    q_total = sum(sources.values())
+    c_in = {"nzvi": cfg.nzvi.concentration, "cmc": cfg.cmc.concentration}
     mobility = _water_mobility(f["sn"], m)
-    well = cfg.wells["injection"]
-    screen = (well.x, g.height - well.depth)
-    iw, jw = scn.well_cells["injection"][0]
+    screen = (cfg.injection.x, g.height - cfg.injection.depth)
+    iw, jw = scn.injection_cells[0]
     diagnostics = {"flux_reversed": False}
     cache = FactorCache()
 
@@ -313,9 +312,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
             diagnostics["flux_reversed"] = True
         kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport,
                                  cfg.numerics.transport_cfl, well_sources=sources)
-        _transport(kernel, f, ledger, dt, conc)
-        ledger["cmc"].injected += q_total * cfg.cmc.concentration * dt
-        ledger["nzvi"].injected += q_total * cfg.nzvi.concentration * dt
+        _transport(kernel, f, ledger, dt, c_in)
 
         f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, cfg.solubility,
                                                   cfg.transport, dt)
@@ -374,7 +371,7 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> S
     napl0 = _mass(f, f["sn"], cv) * rho_n
     ledger = {"tce": Ledger(initial=_mass(f, f["c_tce"], cv), napl=napl0),
               "cmc": Ledger(initial=_mass(f, f["c_cmc"], cv))}
-    mon = scn.monitoring_cells()
+    mon = scn.monitor_cells
     marks = set(cfg.snapshots[3])
     snapshots, series = [], []
     cache = FactorCache()

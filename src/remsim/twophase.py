@@ -213,10 +213,7 @@ class ImpesStepper:
                                                      _window_faces(cols), (fx, fy)):
             t[faces] = lw + ln
             known[faces] = lw * gw + ln * gn
-        p = TpfaSystem(t_x, t_y, k_x, k_y, d, b).solve(self.cache)
-        if not np.isfinite(p).all():
-            raise SolverError("two-phase pressure solve produced non-finite values")
-        return p
+        return TpfaSystem(t_x, t_y, k_x, k_y, d, b).solve(self.cache)
 
     def _napl_fluxes(self, pw, fx, fy):
         """Per-face NAPL volumetric fluxes (m^3/s), positive owner->neighbor."""

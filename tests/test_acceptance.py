@@ -422,7 +422,7 @@ def test_criterion_10_degradation_suite(scn, staged, capsys):
 
     # monitoring-well concentration history
     mon_pre = float(staged[3][0].checkpoint.fields["c_tce"][
-        scn.monitoring_cells()["monitoring"][::-1]])
+        scn.monitor_cells["monitoring"][::-1]])
     times = np.array([row[0] for row in res.series]) / DAY
     c_mon = np.array([row[2] for row in res.series])
     below = times[c_mon < 0.01 * cs]
@@ -430,7 +430,7 @@ def test_criterion_10_degradation_suite(scn, staged, capsys):
     recovery_ok = float(c_mon[-1]) < mon_pre
 
     # downgradient clean-water zone at the injection depth while iron remains
-    iw, jw = scn.well_cells["injection"][0]
+    iw, jw = scn.injection_cells[0]
     pv = res.checkpoint.fields["theta_m"] * scn.grid.cell_volume
     zone_ok = any(
         float((f["rho_m"] * pv).sum()) > 0.01 * d["iron_initial"]

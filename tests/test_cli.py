@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -80,6 +81,21 @@ class TestExitCodes:
         assert main(["--config", str(bad), "--stage", "1", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
+
+    @pytest.mark.parametrize("section, replacement", [
+        (r"\[well\.injection\]\n[^\[]*", ""),
+        (r"\[well\.injection\]", "[well.inj]"),
+    ], ids=["missing", "renamed"])
+    def test_injection_well_required(self, tmp_path, capsys, section, replacement):
+        # the injection well is known by its section name; without it no stage runs
+        text, n = re.subn(section, replacement, fast_config_text())
+        assert n == 1
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert main(["--config", str(bad), "--stage", "all", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "[well.injection]" in err
+        assert not (tmp_path / "stage1.ckpt").exists()
 
     def test_unreadable_stage_returns_2(self, cfg_file, tmp_path):
         assert main(["--config", str(cfg_file), "--stage", "nine", "--out", str(tmp_path)]) == 2

@@ -126,10 +126,10 @@ BAD_VALUES = {
 }
 
 DEFAULT_TEXT = RunConfig.default().source_text
-# every quantity key of default.cfg (a well's mode is a word, not a quantity)
+# every key of default.cfg
 DEFAULT_KEYS = [(section, key, value)
                 for section, values in parse_sections(DEFAULT_TEXT).items()
-                for key, value in values.items() if key != "mode"]
+                for key, value in values.items()]
 
 
 class TestRunConfig:
@@ -144,13 +144,17 @@ class TestRunConfig:
         assert cfg.stage_durations[2] == pytest.approx(8 * 3600.0)
 
     def test_unknown_key_ignored(self):
-        # configs written for older versions still carry [clogging] sand_density
+        # configs written for older versions still carry [clogging]
+        # sand_density and a mode in each [well.<name>]
         from tests.test_pipeline import fast_config_text
 
         text = fast_config_text()
         old = RunConfig.from_text(
-            text.replace("[clogging]\n", "[clogging]\nsand_density = 2600 kg/m^3\n"))
+            text.replace("[clogging]\n", "[clogging]\nsand_density = 2600 kg/m^3\n")
+            .replace("[well.injection]\n", "[well.injection]\nmode = injection\n")
+            .replace("[well.monitoring]\n", "[well.monitoring]\nmode = monitoring\n"))
         assert "sand_density = 2600 kg/m^3" in old.source_text
+        assert "mode = monitoring" in old.source_text
         assert old == RunConfig.from_text(text)
         assert not hasattr(old, "sand_density")
 
@@ -226,7 +230,10 @@ class TestRunConfig:
         assert cfg.reaction.alpha_s == pytest.approx(2.3e4, rel=1e-14)
         assert cfg.numerics.roi_threshold == 0.01
 
-    def test_well_modes(self):
+    def test_well_roles(self):
+        # [well.injection] is the injection well; every other well monitors
         cfg = RunConfig.default()
-        assert cfg.wells["injection"].mode == "injection"
-        assert cfg.wells["monitoring"].velocity == 0.0
+        assert cfg.injection.velocity == pytest.approx(88.0 / 86400.0, rel=1e-14)
+        assert list(cfg.monitors) == ["monitoring"]
+        assert cfg.monitors["monitoring"].x == 27.0
+        assert cfg.monitors["monitoring"].velocity == 0.0

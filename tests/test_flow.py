@@ -180,7 +180,7 @@ def columns(shape, lo, hi):
 def perturb(terms, lo, hi, seed):
     """``terms`` with new transmissibilities and Dirichlet terms on every face
     and cell touching the outer-index columns [lo, hi) and a new right-hand
-    side everywhere."""
+    side on their cells; the right-hand side elsewhere is kept."""
     rng = np.random.default_rng(seed)
     t_x, t_y, k_x, k_y, d, b = (term.copy() for term in terms)
     cells = columns(d.shape, lo, hi)
@@ -189,7 +189,7 @@ def perturb(terms, lo, hi, seed):
     t_x[faces_x] = np.exp(rng.normal(0.0, 1.0, faces_x.sum()))
     faces_y = cells[:-1, :] | cells[1:, :]
     t_y[faces_y] = np.exp(rng.normal(0.0, 1.0, faces_y.sum()))
-    return t_x, t_y, k_x, k_y, d, rng.normal(0.0, 1.0, b.shape)
+    return t_x, t_y, k_x, k_y, d, np.where(cells, rng.normal(0.0, 1.0, b.shape), b)
 
 
 # column ranges changed against the first system of each sequence (None: no
@@ -235,37 +235,31 @@ class TestTpfaSystem:
             sweeps.append(cache.stats()["strip_sweeps"] - before)
         return sweeps
 
-    @staticmethod
-    def local_change(terms, lo, hi, seed):
-        """``perturb`` with the right-hand side kept outside [lo, hi)."""
-        changed = perturb(terms, lo, hi, seed)
-        b = np.where(columns(terms[5].shape, lo, hi), changed[5], terms[5])
-        return changed[:5] + (b,)
-
     @pytest.mark.parametrize("nx, ny", [(30, 8), (8, 30)])
     def test_one_backward_sweep_per_strip(self, nx, ny):
         base = random_system(nx, ny, seed=5)
         # spans [9, 14] (two strips), [9, 29] (left strip only) and [0, 29],
         # a full solve
         steps = [(10, 14), (25, 30), None, (0, 2)]
-        systems = [base] + [base if cols is None else self.local_change(base, *cols, seed=i)
+        systems = [base] + [base if cols is None else perturb(base, *cols, seed=i)
                             for i, cols in enumerate(steps)]
         cache = FactorCache()
         assert self.solve_sequence(cache, systems) == [0, 2, 1, 1, 0]
         assert cache.stats()["full"] == 2
 
     @pytest.mark.parametrize("nx, ny", [(30, 8), (8, 30)])
-    def test_rhs_change_in_one_strip_sweeps_that_strip(self, nx, ny):
+    def test_rhs_change_in_one_strip_joins_the_span(self, nx, ny):
         base = random_system(nx, ny, seed=5)
-        changed = self.local_change(base, 10, 14, seed=1)
+        changed = perturb(base, 10, 14, seed=1)
         systems = [base, changed]
-        for col in (3, 25, None):  # left strip, right strip, neither
+        for col in (3, 25):  # only the right-hand side of one column of a strip
             b = changed[5].copy()
-            if col is not None:
-                b[columns(b.shape, col, col + 1)] += 1.0
+            b[columns(b.shape, col, col + 1)] += 1.0
             systems.append(changed[:5] + (b,))
         cache = FactorCache()
-        assert self.solve_sequence(cache, systems) == [0, 2, 3, 3, 2]
+        # spans [9, 14], [3, 14] and [3, 25]: one backward sweep per strip
+        assert self.solve_sequence(cache, systems) == [0, 2, 2, 2]
+        assert cache.span == (3, 25)
         assert cache.stats()["full"] == 1
 
     @pytest.mark.parametrize("nx, ny", [(30, 8), (8, 30)])
@@ -273,7 +267,7 @@ class TestTpfaSystem:
         base = random_system(nx, ny, seed=5)
         # spans [11, 14], then [11, 18] (right strip factored, then cut), then
         # [5, 18]; the right-hand side outside each span stays the reference's
-        systems = [base] + [self.local_change(base, *cols, seed=i)
+        systems = [base] + [perturb(base, *cols, seed=i)
                             for i, cols in enumerate([(12, 14), (12, 18), (6, 14), (13, 14)])]
         cache = FactorCache()
         assert self.solve_sequence(cache, systems) == [0, 2, 2, 2, 2]
@@ -283,7 +277,7 @@ class TestTpfaSystem:
     def test_failed_triangular_sweep_raises(self, reuse, monkeypatch):
         base = random_system(30, 8, seed=5)
         cache = FactorCache()
-        systems = [base, self.local_change(base, 10, 14, seed=1)]
+        systems = [base, perturb(base, 10, 14, seed=1)]
         if reuse:
             TpfaSystem(*systems.pop(0)).solve(cache)
 
@@ -335,6 +329,9 @@ class TestTpfaSystem:
         monkeypatch.setattr(flow, "RTOL", 0.0)
         with pytest.raises(SolverError, match="residual"):
             solve_pressure(g, k, mu, 1.0, 6.0, 5.0, rho=RHO, g=G)
+        # every pressure solve is checked, the IMPES pressure step's included
+        with pytest.raises(SolverError, match="residual"):
+            TpfaSystem(*random_system(12, 5, seed=1)).solve()
 
 
 def scatter_loop(out, x_lo, x_hi, y_lo, y_hi, axes=((0, 1), (1, 0)), sides=(0, 1)):

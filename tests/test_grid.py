@@ -89,7 +89,7 @@ class TestLithology:
 class TestWells:
     def test_short_screen_single_cell(self):
         g = build_grid((35.0, 12.0), (0.2, 0.2))
-        w = WellCfg(x=20.0, depth=6.6, screen_length=0.02, mode="injection")
+        w = WellCfg(x=20.0, depth=6.6, screen_length=0.02)
         cells = locate_well_cells(g, w)
         assert len(cells) == 1
         i, j = cells[0]
@@ -98,20 +98,20 @@ class TestWells:
 
     def test_wells_seven_meters_apart(self):
         g = build_grid((35.0, 12.0), (0.2, 0.2))
-        inj = locate_well_cells(g, WellCfg(20.0, 6.6, 0.02, "injection"))
-        mon = locate_well_cells(g, WellCfg(27.0, 6.6, 0.02, "monitoring"))
+        inj = locate_well_cells(g, WellCfg(20.0, 6.6, 0.02))
+        mon = locate_well_cells(g, WellCfg(27.0, 6.6, 0.02))
         assert inj[0][0] != mon[0][0]
         assert (mon[0][0] - inj[0][0]) * g.dx == pytest.approx(7.0)
 
     def test_long_screen_two_cells(self):
         g = build_grid((35.0, 12.0), (0.2, 0.2))
-        w = WellCfg(x=20.0, depth=6.6, screen_length=0.4, mode="injection")
+        w = WellCfg(x=20.0, depth=6.6, screen_length=0.4)
         assert len(locate_well_cells(g, w)) == 2
 
     def test_outside_domain(self):
         g = build_grid((35.0, 12.0), (0.2, 0.2))
         with pytest.raises(ConfigError):
-            locate_well_cells(g, WellCfg(40.0, 6.6, 0.02, "injection"))
+            locate_well_cells(g, WellCfg(40.0, 6.6, 0.02))
 
 
 def test_strip_columns_width():

@@ -105,6 +105,13 @@ class TestRun:
             assert (checkpoint_path(tmp_path, stage).read_bytes()
                     == checkpoint_path(straight_run, stage).read_bytes()), stage
 
+    def test_wrong_stage_checkpoint_rejected(self, fast_cfg, straight_run, tmp_path):
+        # a stage-1 file offered as the stage-2 checkpoint
+        shutil.copyfile(checkpoint_path(straight_run, 1), checkpoint_path(tmp_path, 2))
+        with pytest.raises(CheckpointError, match="after stage 1, not after stage 2"):
+            run(fast_cfg, [3], tmp_path, export=None)
+        assert not checkpoint_path(tmp_path, 3).exists()
+
     def test_missing_prerequisite(self, fast_cfg, tmp_path):
         with pytest.raises(MissingCheckpointError):
             run(fast_cfg, [3], tmp_path / "empty")

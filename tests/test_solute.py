@@ -39,7 +39,7 @@ def ogata_banks(x, t, v, d, c0=1.0):
 class ReferenceKernel:
     """Face-by-face transport, the form the stencil kernel replaced: every
     sub-step takes the upwind value and dispersive difference at each face,
-    scatters the face fluxes, then adds each open side and each well."""
+    scatters the face fluxes, then adds each open side and each well cell."""
 
     def __init__(self, grid, theta, flow, params, cfl=0.9, well_sources=None):
         self.pv = theta * grid.cell_volume
@@ -57,20 +57,17 @@ class ReferenceKernel:
         out[:, -1] += np.maximum(self.fx[:, -1], 0.0)
         out[0, :] += np.maximum(-self.fy[0, :], 0.0)
         out[-1, :] += np.maximum(self.fy[-1, :], 0.0)
-        for (i, j), rate in self.well_sources.items():
-            if rate < 0:
-                out[j, i] += -rate
         with np.errstate(divide="ignore"):
             self.stable_dt = float(cfl * np.where(out > 0, self.pv / out, np.inf).min())
 
-    def step(self, c, dt, well_conc=None):
+    def step(self, c, dt, c_in=0.0):
         n_sub = max(1, int(np.ceil(dt / self.stable_dt))) if np.isfinite(self.stable_dt) else 1
         exported = 0.0
         for _ in range(n_sub):
-            c, exported = self._substep(c, dt / n_sub, well_conc or {}, exported)
+            c, exported = self._substep(c, dt / n_sub, c_in, exported)
         return c, exported
 
-    def _substep(self, c, dt, well_conc, exported):
+    def _substep(self, c, dt, c_in, exported):
         fxi, fyi = self.fx[:, 1:-1], self.fy[1:-1, :]
         flux_x = dt * (fxi * np.where(fxi > 0, c[:, :-1], c[:, 1:])
                        - self.gx * (c[:, 1:] - c[:, :-1]))
@@ -86,17 +83,14 @@ class ReferenceKernel:
             m[row, :] += dt * bflux
             exported -= dt * float(bflux.sum())
         for (i, j), rate in self.well_sources.items():
-            if rate > 0:
-                m[j, i] += dt * rate * well_conc.get((i, j), 0.0)
-            else:
-                m[j, i] += dt * rate * c[j, i]
+            m[j, i] += dt * rate * c_in
         return m / self.pv, exported
 
 
 def random_case(nx, ny, seed, decades=1.0):
     """A grid of non-square cells with random porosity and a face flow of
     random sign and magnitude (log-uniform over ``decades``), with one
-    injection and one extraction well.  The lower-left corner cell takes
+    injection well cell.  The lower-left corner cell takes
     inflow through its west face and loses water through its south face,
     and its small porosity makes it set the kernel's time-step bound."""
     rng = np.random.default_rng(seed)
@@ -109,7 +103,7 @@ def random_case(nx, ny, seed, decades=1.0):
 
     flow = FlowField(np.zeros((ny, nx)), face_flow((ny, nx + 1)), face_flow((ny + 1, nx)))
     flow.qx[0, 0], flow.qy[0, 0] = 2e-5, -2e-5
-    wells = {(nx - 2, 1): 3e-6, (1, ny - 2): -3e-6}
+    wells = {(nx - 2, 1): 3e-6}
     return g, theta, flow, wells, rng
 
 
@@ -125,10 +119,9 @@ class TestStencil:
         ref = ReferenceKernel(g, theta, flow, self.params, well_sources=wells)
         assert kernel.stable_dt == ref.stable_dt
         c = c_ref = rng.uniform(0.0, 2.0, (ny, nx))
-        conc = {(nx - 2, 1): 5.0}
         for dt in (0.5 * ref.stable_dt, 2.5 * ref.stable_dt, 7.0 * ref.stable_dt):
-            c, exported = kernel.step(c, dt, conc)
-            c_ref, exported_ref = ref.step(c_ref, dt, conc)
+            c, exported = kernel.step(c, dt, 5.0)
+            c_ref, exported_ref = ref.step(c_ref, dt, 5.0)
             assert np.abs(c - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
             assert abs(exported - exported_ref) <= 1e-12 * abs(exported_ref)
 
@@ -145,7 +138,7 @@ class TestStencil:
         assert lowest <= 1.0 - cfl + 1e-12
         c = rng.uniform(0.0, 1.0, theta.shape) * (rng.random(theta.shape) < 0.3)
         for _ in range(20):
-            c, _ = kernel.step(c, kernel.stable_dt, {(28, 1): 1.0})
+            c, _ = kernel.step(c, kernel.stable_dt, 1.0)
             assert c.min() >= 0.0
 
 
@@ -223,21 +216,10 @@ class TestKernel:
             g, theta, uniform_flow(g), transport(), 0.9,
             well_sources={(3, 4): rate},
         )
-        c, _ = kernel.step(np.zeros((g.ny, g.nx)), dt, well_conc={(3, 4): conc})
+        c, _ = kernel.step(np.zeros((g.ny, g.nx)), dt, c_in=conc)
+        assert kernel.inflow == rate
         assert float((kernel.pv * c).sum()) == pytest.approx(rate * conc * dt, rel=1e-12)
         assert c[4, 3] > 0 and np.count_nonzero(c) == 1
-
-    def test_extraction_well_removes_at_cell_concentration(self):
-        g = build_grid((5.0, 5.0), (0.5, 0.5))
-        theta = np.full((g.ny, g.nx), 0.4)
-        kernel = TransportKernel(
-            g, theta, uniform_flow(g), transport(), 0.9,
-            well_sources={(3, 4): -2e-5},
-        )
-        c0 = np.full((g.ny, g.nx), 1.0)
-        c, _ = kernel.step(c0.copy(), 1e3)
-        assert c[4, 3] < 1.0
-        assert np.count_nonzero(c < 1.0) == 1
 
     def test_export_independent_of_blas_threads(self):
         # the export of 20 random fields on the 175 x 60 grid, computed in a
