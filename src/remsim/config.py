@@ -18,7 +18,7 @@ kernels take the records as they are.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 from .units import parse_quantity
@@ -47,13 +47,12 @@ def parse_sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def quantity(unit: str, interval: str = "(-inf, inf)", at: tuple[str, str] | None = None,
-             default=MISSING):
+def quantity(unit: str, interval: str = "(-inf, inf)", at: tuple[str, str] | None = None):
     """A field read from the config: a value of ``unit``'s dimension lying in
     ``interval`` (``(`` and ``)`` open, ``[`` and ``]`` closed); ``at`` is the
-    ``(section, key)`` of a field not named after a key of its record's section,
-    and a key with a ``default`` may be left out."""
-    return field(default=default, metadata={"unit": unit, "interval": interval, "at": at})
+    ``(section, key)`` of a field not named after a key of its record's
+    section.  Every declared key is required."""
+    return field(metadata={"unit": unit, "interval": interval, "at": at})
 
 
 def _within(value: float, interval: str) -> bool:
@@ -127,27 +126,12 @@ class ReactionCfg:
 
 
 @dataclass(frozen=True)
-class NumericsCfg:
-    """[numerics]: time-step safety factors and diagnostic thresholds."""
-
-    two_phase_cfl: float = quantity("-", "(0, inf)")       # IMPES inflow and capillary bounds
-    # fraction of the transport positivity bound; above 1 the explicit
-    # upwind update loses positivity
-    transport_cfl: float = quantity("-", "(0, 1]")
-    se_clamp: float = quantity("-", "(0, 1]")    # least effective saturation Pc sees
-    pool_threshold: float = quantity("-", "(0, 1]")        # NAPL saturation counted as pooled
-    roi_threshold: float = quantity("kg/m^3", "[0, inf)")  # deposit counted in the ROI
-
-
-@dataclass(frozen=True)
 class WellCfg:
     """Vertical well with a short screen; depths measured from the surface."""
 
     x: float = quantity("m")
     depth: float = quantity("m")
     screen_length: float = quantity("m", "(0, inf)")
-    # injection Darcy velocity at the screen
-    velocity: float = quantity("m/s", "[0, inf)", default=0.0)
 
     def screen_area(self) -> float:
         # both faces of the screen per unit thickness of the 2D slice
@@ -181,15 +165,16 @@ class RunConfig:
     head_left: float = quantity("m", at=("flow", "head_left"))
     head_right: float = quantity("m", at=("flow", "head_right"))
     # [well.injection], the one injection well, and every other [well.<name>],
-    # which only probes concentrations
+    # which only probes concentrations and has no velocity
     injection: WellCfg
+    # Darcy velocity of the injectate at the injection well's screen
+    injection_velocity: float = quantity("m/s", "[0, inf)", ("well.injection", "velocity"))
     monitors: dict[str, WellCfg]
     transport: TransportCfg
     nzvi: NzviCfg
     cmc: CmcCfg
     clogging: CloggingCfg
     reaction: ReactionCfg
-    numerics: NumericsCfg
     # [stages] stage1_duration ... stage4_duration
     stage_durations: tuple[float, float, float, float] = quantity("s", "[0, inf)")
     # [output] stage1_snapshots ...: times after the stage start; one past
@@ -225,12 +210,15 @@ class RunConfig:
                 raise ConfigError(f"[{section}] {key}: {item} is outside {meta['interval']}")
             return value
 
-        def read(section: str, record: type, **given):
+        def read(section: str, record: type):
             """The section's keys, in one pass, as its record."""
-            keys = sec.get(section, {})
-            return record(**given, **{f.name: get(section, f.name, f.metadata)
-                                      for f in fields(record) if f.name not in given
-                                      and (f.name in keys or f.default is MISSING)})
+            return record(**{f.name: get(section, f.name, f.metadata) for f in fields(record)})
+
+        def monitor(section: str) -> WellCfg:
+            if "velocity" in sec[section]:
+                raise ConfigError(f"[{section}] velocity: a monitoring well injects nothing; "
+                                  "only [well.injection] has a velocity")
+            return read(section, WellCfg)
 
         lenses = []
         while (lens := f"lens.{len(lenses) + 1}") in sec:
@@ -243,14 +231,13 @@ class RunConfig:
             clay=read("clay", LithologyCfg),
             lenses=tuple(lenses),
             injection=read("well.injection", WellCfg),
-            monitors={name[len("well."):]: read(name, WellCfg) for name in sec
+            monitors={name[len("well."):]: monitor(name) for name in sec
                       if name.startswith("well.") and name != "well.injection"},
             transport=read("transport", TransportCfg),
             nzvi=read("nzvi", NzviCfg),
             cmc=read("cmc", CmcCfg),
             clogging=read("clogging", CloggingCfg),
             reaction=read("reaction", ReactionCfg),
-            numerics=read("numerics", NumericsCfg),
             stage_durations=tuple(get("stages", f"stage{n}_duration", declared["stage_durations"])
                                   for n in (1, 2, 3, 4)),
             snapshots=tuple(

@@ -53,7 +53,7 @@ class Scenario:
         """Volumetric sources (m^3/s per unit thickness) of the injection
         well's screen cells."""
         w, cells = self.config.injection, self.injection_cells
-        rate = w.velocity * w.screen_area() / len(cells)
+        rate = self.config.injection_velocity * w.screen_area() / len(cells)
         return {cell: rate for cell in cells}
 
     def napl_source_field(self) -> np.ndarray:

@@ -37,7 +37,8 @@ from .flow import FactorCache, solve_pressure
 from .reaction import reactive_step
 from .scenario import Scenario
 from .solute import TransportKernel, dissolution_substep, probe
-from .twophase import ImpesStepper, hydrostatic_two_phase, rel_perm, source_zone_stats
+from .twophase import (POOL_THRESHOLD, ImpesStepper, hydrostatic_two_phase, rel_perm,
+                       source_zone_stats)
 
 DAY = 86400.0
 
@@ -45,6 +46,11 @@ DAY = 86400.0
 STAGE2_DT = 1.0 * DAY
 STAGE3_DT = 300.0
 STAGE4_DT = 1.0 * DAY
+# fraction of the transport kernel's positivity bound each sub-step takes;
+# above 1 the explicit upwind update loses positivity
+TRANSPORT_CFL = 0.9
+# deposit (kg/m^3) counted in the radius of influence
+ROI_THRESHOLD = 0.01
 
 LEDGER_TERMS = ("initial", "injected", "dissolved", "exported", "degraded", "final")
 
@@ -193,7 +199,7 @@ def run_stage1(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     snapshots, series = [], []
     sn_near_end = f["sn"]
     for t in _march(duration, marks, np.inf, step):
-        stats = source_zone_stats(f["sn"], m, g, rho_n, cfg.numerics.pool_threshold)
+        stats = source_zone_stats(f["sn"], m, g, rho_n, POOL_THRESHOLD)
         series.append([t, stats.total_mass, stats.pool_fraction, stats.ganglia_fraction,
                        stats.upper_fraction, stats.lower_fraction])
         if t in set(cfg.snapshots[0]):
@@ -231,7 +237,7 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
 
     cache = FactorCache()
     flow = _darcy(scn, f, np.full_like(f["k"], cfg.mu_w), _water_mobility(f["sn"], m), cache)
-    kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport, cfg.numerics.transport_cfl)
+    kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport, TRANSPORT_CFL)
 
     napl0 = _mass(f, f["sn"], cv) * rho_n
     ledger = {"tce": Ledger(initial=_mass(f, f["c_tce"], cv), napl=napl0)}
@@ -281,7 +287,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     f = dict(ckpt.fields)
     theta0 = m.porosity
     k0 = m.k
-    rho_p, roi_threshold = cfg.nzvi.particle_density, cfg.numerics.roi_threshold
+    rho_p = cfg.nzvi.particle_density
 
     # clean-bed collector diameter is frozen at the pre-injection state
     dc = nz.collector_diameter(k0, theta0)
@@ -311,7 +317,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         if flow.qx[jw, max(iw - 2, 0): iw + 1].min() < 0:
             diagnostics["flux_reversed"] = True
         kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport,
-                                 cfg.numerics.transport_cfl, well_sources=sources)
+                                 TRANSPORT_CFL, well_sources=sources)
         _transport(kernel, f, ledger, dt, c_in)
 
         f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, cfg.solubility,
@@ -323,7 +329,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         return dt
 
     for t in _march(cfg.stage_durations[2], marks, STAGE3_DT, step):
-        roi = nz.radius_of_influence(f["s_bulk"], g, screen, roi_threshold)
+        roi = nz.radius_of_influence(f["s_bulk"], g, screen, ROI_THRESHOLD)
         series.append([t, roi, float(f["s_bulk"].max()), float(1.0 - (f["k"] / k0).min())])
         if t in marks:
             snapshots.append((t, {name: f[name] for name in ("c_nzvi", "s_bulk", "c_cmc", "k")}))
@@ -339,10 +345,10 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     diagnostics.update({
         "roi": roi,
         "roi_upper": nz.radius_of_influence(
-            s_bulk, g, screen, roi_threshold, m.layer_mask(upper=True)
+            s_bulk, g, screen, ROI_THRESHOLD, m.layer_mask(upper=True)
         ),
         "roi_lower": nz.radius_of_influence(
-            s_bulk, g, screen, roi_threshold, m.layer_mask(upper=False)
+            s_bulk, g, screen, ROI_THRESHOLD, m.layer_mask(upper=False)
         ),
         "max_k_reduction": max_k_reduction,
         "max_theta_reduction": float(1.0 - (theta_m / theta0).min()),
@@ -380,7 +386,7 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> S
         nonlocal rho_m
         mu = nz.cmc_viscosity(f["c_cmc"], cfg.cmc, cfg.mu_w)
         flow = _darcy(scn, f, mu, mobility, cache)
-        kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport, cfg.numerics.transport_cfl)
+        kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport, TRANSPORT_CFL)
         _transport(kernel, f, ledger, dt)
         f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, cfg.solubility,
                                                   cfg.transport, dt)

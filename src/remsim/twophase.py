@@ -59,6 +59,12 @@ def rel_perm(se, lam):
 
 # target largest NAPL saturation change per sub-step (the advection bound)
 MAX_DS = 0.1
+# safety factor of the inflow and capillary bounds
+TWO_PHASE_CFL = 0.5
+# least effective saturation the capillary pressure sees
+SE_CLAMP = 0.01
+# NAPL saturation counted as pooled in the source-zone statistics
+POOL_THRESHOLD = 0.3
 # a sub-step snaps saturation excursions past [0, 1] up to 10 * SAT_TOL back
 SAT_TOL = 1e-9
 
@@ -97,8 +103,7 @@ def _window_faces(cols: slice):
 
 class ImpesStepper:
     """Face permeabilities and audit state for repeated IMPES sub-steps on
-    ``material.grid``, with the fluid values of ``config`` and the capillary
-    clamp and the step safety factor of its ``numerics`` record.  Each
+    ``material.grid``, with the fluid values of ``config``.  Each
     sub-step advances the ``sn`` and ``pw`` entries of a field state, a
     checkpoint's field dict; the water saturation is ``1 - sn``.  It is
     given the NAPL release source, a volumetric rate per cell volume (1/s),
@@ -160,10 +165,10 @@ class ImpesStepper:
         """``(pc, dpc, krw, krn)`` of the field state ``f`` on the grid columns
         ``cols``, at the water saturation ``1 - sn``: ``dpc`` is -dpc/dSw, the
         slope the capillary bound feels."""
-        m, num = self.material, self.config.numerics
+        m = self.material
         sw = 1.0 - f["sn"][:, cols]
         swr, snr, pd, lam = (a[:, cols] for a in (m.swr, m.snr, m.entry_pressure, m.bc_lambda))
-        se_pc = effective_saturation(sw, swr, snr, num.se_clamp)
+        se_pc = effective_saturation(sw, swr, snr, SE_CLAMP)
         se_kr = np.clip((sw - swr) / (1.0 - swr - snr), 0.0, 1.0)
         pc = capillary_pressure(se_pc, pd, lam)
         dpc = pd / lam * se_pc ** (-1.0 / lam - 1.0) / (1.0 - swr - snr)
@@ -223,7 +228,6 @@ class ImpesStepper:
         """Sub-step length from the NAPL outflow ``out`` of each cell of the
         columns ``cols``, and the bound of :data:`LIMITS` that sets it (the
         first of equal bounds)."""
-        num = self.config.numerics
         pv = self.pore_vol[:, cols]
         inflow = scatter_faces(np.zeros_like(out), np.maximum(-fn_x, 0.0), np.maximum(fn_x, 0.0),
                                np.maximum(-fn_y, 0.0), np.maximum(fn_y, 0.0))
@@ -233,7 +237,7 @@ class ImpesStepper:
         with np.errstate(divide="ignore"):
             dt_adv = np.where(out > 0, MAX_DS * pv / out, np.inf).min()
             avail = np.maximum(1.0 - self.material.swr[:, cols] - sn[:, cols], 0.02)
-            dt_in = np.where(inflow > 0, num.two_phase_cfl * avail * pv / inflow, np.inf).min()
+            dt_in = np.where(inflow > 0, TWO_PHASE_CFL * avail * pv / inflow, np.inf).min()
 
         # explicit capillary-diffusion bound (Coats-type): the saturation
         # update feels the mixed fractional-flow mobility lw*ln/(lw+ln),
@@ -244,7 +248,7 @@ class ImpesStepper:
                         for (lo, hi), (lw, ln, _, _) in zip(FACES, (fx, fy)))
         cond = scatter_faces(np.zeros_like(out), g_x, g_x, g_y, g_y)
         with np.errstate(divide="ignore"):
-            dt_cap = np.where(cond > 0, num.two_phase_cfl * pv / cond, np.inf).min()
+            dt_cap = np.where(cond > 0, TWO_PHASE_CFL * pv / cond, np.inf).min()
 
         bounds = dict(zip(LIMITS, (dt_adv, dt_in, dt_cap, dt_target)))
         limit = min(bounds, key=bounds.get)

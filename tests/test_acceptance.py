@@ -42,6 +42,7 @@ from remsim.stages import (
     run_stage4,
 )
 from remsim.twophase import (
+    POOL_THRESHOLD,
     ImpesStepper,
     capillary_pressure,
     hydrostatic_two_phase,
@@ -326,7 +327,7 @@ def test_criterion_07_release_structure(scn, staged, capsys):
     sn = res.checkpoint.fields["sn"]
     lith = scn.material.lithology
     stats = res.diagnostics["source_zone"]
-    pool = sn >= scn.config.numerics.pool_threshold
+    pool = sn >= POOL_THRESHOLD
 
     atop_clay = bool((pool[1:, :] & (lith[:-1, :] == CLAY)).any())
     at_bedrock = bool(pool[0, :].any())

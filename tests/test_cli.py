@@ -97,6 +97,16 @@ class TestExitCodes:
         assert err.startswith("configuration error: ") and "[well.injection]" in err
         assert not (tmp_path / "stage1.ckpt").exists()
 
+    def test_monitor_velocity_refused(self, tmp_path, capsys):
+        # only the injection well injects; a velocity elsewhere is an error
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(fast_config_text().replace("[well.monitoring]\n",
+                                                  "[well.monitoring]\nvelocity = 50 m/day\n"))
+        assert main(["--config", str(bad), "--stage", "all", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: [well.monitoring] velocity")
+        assert not (tmp_path / "stage1.ckpt").exists()
+
     def test_unreadable_stage_returns_2(self, cfg_file, tmp_path):
         assert main(["--config", str(cfg_file), "--stage", "nine", "--out", str(tmp_path)]) == 2
 

@@ -104,11 +104,6 @@ BAD_VALUES = {
     "tce_viscosity=0": ("fluids", "tce_viscosity", "0 Pa*s"),
     "solubility=0": ("fluids", "solubility", "0 kg/m^3"),
     "gravity=0": ("fluids", "gravity", "0 m/s^2"),
-    "two_phase_cfl=0": ("numerics", "two_phase_cfl", "0"),
-    "two_phase_cfl<0": ("numerics", "two_phase_cfl", "-0.5"),
-    "transport_cfl=0": ("numerics", "transport_cfl", "0"),
-    "transport_cfl>1": ("numerics", "transport_cfl", "1.5"),
-    "se_clamp=0": ("numerics", "se_clamp", "0"),
     "snapshot<0": ("output", "stage2_snapshots", "-5 day"),
     "snapshot=nan": ("output", "stage2_snapshots", "nan day"),
     "snapshot=0": ("output", "stage2_snapshots", "0 day"),
@@ -118,8 +113,6 @@ BAD_VALUES = {
     "swr<0": ("upper_sand", "swr", "-0.05"),
     "porosity=1": ("lower_sand", "porosity", "1"),
     "head_left=inf": ("flow", "head_left", "inf m"),
-    "pool_threshold>1": ("numerics", "pool_threshold", "7"),
-    "roi_threshold<0": ("numerics", "roi_threshold", "-1 kg/m^3"),
     "infiltration_flux<0": ("infiltration", "flux", "-0.001 kg/m^2/s"),
     "infiltration_duration<0": ("infiltration", "duration", "-5 day"),
     "infiltration_width=0": ("infiltration", "width", "0 m"),
@@ -145,16 +138,19 @@ class TestRunConfig:
 
     def test_unknown_key_ignored(self):
         # configs written for older versions still carry [clogging]
-        # sand_density and a mode in each [well.<name>]
+        # sand_density, a mode in each [well.<name>] and a [numerics] section,
+        # whose values are code constants now
         from tests.test_pipeline import fast_config_text
 
         text = fast_config_text()
         old = RunConfig.from_text(
             text.replace("[clogging]\n", "[clogging]\nsand_density = 2600 kg/m^3\n")
             .replace("[well.injection]\n", "[well.injection]\nmode = injection\n")
-            .replace("[well.monitoring]\n", "[well.monitoring]\nmode = monitoring\n"))
+            .replace("[well.monitoring]\n", "[well.monitoring]\nmode = monitoring\n")
+            .replace("[output]\n", "[numerics]\ntransport_cfl = 0.5\n\n[output]\n"))
         assert "sand_density = 2600 kg/m^3" in old.source_text
         assert "mode = monitoring" in old.source_text
+        assert "transport_cfl = 0.5" in old.source_text
         assert old == RunConfig.from_text(text)
         assert not hasattr(old, "sand_density")
 
@@ -162,6 +158,15 @@ class TestRunConfig:
         a, b = RunConfig.default(), RunConfig.default()
         assert a.config_hash == b.config_hash
         assert len(a.config_hash) == 16
+
+    @pytest.mark.parametrize("section, key, value", DEFAULT_KEYS,
+                             ids=[f"{s}.{k}" for s, k, _ in DEFAULT_KEYS])
+    def test_every_key_required(self, section, key, value):
+        text, n = re.subn(rf"(^\[{re.escape(section)}\]\n[^\[]*?^){key} = [^\n]*\n", r"\g<1>",
+                          DEFAULT_TEXT, count=1, flags=re.M | re.S)
+        assert n == 1
+        with pytest.raises(ConfigError, match=rf"^missing \[{re.escape(section)}\] {key}$"):
+            RunConfig.from_text(text)
 
     def test_missing_key(self):
         text = RunConfig.default().source_text
@@ -205,21 +210,19 @@ class TestRunConfig:
 
     def test_range_ends_accepted(self):
         text = RunConfig.default().source_text
-        for section, key, value in (("numerics", "transport_cfl", "1"), ("clogging", "gamma", "1"),
+        for section, key, value in (("clogging", "gamma", "1"),
                                     ("nzvi", "attachment_efficiency", "1"),
                                     ("nzvi", "concentration", "0 kg/m^3"),
                                     ("reaction", "k_sa", "0 L/h/m^2"),
                                     ("transport", "diffusion", "0 m^2/s"),
                                     ("upper_sand", "swr", "0"),
-                                    ("numerics", "pool_threshold", "1"),
-                                    ("numerics", "roi_threshold", "0 kg/m^3"),
                                     ("infiltration", "flux", "0 kg/m^2/s"),
                                     ("infiltration", "duration", "0 day"),
                                     # past the stage's end: loads, writes nothing
                                     ("output", "stage2_snapshots", "99 year")):
             text = set_key(text, section, key, value)
         cfg = RunConfig.from_text(text)
-        assert cfg.numerics.transport_cfl == 1.0 and cfg.reaction.k_sa == 0.0
+        assert cfg.clogging.gamma == 1.0 and cfg.reaction.k_sa == 0.0
 
     def test_sections_are_records(self):
         cfg = RunConfig.default()
@@ -228,12 +231,10 @@ class TestRunConfig:
         assert cfg.cmc.solution_viscosity == 0.0027
         assert cfg.clogging.gamma == 1.04e-3
         assert cfg.reaction.alpha_s == pytest.approx(2.3e4, rel=1e-14)
-        assert cfg.numerics.roi_threshold == 0.01
 
     def test_well_roles(self):
         # [well.injection] is the injection well; every other well monitors
         cfg = RunConfig.default()
-        assert cfg.injection.velocity == pytest.approx(88.0 / 86400.0, rel=1e-14)
+        assert cfg.injection_velocity == pytest.approx(88.0 / 86400.0, rel=1e-14)
         assert list(cfg.monitors) == ["monitoring"]
         assert cfg.monitors["monitoring"].x == 27.0
-        assert cfg.monitors["monitoring"].velocity == 0.0

@@ -9,6 +9,7 @@ from remsim.flow import (
     FactorCache,
     SolverError,
     TpfaSystem,
+    _harmonic,
     lateral_heads,
     scatter_faces,
     solve_pressure,
@@ -136,6 +137,47 @@ class TestLateralHeads:
         d, b = lateral_heads(g, np.ones((2, 1)), 5.0, 4.0, RHO, G)
         np.testing.assert_array_equal(d, [[4.0], [4.0]])
         np.testing.assert_allclose(b[:, 0], [2.0 * RHO * G * 8.0, 2.0 * RHO * G * 6.0], rtol=1e-15)
+
+
+def orders(errors) -> np.ndarray:
+    """Observed orders of errors on grids refined by two each time."""
+    errors = np.asarray(errors)
+    return np.log2(errors[:-1] / errors[1:])
+
+
+class TestManufacturedSolution:
+    """Spatial error bar of the pressure operator (Roache 1998; Salari &
+    Knupp 2000): on a 2 m x 1 m box with k = exp(0.3 sin(x + y)), the source
+    -div(k grad p) of p = (1 + x^2) cos(pi y) + x, no flow through top and
+    bottom (dp/dy = 0 there) and p held on the sides half a cell from the
+    side cells, as lateral_heads places them, give second order."""
+
+    @staticmethod
+    def errors(ny):
+        g = build_grid((2.0, 1.0), (1.0 / ny, 1.0 / ny))
+        x, y = g.cell_centers()
+        k = np.exp(0.3 * np.sin(x + y))
+        dk = 0.3 * np.cos(x + y) * k                    # dk/dx = dk/dy
+        cos, sin = np.cos(np.pi * y), np.sin(np.pi * y)
+        p = (1.0 + x**2) * cos + x
+        p_x, p_xx = 2.0 * x * cos + 1.0, 2.0 * cos
+        p_y, p_yy = -np.pi * (1.0 + x**2) * sin, -np.pi**2 * (1.0 + x**2) * cos
+        source = -(dk * p_x + k * p_xx + dk * p_y + k * p_yy)
+        d, _ = lateral_heads(g, k, 0.0, 0.0, 0.0, 0.0)
+        sides = np.zeros_like(p)
+        sides[:, 0], sides[:, -1] = np.cos(np.pi * g.yc), 5.0 * np.cos(np.pi * g.yc) + 2.0
+        t_x = _harmonic(k[:, :-1], k[:, 1:]) * g.dy / g.dx
+        t_y = _harmonic(k[:-1, :], k[1:, :]) * g.dx / g.dy
+        system = TpfaSystem(t_x, t_y, np.zeros_like(t_x), np.zeros_like(t_y), d,
+                            source * g.cell_volume + d * sides)
+        e = system.solve() - p
+        return np.abs(e).max(), np.sqrt((e**2).mean())
+
+    def test_tpfa_second_order(self):
+        # 20 x 10 ... 160 x 80 cells
+        e_max, e_l2 = zip(*(self.errors(ny) for ny in (10, 20, 40, 80)))
+        assert orders(e_max).min() >= 1.9, orders(e_max)
+        assert orders(e_l2).min() >= 1.9, orders(e_l2)
 
 
 def random_system(nx, ny, seed):

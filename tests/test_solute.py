@@ -221,6 +221,24 @@ class TestKernel:
         assert float((kernel.pv * c).sum()) == pytest.approx(rate * conc * dt, rel=1e-12)
         assert c[4, 3] > 0 and np.count_nonzero(c) == 1
 
+    def test_upwind_advection_first_order(self):
+        # spatial error bar: a Gaussian pulse (sigma 0.7 m) advected 5 m by
+        # uniform flow with no dispersion; it starts 3 m from the inflow side,
+        # whose zero-gradient inflow is not the exact solution
+        def error(nx, sigma=0.7, start=3.0, distance=5.0, u=1e-5, theta=0.3):
+            g = build_grid((10.0, 1.0), (10.0 / nx, 1.0))
+
+            def pulse(x0):
+                return np.exp(-0.5 * ((g.xc - x0) / sigma) ** 2)[None, :]
+
+            kernel = TransportKernel(g, np.full((1, nx), theta), uniform_flow(g, qx=u),
+                                     transport(), 0.9)
+            c, _ = kernel.step(pulse(start), distance * theta / u)
+            return np.abs(c - pulse(start + distance)).max()
+
+        errors = [error(nx) for nx in (100, 200, 400, 800)]
+        assert np.log2(errors[-2] / errors[-1]) >= 0.8, errors
+
     def test_export_independent_of_blas_threads(self):
         # the export of 20 random fields on the 175 x 60 grid, computed in a
         # process with one BLAS thread and in one with two, agrees bit for bit

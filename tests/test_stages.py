@@ -3,19 +3,21 @@ import dataclasses
 import numpy as np
 import pytest
 
-from remsim import stages
+from remsim import stages, twophase
 from remsim.config import RunConfig
 from remsim.flow import FactorCache
 from remsim.pipeline import run
 from remsim.scenario import Scenario
 from remsim.stages import (
     LEDGER_TERMS,
+    STAGE4_DT,
     Ledger,
     initial_checkpoint,
     run_stage1,
     run_stage3,
     run_stage4,
 )
+from remsim.twophase import MAX_DS, TWO_PHASE_CFL
 from tests.test_pipeline import fast_config_text
 
 SPECIES = {1: {"napl"}, 2: {"tce"}, 3: {"nzvi", "cmc", "tce"}, 4: {"tce", "cmc"}}
@@ -106,6 +108,42 @@ class TestDegradation:
         capacity = res.diagnostics["budget"]["iron_capacity"]
         assert 0.01 * capacity <= res.diagnostics["degraded_mass"] <= capacity * (1 + 1e-12)
         assert res.ledger["tce"].closure() <= 1e-12
+
+
+def halving_orders(fields) -> list[float]:
+    """Observed orders of the L1 differences between successive fields of a
+    run whose step controls halve from one field to the next."""
+    diffs = [float(np.abs(a - b).sum()) for a, b in zip(fields, fields[1:])]
+    return [float(np.log2(coarse / fine)) for coarse, fine in zip(diffs, diffs[1:])]
+
+
+class TestStepHalving:
+    """Temporal error bars: with the step controls halved three times, the
+    differences between successive fields shrink at first order."""
+
+    def test_stage1_sn(self, monkeypatch):
+        scn = Scenario.build(RunConfig.from_text(every_limit_config_text()), 0)
+        ckpt = initial_checkpoint(scn)
+        sn = []
+        for n in range(4):
+            monkeypatch.setattr(twophase, "MAX_DS", MAX_DS / 2**n)
+            monkeypatch.setattr(twophase, "TWO_PHASE_CFL", TWO_PHASE_CFL / 2**n)
+            res = run_stage1(scn, ckpt)
+            # the halved controls bound the sub-steps, not the chunk ends alone
+            assert min(res.diagnostics["limits"].values()) >= 1, (n, res.diagnostics["limits"])
+            sn.append(res.checkpoint.fields["sn"])
+        orders = halving_orders(sn)
+        assert all(0.8 <= p <= 1.3 for p in orders), orders
+
+    def test_stage4_c_tce(self, fast_run, monkeypatch):
+        scn = Scenario.build(RunConfig.from_text(fast_config_text()), 0)
+        ckpt = fast_run.results[3].checkpoint
+        c = []
+        for n in range(4):
+            monkeypatch.setattr(stages, "STAGE4_DT", STAGE4_DT / 2**n)
+            c.append(run_stage4(scn, ckpt).checkpoint.fields["c_tce"])
+        orders = halving_orders(c)
+        assert all(0.8 <= p <= 1.3 for p in orders), orders
 
 
 class TestMarch:

@@ -11,6 +11,8 @@ from remsim.twophase import (
     LIMITS,
     MAX_DS,
     SAT_TOL,
+    SE_CLAMP,
+    TWO_PHASE_CFL,
     ImpesStepper,
     capillary_pressure,
     effective_saturation,
@@ -21,7 +23,7 @@ from remsim.twophase import (
 )
 from tests.test_stages import every_limit_config_text
 
-# fluids and numerics of the unit problems (two_phase_cfl 0.5, se_clamp 0.01)
+# fluids of the unit problems
 CONFIG = RunConfig.default()
 
 
@@ -44,7 +46,6 @@ class ReferenceStepper:
     def __init__(self, material, config=CONFIG):
         grid = material.grid
         self.grid, self.material, self.config = grid, material, config
-        self.numerics = config.numerics
         self.cache = FactorCache()
         k = material.k
         self.kfx = _harmonic(k[:, :-1], k[:, 1:]) * grid.dy / grid.dx
@@ -54,9 +55,9 @@ class ReferenceStepper:
         self.limits = dict.fromkeys(LIMITS, 0)
 
     def closures(self, state):
-        m, num = self.material, self.numerics
+        m = self.material
         sw = 1.0 - state["sn"]
-        se_pc = effective_saturation(sw, m.swr, m.snr, num.se_clamp)
+        se_pc = effective_saturation(sw, m.swr, m.snr, SE_CLAMP)
         se_kr = np.clip((sw - m.swr) / (1.0 - m.swr - m.snr), 0.0, 1.0)
         pc = capillary_pressure(se_pc, m.entry_pressure, m.bc_lambda)
         krw, krn = rel_perm(se_kr, m.bc_lambda)
@@ -95,7 +96,7 @@ class ReferenceStepper:
         return system.solve(self.cache)
 
     def stable_dt(self, state, out, fn_x, fn_y, fx, fy, dt_target, source):
-        num, m, pv = self.numerics, self.material, self.pore_vol
+        m, pv = self.material, self.pore_vol
         inflow = scatter_faces(np.zeros_like(out), np.maximum(-fn_x, 0.0), np.maximum(fn_x, 0.0),
                                np.maximum(-fn_y, 0.0), np.maximum(fn_y, 0.0))
         if source is not None:
@@ -103,8 +104,8 @@ class ReferenceStepper:
         with np.errstate(divide="ignore"):
             dt_adv = np.where(out > 0, MAX_DS * pv / out, np.inf).min()
             avail = np.maximum(1.0 - m.swr - state["sn"], 0.02)
-            dt_in = np.where(inflow > 0, num.two_phase_cfl * avail * pv / inflow, np.inf).min()
-        se = effective_saturation(1.0 - state["sn"], m.swr, m.snr, num.se_clamp)
+            dt_in = np.where(inflow > 0, TWO_PHASE_CFL * avail * pv / inflow, np.inf).min()
+        se = effective_saturation(1.0 - state["sn"], m.swr, m.snr, SE_CLAMP)
         dpc = (m.entry_pressure / m.bc_lambda * se ** (-1.0 / m.bc_lambda - 1.0)
                / (1.0 - m.swr - m.snr))
         with np.errstate(invalid="ignore"):
@@ -113,7 +114,7 @@ class ReferenceStepper:
                         for (lo, hi), (lw, ln, _, _) in zip(FACES, (fx, fy)))
         cond = scatter_faces(np.zeros_like(out), g_x, g_x, g_y, g_y)
         with np.errstate(divide="ignore"):
-            dt_cap = np.where(cond > 0, num.two_phase_cfl * pv / cond, np.inf).min()
+            dt_cap = np.where(cond > 0, TWO_PHASE_CFL * pv / cond, np.inf).min()
         bounds = dict(zip(LIMITS, (dt_adv, dt_in, dt_cap, dt_target)))
         limit = min(bounds, key=bounds.get)
         return float(bounds[limit]), limit
