@@ -32,11 +32,31 @@ of the cell mobilities, which keeps the scheme locally conservative.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, solve_triangular, solveh_banded
-from scipy.linalg.lapack import dtbtrs
+import scipy
+from numpy.linalg import LinAlgError
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, loaded without running
+    ``scipy/linalg/__init__.py``: that package import pulls in scipy's
+    array-API layer (with ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``)
+    and costs about 0.3 s and 18 MiB per process."""
+    spec = PathFinder.find_spec("_flapack", [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no linalg/_flapack extension")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpbtrf, dpbsv, dtbtrs, dtrtrs = _flapack.dpbtrf, _flapack.dpbsv, _flapack.dtbtrs, _flapack.dtrtrs
 
 
 class SolverError(RuntimeError):
@@ -160,17 +180,22 @@ def _band(diag, inner, outer, ab):
     return ab
 
 
+def _check(info, what):
+    if info:
+        raise LinAlgError(f"{what} failed (LAPACK info {info})")
+
+
 def _factor(ab):
     """Banded Cholesky factor ``L`` of ``ab``, in place."""
-    ab[...] = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+    ab[...], info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    _check(info, "banded Cholesky factorization")
     return ab
 
 
 def _sweep(factor, v, trans="N"):
     """``L^-1 v`` (``trans="N"``) or ``L^-T v`` (``"T"``), band factor ``L``."""
     x, info = dtbtrs(factor, v, uplo="L", trans=trans)
-    if info:
-        raise LinAlgError(f"triangular band solve failed (info {info})")
+    _check(info, "triangular band solve")
     return x
 
 
@@ -296,7 +321,8 @@ class FactorCache:
                         band[:, lo * m: (hi + 1) * m])
             for _, _, col, _, _, s in self.strips:
                 mid[row - cell, (col - lo) * m + cell] = s[row, cell]
-            x = solveh_banded(mid, r.ravel(), overwrite_ab=True, lower=True, check_finite=False)
+            _, x, info = dpbsv(mid, r.ravel(), lower=1, overwrite_ab=1)
+            _check(info, "banded Cholesky solve")
         finally:
             for (_, _, col, *_), block in zip(self.strips, kept):
                 band[:, col * m: (col + 1) * m] = block
@@ -306,9 +332,11 @@ class FactorCache:
         # last block only
         for (rows, step, col, cells, low, _), y in zip(self.strips, ys):
             end = col + step
+            # low.T is the Fortran-ordered upper triangle, so trans=1 solves low x = v
+            v, info = dtrtrs(low.T, (outer[min(col, end)] * p[end])[::step], lower=0, trans=1)
+            _check(info, "triangular solve")
             z = y.copy()
-            z[-m:] += solve_triangular(low, (outer[min(col, end)] * p[end])[::step], lower=True,
-                                       check_finite=False)
+            z[-m:] += v
             p[rows] = _sweep(band[:, cells], z, "T").reshape(-1, m)[::step, ::step]
             self.strip_sweeps += 1
         self.columns += hi - lo + 1

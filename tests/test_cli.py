@@ -42,10 +42,12 @@ class TestParser:
 
 
 def test_import_leaves_out_ndimage_and_sparse():
-    # no stage uses them, and importing them costs start-up time and memory
+    # no stage uses them, and importing them costs start-up time and memory;
+    # scipy.linalg's package import alone costs about 0.3 s and 18 MiB per
+    # process, so remsim.flow loads only its compiled LAPACK routines
     src = str(Path(remsim.__file__).resolve().parents[1])
     code = ("import sys, remsim.cli; print([m for m in sys.modules "
-            "if m.startswith(('scipy.ndimage', 'scipy.sparse'))])")
+            "if m.startswith(('scipy.ndimage', 'scipy.sparse', 'scipy.linalg'))])")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dtbtrs
 
 from remsim import flow
 from remsim.flow import (
@@ -247,7 +246,8 @@ REUSE_SEQUENCES = {
 
 
 class TestTpfaSystem:
-    @pytest.mark.parametrize("nx, ny", [(30, 8), (8, 30)])
+    # one-row grids factor a two-row band (half-bandwidth 1) in the span solve
+    @pytest.mark.parametrize("nx, ny", [(30, 8), (8, 30), (30, 1), (1, 30)])
     @pytest.mark.parametrize("case", REUSE_SEQUENCES)
     def test_reuse_matches_one_shot_solve(self, nx, ny, case):
         changes, full = REUSE_SEQUENCES[case]
@@ -315,19 +315,23 @@ class TestTpfaSystem:
         assert self.solve_sequence(cache, systems) == [0, 2, 2, 2, 2]
         assert cache.stats()["full"] == 1
 
-    @pytest.mark.parametrize("reuse", [False, True])
-    def test_failed_triangular_sweep_raises(self, reuse, monkeypatch):
+    # dtbtrs: the full solve's and the strips' sweeps; dtrtrs: the strips'
+    # back-substitution, reached only on reuse
+    @pytest.mark.parametrize("routine, reuse", [("dtbtrs", False), ("dtbtrs", True),
+                                                ("dtrtrs", True)])
+    def test_failed_triangular_sweep_raises(self, routine, reuse, monkeypatch):
         base = random_system(30, 8, seed=5)
         cache = FactorCache()
         systems = [base, perturb(base, 10, 14, seed=1)]
         if reuse:
             TpfaSystem(*systems.pop(0)).solve(cache)
+        lapack = getattr(flow, routine)
 
-        def singular(ab, b, **kwargs):
-            return dtbtrs(ab, b, **kwargs)[0], 3
+        def singular(*args, **kwargs):
+            return lapack(*args, **kwargs)[0], 3
 
-        monkeypatch.setattr(flow, "dtbtrs", singular)
-        with pytest.raises(SolverError, match="triangular band solve failed"):
+        monkeypatch.setattr(flow, routine, singular)
+        with pytest.raises(SolverError, match=r"triangular (band )?solve failed \(LAPACK info 3\)"):
             TpfaSystem(*systems[0]).solve(cache)
         monkeypatch.undo()
         assert self.solve_sequence(cache, systems[:1]) == [2 if reuse else 0]
