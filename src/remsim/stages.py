@@ -11,6 +11,10 @@ can restart from a file produced by the previous one; stage 1 starts from
 the stage-0 checkpoint of :func:`initial_checkpoint`, built in memory.  All
 four stages walk one schedule (:func:`_march`): stage 1 takes the IMPES
 sub-steps its stability bounds allow, stages 2-4 fixed operator-split steps.
+Stage 1's chunks end only at its output times, the release end and the stage
+end, and its series holds one row per chunk end.  Stages 2-4 move the water
+phase with one aqueous step (:func:`_aqueous_step`): transport, then
+dissolution.
 All four also share one field state: a copy of the incoming checkpoint's
 ``fields`` dict whose entries the runner replaces as the stage advances and
 hands on to the outgoing checkpoint.  The state holds each quantity once:
@@ -37,8 +41,7 @@ from .flow import FactorCache, solve_pressure
 from .reaction import reactive_step
 from .scenario import Scenario
 from .solute import TransportKernel, dissolution_substep, probe
-from .twophase import (POOL_THRESHOLD, ImpesStepper, hydrostatic_two_phase, rel_perm,
-                       source_zone_stats)
+from .twophase import ImpesStepper, hydrostatic_two_phase, rel_perm, source_zone_stats
 
 DAY = 86400.0
 
@@ -165,15 +168,20 @@ def _darcy(scn: Scenario, f: dict, mu, mobility, cache: FactorCache, sources=Non
     return flow
 
 
-def _transport(kernel: TransportKernel, f: dict, ledger: dict, dt: float, c_in={}):
+def _aqueous_step(scn: Scenario, kernel: TransportKernel, f: dict, ledger: dict, dt: float,
+                  c_in={}):
     """Advect and disperse every ledger species over dt, the kernel's wells
     injecting it at the concentration ``c_in[name]`` (none if absent), and
-    book what it injects and exports."""
+    book what it injects and exports; then dissolve NAPL into the water
+    over the same dt."""
+    cfg = scn.config
     for name, entry in ledger.items():
         conc = c_in.get(name, 0.0)
         f["c_" + name], exported = kernel.step(f["c_" + name], dt, conc)
         entry.injected += kernel.inflow * conc * dt
         entry.exported += exported
+    f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], cfg.rho_n, cfg.solubility,
+                                              cfg.transport, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -195,23 +203,19 @@ def run_stage1(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         # each chunk stop, as in stages 2-4 (see _march)
         return stepper.substep(f, dt, source if t < cfg.infil_duration else None)
 
-    marks = set(cfg.snapshots[0]) | {cfg.infil_duration, duration - 10.0 * DAY}
+    marks = set(cfg.snapshots[0])
     snapshots, series = [], []
-    sn_near_end = f["sn"]
-    for t in _march(duration, marks, np.inf, step):
-        stats = source_zone_stats(f["sn"], m, g, rho_n, POOL_THRESHOLD)
+    for t in _march(duration, marks | {cfg.infil_duration}, np.inf, step):
+        stats = source_zone_stats(f["sn"], m, rho_n)
         series.append([t, stats.total_mass, stats.pool_fraction, stats.ganglia_fraction,
                        stats.upper_fraction, stats.lower_fraction])
-        if t in set(cfg.snapshots[0]):
+        if t in marks:
             snapshots.append((t, {"sn": f["sn"], "sw": 1.0 - f["sn"]}))
-        if abs(t - (duration - 10.0 * DAY)) < 1.0:
-            sn_near_end = f["sn"]
 
     ledger["napl"].injected = stepper.injected_mass
     ledger["napl"].final = _mass(f, f["sn"], cv) * rho_n
     diagnostics = {
         "source_zone": stats,
-        "near_static_max_dsn": float(np.abs(f["sn"] - sn_near_end).max()),
         "pressure": stepper.cache.stats(),
         # sub-steps set by each bound (advection, inflow, capillary, chunk end)
         "limits": stepper.limits,
@@ -246,9 +250,7 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     snapshots, series = [], []
 
     def step(t, dt):
-        _transport(kernel, f, ledger, dt)
-        f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, cfg.solubility,
-                                                  cfg.transport, dt)
+        _aqueous_step(scn, kernel, f, ledger, dt)
         napl_mass = _mass(f, f["sn"], cv) * rho_n
         series.append([t + dt, napl_mass, napl_mass / max(napl0, 1e-300)]
                       + [probe(f["c_tce"], cell) for cell in mon.values()])
@@ -265,9 +267,7 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     # carries at most this much TCE out of the source over the stage
     inflow = float(np.maximum(flow.qx[:, 0], 0.0).sum()) * g.dy
     diagnostics = {
-        "napl_final": napl_end,
         "undissolved_fraction": napl_end / max(napl0, 1e-300),
-        "flow": flow,
         "pressure": cache.stats(),
         "budget": {"dissolution_ceiling": cfg.solubility * inflow * cfg.stage_durations[1],
                    "napl_initial": napl0},
@@ -318,10 +318,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
             diagnostics["flux_reversed"] = True
         kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport,
                                  TRANSPORT_CFL, well_sources=sources)
-        _transport(kernel, f, ledger, dt, c_in)
-
-        f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, cfg.solubility,
-                                                  cfg.transport, dt)
+        _aqueous_step(scn, kernel, f, ledger, dt, c_in)
         katt = nz.attachment_rate(dc, f["theta_m"], flow.velocity_magnitude(), mu, cfg.nzvi,
                                   cfg.rho_w, cfg.gravity)
         f["c_nzvi"], f["s_bulk"] = nz.deposit_step(f["c_nzvi"], f["s_bulk"], katt, f["theta_m"], dt)
@@ -334,9 +331,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         if t in marks:
             snapshots.append((t, {name: f[name] for name in ("c_nzvi", "s_bulk", "c_cmc", "k")}))
 
-    theta_m, s_bulk = f["theta_m"], f["s_bulk"]
-    retained = float(s_bulk.sum()) * cv
-    ledger["nzvi"].final = _mass(f, f["c_nzvi"], cv) + retained
+    ledger["nzvi"].final = _mass(f, f["c_nzvi"], cv) + float(f["s_bulk"].sum()) * cv
     ledger["cmc"].final = _mass(f, f["c_cmc"], cv)
     ledger["tce"].final = _mass(f, f["c_tce"], cv)
     ledger["tce"].dissolved = napl0 - _mass(f, f["sn"], cv) * rho_n
@@ -344,15 +339,8 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     _, roi, _, max_k_reduction = series[-1]
     diagnostics.update({
         "roi": roi,
-        "roi_upper": nz.radius_of_influence(
-            s_bulk, g, screen, ROI_THRESHOLD, m.layer_mask(upper=True)
-        ),
-        "roi_lower": nz.radius_of_influence(
-            s_bulk, g, screen, ROI_THRESHOLD, m.layer_mask(upper=False)
-        ),
         "max_k_reduction": max_k_reduction,
-        "max_theta_reduction": float(1.0 - (theta_m / theta0).min()),
-        "retained_mass": retained,
+        "max_theta_reduction": float(1.0 - (f["theta_m"] / theta0).min()),
         "pressure": cache.stats(),
         "series_header": ["t", "roi", "max_s_bulk", "max_k_reduction"],
     })
@@ -364,8 +352,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
 # Stage 4
 # ---------------------------------------------------------------------------
 
-def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> StageResult:
-    """Degradation stage; ``reactive=False`` leaves out the reaction operator."""
+def run_stage4(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     cfg, g, m = scn.config, scn.grid, scn.material
     rho_n, cv = cfg.rho_n, g.cell_volume
     f = dict(ckpt.fields)
@@ -387,13 +374,10 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint, reactive: bool = True) -> S
         mu = nz.cmc_viscosity(f["c_cmc"], cfg.cmc, cfg.mu_w)
         flow = _darcy(scn, f, mu, mobility, cache)
         kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport, TRANSPORT_CFL)
-        _transport(kernel, f, ledger, dt)
-        f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], rho_n, cfg.solubility,
-                                                  cfg.transport, dt)
-        if reactive:
-            pre = f["c_tce"]
-            f["c_tce"], rho_m = reactive_step(pre, rho_m, cfg.reaction, dt)
-            ledger["tce"].degraded += _mass(f, pre - f["c_tce"], cv)
+        _aqueous_step(scn, kernel, f, ledger, dt)
+        pre = f["c_tce"]
+        f["c_tce"], rho_m = reactive_step(pre, rho_m, cfg.reaction, dt)
+        ledger["tce"].degraded += _mass(f, pre - f["c_tce"], cv)
         iron_frac = _mass(f, rho_m, cv) / max(iron0, 1e-300)
         series.append([t + dt, iron_frac] + [probe(f["c_tce"], cell) for cell in mon.values()])
         return dt

@@ -311,19 +311,16 @@ class SourceZoneStats:
     ganglia_fraction: float
 
 
-def source_zone_stats(
-    sn: np.ndarray,
-    material: MaterialMap,
-    grid,
-    rho_n: float,
-    pool_threshold: float,
-) -> SourceZoneStats:
-    mass = material.porosity * sn * grid.cell_volume * rho_n
+def source_zone_stats(sn: np.ndarray, material: MaterialMap, rho_n: float) -> SourceZoneStats:
+    """NAPL mass on ``material``'s grid, with the fractions above and below
+    the layer split and at or above ``POOL_THRESHOLD`` (pools) or under it
+    (ganglia)."""
+    mass = material.porosity * sn * material.grid.cell_volume * rho_n
     total = float(mass.sum())
     if total == 0.0:
         return SourceZoneStats(0.0, 0.0, 0.0, 0.0, 0.0)
     upper = material.layer_mask(upper=True)
-    pool = sn >= pool_threshold
+    pool = sn >= POOL_THRESHOLD
     return SourceZoneStats(
         total_mass=total,
         upper_fraction=float(mass[upper].sum() / total),

@@ -192,13 +192,3 @@ class TestRoi:
         g = build_grid((2.0, 2.0), (0.5, 0.5))
         assert radius_of_influence(np.zeros((4, 4)), g, (1.0, 1.0), 0.01) == 0.0
 
-    def test_layer_mask_restricts(self):
-        g = build_grid((10.0, 10.0), (0.5, 0.5))
-        s = np.zeros((g.ny, g.nx))
-        s[2, 10] = 1.0
-        s[18, 10] = 1.0
-        upper = np.zeros_like(s, dtype=bool)
-        upper[10:, :] = True
-        roi = radius_of_influence(s, g, (5.25, 5.25), 0.01, layer_mask=upper)
-        assert roi == pytest.approx(np.hypot(0.0, 9.25 - 5.25), rel=1e-12)
-

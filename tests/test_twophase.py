@@ -337,7 +337,7 @@ class TestSourceZoneStats:
     def test_empty_field(self):
         g = build_grid((1.0, 1.0), (0.5, 0.5))
         m = homogeneous(g)
-        s = source_zone_stats(np.zeros((g.ny, g.nx)), m, g, 1470.0, 0.3)
+        s = source_zone_stats(np.zeros((g.ny, g.nx)), m, 1470.0)
         assert s.total_mass == 0.0
 
     def test_fractions_sum_to_one(self):
@@ -345,7 +345,7 @@ class TestSourceZoneStats:
         m = homogeneous(g)
         rng = np.random.default_rng(0)
         sn = rng.uniform(0.0, 0.6, (g.ny, g.nx))
-        s = source_zone_stats(sn, m, g, 1470.0, 0.3)
+        s = source_zone_stats(sn, m, 1470.0)
         assert s.pool_fraction + s.ganglia_fraction == pytest.approx(1.0, rel=1e-12)
         assert s.upper_fraction + s.lower_fraction == pytest.approx(1.0, rel=1e-12)
 
@@ -353,7 +353,7 @@ class TestSourceZoneStats:
         g = build_grid((1.0, 1.0), (0.5, 0.5))
         m = homogeneous(g)
         sn = np.array([[0.5, 0.0], [0.0, 0.1]])
-        s = source_zone_stats(sn, m, g, 1470.0, pool_threshold=0.3)
+        s = source_zone_stats(sn, m, 1470.0)
         assert s.pool_fraction == pytest.approx(0.5 / 0.6, rel=1e-12)
 
 
