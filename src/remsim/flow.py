@@ -1,27 +1,20 @@
 """TPFA finite-volume pressure operator and the single-phase Darcy solver.
 
-:class:`TpfaSystem` is the one pressure system of the simulator: the
+:meth:`FactorCache.solve` is the one pressure solve of the simulator: the
 stage-1 IMPES pressure step and the single-phase solve of Stages 2-4 both
 hand it face transmissibilities, known face fluxes (gravity, capillarity)
 and cellwise boundary and source terms.  The matrix is symmetric positive
 definite; with the cells numbered along the shorter grid side its
 half-bandwidth is ``min(nx, ny)``, so it is solved by a banded Cholesky
-factorization.
+factorization.  One :class:`FactorCache` solves each sequence of systems (one
+per IMPES sub-step or operator-split step) and re-factors only the grid
+columns where they differ: around the NAPL body in Stage 1, inside the CMC
+plume and the clogged zone in Stages 3-4.
 
 :func:`scatter_faces` is the one face-to-cell balance of the finite-volume
 kernels (this operator, the IMPES saturation step and the transport
 kernel): it adds interior face values to the cells on either side of each
 face, in a fixed order so that results are reproducible bit for bit.
-
-A run solves sequences of such systems (one per IMPES sub-step or operator
-split step) whose mobility changes only in part of the grid: around the NAPL
-body in Stage 1, inside the CMC plume and the clogged zone in Stages 3-4.
-:class:`FactorCache` carries the factors from one solve of a sequence to the
-next and re-factors only the contiguous span of grid columns (along the
-longer side) whose matrix entries or right-hand side differ bitwise from the
-last full solve;
-each unchanged strip on either side enters through its Schur complement and
-costs one backward triangular sweep.
 
 :func:`solve_pressure` (Stages 2-4): Dirichlet heads on the lateral
 boundaries (:func:`lateral_heads`, the one lateral boundary of both pressure
@@ -100,10 +93,10 @@ def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def lateral_heads(grid, lam, head_left: float, head_right: float, rho: float, g: float):
-    """Cellwise ``(d, b)`` of :class:`TpfaSystem` for the Dirichlet heads of
-    the left and right boundaries: each boundary face sits at the elevation
-    of its cell's center, half a cell from it, with the cell's mobility
-    ``lam`` (ny, nx)."""
+    """Cellwise ``(d, b)`` of :meth:`FactorCache.solve` for the Dirichlet
+    heads of the left and right boundaries: each boundary face sits at the
+    elevation of its cell's center, half a cell from it, with the cell's
+    mobility ``lam`` (ny, nx)."""
     d = np.zeros((grid.ny, grid.nx))
     b = np.zeros((grid.ny, grid.nx))
     yc = grid.yc
@@ -118,51 +111,10 @@ def lateral_heads(grid, lam, head_left: float, head_right: float, rho: float, g:
 RTOL = 1e-10
 
 
-class TpfaSystem:
-    """Five-point TPFA pressure system on a (ny, nx) cell grid.
-
-    Row ``o`` reads ``sum_f t_f (p_o - p_nb) + d_o p_o = b_o + sum_f +-k_f``:
-    ``t_x`` (ny, nx-1) and ``t_y`` (ny-1, nx) are the interior face
-    transmissibilities; ``k_x``/``k_y`` (same shapes) are known face fluxes
-    (gravity, capillarity) from the lower-index cell of each face to the
-    other, entering the right-hand side as ``+k`` at the first and ``-k`` at
-    the second; ``d`` and ``b`` (ny, nx) are the cellwise diagonal and
-    right-hand-side terms of Dirichlet boundary faces and sources.
-    """
-
-    def __init__(self, t_x, t_y, k_x, k_y, d, b):
-        self.t_x, self.t_y = t_x, t_y
-        self.diag = scatter_faces(np.zeros_like(d), t_x, t_x, t_y, t_y)
-        self.diag += d
-        self.rhs = scatter_faces(np.zeros_like(b), k_x, -k_x, k_y, -k_y)
-        self.rhs += b
-
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        """Matrix-vector product through the five-point stencil."""
-        return scatter_faces(self.diag * p, -(self.t_x * p[:, 1:]), -(self.t_x * p[:, :-1]),
-                             -(self.t_y * p[1:, :]), -(self.t_y * p[:-1, :]))
-
-    def solve(self, cache: FactorCache | None = None) -> np.ndarray:
-        """Banded Cholesky solve, re-using the factors of ``cache`` (a fresh
-        one by default); raises SolverError if the system is not positive
-        definite or the solution is not finite or leaves a relative residual
-        above :data:`RTOL`."""
-        transpose = self.diag.shape[1] > self.diag.shape[0]
-        if transpose:  # number the cells along y, the shorter side
-            terms = self.diag.T, self.t_y.T, self.t_x.T, self.rhs.T
-        else:
-            terms = self.diag, self.t_x, self.t_y, self.rhs
-        try:
-            p = (FactorCache() if cache is None else cache).solve(*terms)
-        except LinAlgError as err:
-            raise SolverError(f"pressure system is not positive definite: {err}") from err
-        p = p.T.copy() if transpose else p
-        ap = self.apply(p)
-        scale = max(np.abs(self.rhs).max(), np.abs(ap).max(), 1e-300)
-        residual = np.abs(ap - self.rhs).max() / scale
-        if not np.isfinite(p).all() or residual > RTOL:
-            raise SolverError(f"pressure solve residual {residual:.3e} exceeds {RTOL:.1e}")
-        return p
+def _stencil(diag, t_x, t_y, p):
+    """``A p`` through the five-point stencil of the system on ``diag``."""
+    return scatter_faces(diag * p, -(t_x * p[:, 1:]), -(t_x * p[:, :-1]),
+                         -(t_y * p[1:, :]), -(t_y * p[:-1, :]))
 
 
 def _band(diag, inner, outer, ab):
@@ -205,10 +157,14 @@ def _differs(a, ref):
 
 
 class FactorCache:
-    """Factor reuse over one sequence of pressure solves on the same grid.
+    """The solver of one sequence of pressure systems on the same grid, with
+    factor reuse from one solve to the next.
 
     The first solve factors the whole band, ``A = L L^T``, and keeps its
     terms, right-hand side and forward vector ``L^-1 rhs`` as the reference.
+    The reference system again, before any span is factored, costs one
+    backward sweep ``L^-T`` of the held factor and forward vector, which
+    gives the full solve's bits.
     A later solve factors only the span ``[a, b]`` of outer-index columns
     whose terms or right-hand side differ bitwise from the reference, both
     columns of a changed cross-column face included (block elimination, one
@@ -237,6 +193,7 @@ class FactorCache:
         self.reference = None        # (diag, inner, outer, rhs) of the last full solve
         self.band = None             # reference factor, then left strip | span | right strip
         self.forward = None          # forward vectors, laid out as the band
+        self.held = False            # band and forward still the reference's
         self.span = None             # widest (a, b) since the strips were factored
         self.strips = []             # the unchanged strips of the span (see _solve_span)
         self.n_columns = 0           # length of the outer index
@@ -251,10 +208,38 @@ class FactorCache:
                 "mean_columns": self.columns / max(self.solves, 1),
                 "strip_sweeps": self.strip_sweeps}
 
-    def solve(self, diag, inner, outer, rhs) -> np.ndarray:
-        """Solve the system on ``diag`` (n, m) with in-row couplings ``inner``
-        (n, m-1) and row-to-row couplings ``outer`` (n-1, m); raises
-        LinAlgError if it is not positive definite."""
+    def solve(self, t_x, t_y, k_x, k_y, d, b) -> np.ndarray:
+        """Pressure of the five-point TPFA system on a (ny, nx) cell grid whose
+        row ``o`` reads ``sum_f t_f (p_o - p_nb) + d_o p_o = b_o + sum_f +-k_f``.
+
+        ``t_x`` (ny, nx-1) and ``t_y`` (ny-1, nx) are the interior face
+        transmissibilities; ``k_x``/``k_y`` (same shapes) are known face fluxes
+        (gravity, capillarity) from the lower-index cell of each face to the
+        other, entering the right-hand side as ``+k`` at the first and ``-k``
+        at the second; ``d`` and ``b`` (ny, nx) are the cellwise diagonal and
+        right-hand-side terms of Dirichlet boundary faces and sources.  Raises
+        SolverError if the system is not positive definite or the solution is
+        not finite or leaves a relative residual above :data:`RTOL`."""
+        diag = scatter_faces(np.zeros_like(d), t_x, t_x, t_y, t_y)
+        diag += d
+        rhs = scatter_faces(np.zeros_like(b), k_x, -k_x, k_y, -k_y)
+        rhs += b
+        transpose = diag.shape[1] > diag.shape[0]  # number the cells along the shorter side
+        terms = (diag.T, t_y.T, t_x.T, rhs.T) if transpose else (diag, t_x, t_y, rhs)
+        try:
+            p = self._solve_banded(*terms)
+        except LinAlgError as err:
+            raise SolverError(f"pressure system is not positive definite: {err}") from err
+        p = p.T.copy() if transpose else p
+        ap = _stencil(diag, t_x, t_y, p)
+        scale = max(np.abs(rhs).max(), np.abs(ap).max(), 1e-300)
+        residual = np.abs(ap - rhs).max() / scale
+        if not np.isfinite(p).all() or residual > RTOL:
+            raise SolverError(f"pressure solve residual {residual:.3e} exceeds {RTOL:.1e}")
+        return p
+
+    def _solve_banded(self, diag, inner, outer, rhs):
+        """Solve on ``diag`` (n, m), in-row ``inner`` (n, m-1), row-to-row ``outer`` (n-1, m)."""
         n, m = diag.shape
         self.n_columns = n
         self.solves += 1
@@ -268,6 +253,8 @@ class FactorCache:
             span = np.flatnonzero(changed)
             if span.size:
                 a, b = min(a, span[0]), max(b, span[-1])
+            if a > b and self.held:
+                return _sweep(self.band, self.forward, "T").reshape(n, m)
             if a <= b and (a > 0 or b < n - 1):
                 return self._solve_span(diag, inner, outer, rhs, int(a), int(b))
         self.reference = self.span = None
@@ -276,13 +263,16 @@ class FactorCache:
         factor = _factor(_band(diag, inner, outer, self.band))
         self.forward = _sweep(factor, rhs.ravel())
         p = _sweep(factor, self.forward, "T")
-        self.reference = (diag.copy(), inner.copy(), outer.copy(), rhs.copy())
+        # solve() builds diag and rhs for this call; the couplings are the caller's
+        self.reference = (diag, inner.copy(), outer.copy(), rhs)
+        self.held = True
         self.full += 1
         self.columns += n
         return p.reshape(n, m)
 
     def _solve_span(self, diag, inner, outer, rhs, a, b):
         n, m = diag.shape
+        self.held = False
         band, forward = self.band, self.forward
         if self.span is None and b < n - 1:
             right = _factor(_band(*(t[b + 1:][::-1, ::-1] for t in (diag, inner, outer)),
@@ -381,8 +371,8 @@ def solve_pressure(
         b[j, i] += rate
 
     # y-faces carry the gravity term rho*g*(z_nb - z_o)
-    system = TpfaSystem(t_x, t_y, np.zeros_like(t_x), t_y * (rho * g * dy), d, b)
-    pm = system.solve(cache)
+    pm = (FactorCache() if cache is None else cache).solve(
+        t_x, t_y, np.zeros_like(t_x), t_y * (rho * g * dy), d, b)
 
     qx = np.zeros((ny, nx + 1))
     qy = np.zeros((ny + 1, nx))

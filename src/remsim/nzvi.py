@@ -105,10 +105,14 @@ def cmc_viscosity(c_cmc, cmc: CmcCfg, mu_w: float) -> np.ndarray:
     return np.exp(x * np.log(cmc.solution_viscosity) + (1.0 - x) * np.log(mu_w))
 
 
-def radius_of_influence(s_bulk, grid, screen: tuple[float, float], threshold_bulk: float) -> float:
+# deposit (kg/m^3) counted in the radius of influence
+ROI_THRESHOLD = 0.01
+
+
+def radius_of_influence(s_bulk, grid, screen: tuple[float, float]) -> float:
     """Max Euclidean distance from the screen center where the deposit
-    exceeds a threshold (kg per m^3 bulk).  Returns 0 if nowhere exceeds it."""
-    mask = np.asarray(s_bulk) >= threshold_bulk
+    reaches :data:`ROI_THRESHOLD`, or 0 where none does."""
+    mask = np.asarray(s_bulk) >= ROI_THRESHOLD
     if not mask.any():
         return 0.0
     xv, yv = grid.cell_centers()

@@ -52,8 +52,6 @@ STAGE4_DT = 1.0 * DAY
 # fraction of the transport kernel's positivity bound each sub-step takes;
 # above 1 the explicit upwind update loses positivity
 TRANSPORT_CFL = 0.9
-# deposit (kg/m^3) counted in the radius of influence
-ROI_THRESHOLD = 0.01
 
 LEDGER_TERMS = ("initial", "injected", "dissolved", "exported", "degraded", "final")
 
@@ -326,7 +324,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         return dt
 
     for t in _march(cfg.stage_durations[2], marks, STAGE3_DT, step):
-        roi = nz.radius_of_influence(f["s_bulk"], g, screen, ROI_THRESHOLD)
+        roi = nz.radius_of_influence(f["s_bulk"], g, screen)
         series.append([t, roi, float(f["s_bulk"].max()), float(1.0 - (f["k"] / k0).min())])
         if t in marks:
             snapshots.append((t, {name: f[name] for name in ("c_nzvi", "s_bulk", "c_cmc", "k")}))

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .flow import (FACES, FactorCache, SolverError, TpfaSystem, _harmonic, lateral_heads,
-                   scatter_faces)
+from .flow import FACES, FactorCache, SolverError, _harmonic, lateral_heads, scatter_faces
 from .grid import MaterialMap
 
 
@@ -36,10 +35,10 @@ from .grid import MaterialMap
 # Brooks-Corey closures
 # ---------------------------------------------------------------------------
 
-def effective_saturation(sw, swr, snr, clamp: float):
-    """Se = (Sw - Swr) / (1 - Swr - Snr), clamped to [clamp, 1]."""
+def effective_saturation(sw, swr, snr):
+    """Se = (Sw - Swr) / (1 - Swr - Snr), clamped to [SE_CLAMP, 1]."""
     se = (sw - swr) / (1.0 - swr - snr)
-    return np.clip(se, clamp, 1.0)
+    return np.clip(se, SE_CLAMP, 1.0)
 
 
 def capillary_pressure(se, pd, lam):
@@ -168,7 +167,7 @@ class ImpesStepper:
         m = self.material
         sw = 1.0 - f["sn"][:, cols]
         swr, snr, pd, lam = (a[:, cols] for a in (m.swr, m.snr, m.entry_pressure, m.bc_lambda))
-        se_pc = effective_saturation(sw, swr, snr, SE_CLAMP)
+        se_pc = effective_saturation(sw, swr, snr)
         se_kr = np.clip((sw - swr) / (1.0 - swr - snr), 0.0, 1.0)
         pc = capillary_pressure(se_pc, pd, lam)
         dpc = pd / lam * se_pc ** (-1.0 / lam - 1.0) / (1.0 - swr - snr)
@@ -218,7 +217,7 @@ class ImpesStepper:
                                                      _window_faces(cols), (fx, fy)):
             t[faces] = lw + ln
             known[faces] = lw * gw + ln * gn
-        return TpfaSystem(t_x, t_y, k_x, k_y, d, b).solve(self.cache)
+        return self.cache.solve(t_x, t_y, k_x, k_y, d, b)
 
     def _napl_fluxes(self, pw, fx, fy):
         """Per-face NAPL volumetric fluxes (m^3/s), positive owner->neighbor."""

@@ -185,10 +185,10 @@ class TestRoi:
         s = np.zeros((g.ny, g.nx))
         s[10, 10] = 1.0   # cell center (5.25, 5.25)
         s[10, 16] = 1.0   # cell center (8.25, 5.25)
-        roi = radius_of_influence(s, g, screen=(5.25, 5.25), threshold_bulk=0.01)
+        roi = radius_of_influence(s, g, screen=(5.25, 5.25))
         assert roi == pytest.approx(3.0, rel=1e-12)
 
     def test_zero_when_below_threshold(self):
         g = build_grid((2.0, 2.0), (0.5, 0.5))
-        assert radius_of_influence(np.zeros((4, 4)), g, (1.0, 1.0), 0.01) == 0.0
+        assert radius_of_influence(np.zeros((4, 4)), g, (1.0, 1.0)) == 0.0
 

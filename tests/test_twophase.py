@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from remsim.config import LithologyCfg, RunConfig
-from remsim.flow import (FACES, FactorCache, SolverError, TpfaSystem, _harmonic, lateral_heads,
-                         scatter_faces)
+from remsim.flow import FACES, FactorCache, SolverError, _harmonic, lateral_heads, scatter_faces
 from remsim.grid import MaterialMap, build_grid
 from remsim.scenario import Scenario
 from remsim.stages import _chunks, _mass
@@ -11,7 +10,6 @@ from remsim.twophase import (
     LIMITS,
     MAX_DS,
     SAT_TOL,
-    SE_CLAMP,
     TWO_PHASE_CFL,
     ImpesStepper,
     capillary_pressure,
@@ -57,7 +55,7 @@ class ReferenceStepper:
     def closures(self, state):
         m = self.material
         sw = 1.0 - state["sn"]
-        se_pc = effective_saturation(sw, m.swr, m.snr, SE_CLAMP)
+        se_pc = effective_saturation(sw, m.swr, m.snr)
         se_kr = np.clip((sw - m.swr) / (1.0 - m.swr - m.snr), 0.0, 1.0)
         pc = capillary_pressure(se_pc, m.entry_pressure, m.bc_lambda)
         krw, krn = rel_perm(se_kr, m.bc_lambda)
@@ -91,9 +89,8 @@ class ReferenceStepper:
                              c.gravity)
         if source is not None:
             b += source * g.cell_volume
-        system = TpfaSystem(lw_x + ln_x, lw_y + ln_y,
-                            lw_x * gw_x + ln_x * gn_x, lw_y * gw_y + ln_y * gn_y, d, b)
-        return system.solve(self.cache)
+        return self.cache.solve(lw_x + ln_x, lw_y + ln_y,
+                                lw_x * gw_x + ln_x * gn_x, lw_y * gw_y + ln_y * gn_y, d, b)
 
     def stable_dt(self, state, out, fn_x, fn_y, fx, fy, dt_target, source):
         m, pv = self.material, self.pore_vol
@@ -105,7 +102,7 @@ class ReferenceStepper:
             dt_adv = np.where(out > 0, MAX_DS * pv / out, np.inf).min()
             avail = np.maximum(1.0 - m.swr - state["sn"], 0.02)
             dt_in = np.where(inflow > 0, TWO_PHASE_CFL * avail * pv / inflow, np.inf).min()
-        se = effective_saturation(1.0 - state["sn"], m.swr, m.snr, SE_CLAMP)
+        se = effective_saturation(1.0 - state["sn"], m.swr, m.snr)
         dpc = (m.entry_pressure / m.bc_lambda * se ** (-1.0 / m.bc_lambda - 1.0)
                / (1.0 - m.swr - m.snr))
         with np.errstate(invalid="ignore"):
@@ -168,7 +165,7 @@ def homogeneous(grid, **over):
 class TestClosures:
     def test_effective_saturation_hand_value(self):
         # (0.54 - 0.08) / (1 - 0.08 - 0.08)
-        assert effective_saturation(0.54, 0.08, 0.08, 0.01) == pytest.approx(
+        assert effective_saturation(0.54, 0.08, 0.08) == pytest.approx(
             0.46 / 0.84, rel=1e-12
         )
 
@@ -180,7 +177,7 @@ class TestClosures:
         assert capillary_pressure(0.25, 1500.0, 2.0) == pytest.approx(3000.0, rel=1e-12)
 
     def test_pc_clamped_near_residual(self):
-        se = effective_saturation(0.08, 0.08, 0.08, 0.01)  # at residual -> clamp
+        se = effective_saturation(0.08, 0.08, 0.08)  # at residual -> clamp
         assert se == 0.01
         assert capillary_pressure(se, 1300.0, 2.0) == pytest.approx(
             1300.0 * 0.01 ** -0.5, rel=1e-12
