@@ -162,9 +162,6 @@ class FactorCache:
 
     The first solve factors the whole band, ``A = L L^T``, and keeps its
     terms, right-hand side and forward vector ``L^-1 rhs`` as the reference.
-    The reference system again, before any span is factored, costs one
-    backward sweep ``L^-T`` of the held factor and forward vector, which
-    gives the full solve's bits.
     A later solve factors only the span ``[a, b]`` of outer-index columns
     whose terms or right-hand side differ bitwise from the reference, both
     columns of a changed cross-column face included (block elimination, one
@@ -193,7 +190,6 @@ class FactorCache:
         self.reference = None        # (diag, inner, outer, rhs) of the last full solve
         self.band = None             # reference factor, then left strip | span | right strip
         self.forward = None          # forward vectors, laid out as the band
-        self.held = False            # band and forward still the reference's
         self.span = None             # widest (a, b) since the strips were factored
         self.strips = []             # the unchanged strips of the span (see _solve_span)
         self.n_columns = 0           # length of the outer index
@@ -253,8 +249,6 @@ class FactorCache:
             span = np.flatnonzero(changed)
             if span.size:
                 a, b = min(a, span[0]), max(b, span[-1])
-            if a > b and self.held:
-                return _sweep(self.band, self.forward, "T").reshape(n, m)
             if a <= b and (a > 0 or b < n - 1):
                 return self._solve_span(diag, inner, outer, rhs, int(a), int(b))
         self.reference = self.span = None
@@ -265,14 +259,12 @@ class FactorCache:
         p = _sweep(factor, self.forward, "T")
         # solve() builds diag and rhs for this call; the couplings are the caller's
         self.reference = (diag, inner.copy(), outer.copy(), rhs)
-        self.held = True
         self.full += 1
         self.columns += n
         return p.reshape(n, m)
 
     def _solve_span(self, diag, inner, outer, rhs, a, b):
         n, m = diag.shape
-        self.held = False
         band, forward = self.band, self.forward
         if self.span is None and b < n - 1:
             right = _factor(_band(*(t[b + 1:][::-1, ::-1] for t in (diag, inner, outer)),

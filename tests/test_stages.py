@@ -1,5 +1,4 @@
 import dataclasses
-import shutil
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from remsim import stages, twophase
 from remsim.config import RunConfig
 from remsim.flow import FactorCache
-from remsim.pipeline import checkpoint_path, run
+from remsim.pipeline import run
 from remsim.scenario import Scenario
 from remsim.stages import (
     LEDGER_TERMS,
@@ -317,36 +316,3 @@ class TestPressureReuse:
                     f"mean {counts['mean_columns']:.1f}/{counts['columns']} columns, "
                     f"{counts['strip_sweeps']} strip sweeps")
             assert lines[lines.index(f"stage {stage} audit:") + 1] == line
-
-
-class TestNoInjectionBaseline:
-    """Without the injection (``stage3_duration = 0 hour``) stage 4's
-    viscosity stays that of water: each of its pressure systems is the first
-    one again, solved from the held factor."""
-
-    @pytest.fixture(scope="class")
-    def baseline(self, tmp_path_factory):
-        text = fast_config_text()
-        assert "stage3_duration = 1 hour" in text
-        cfg = RunConfig.from_text(
-            text.replace("stage3_duration = 1 hour", "stage3_duration = 0 hour"))
-        out = tmp_path_factory.mktemp("baseline")
-        return cfg, out, run(cfg, [1, 2, 3, 4], out, seed=0, export=None)
-
-    def test_stage4_factors_once(self, baseline):
-        counts = baseline[2].results[4].diagnostics["pressure"]
-        assert (counts["solves"], counts["full"]) == (20, 1)
-
-    def test_held_solves_match_full_solves_bitwise(self, baseline, monkeypatch):
-        cfg, _, result = baseline
-        monkeypatch.setattr(stages, "FactorCache", FullSolveCache)
-        forced = run_stage4(Scenario.build(cfg, 0), result.results[3].checkpoint)
-        assert forced.diagnostics["pressure"]["full"] == 20
-        for name, field in forced.checkpoint.fields.items():
-            np.testing.assert_array_equal(result.results[4].checkpoint.fields[name], field)
-
-    def test_stage4_restart_reproduces_straight_run(self, baseline, tmp_path):
-        cfg, out, _ = baseline
-        shutil.copyfile(checkpoint_path(out, 3), checkpoint_path(tmp_path, 3))
-        run(cfg, [4], tmp_path, seed=0, export=None)
-        assert checkpoint_path(tmp_path, 4).read_bytes() == checkpoint_path(out, 4).read_bytes()
