@@ -10,6 +10,7 @@ temporary file and ``os.replace``, so no reader ever sees a partial file.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -113,15 +114,18 @@ def _parse_manifest(data: bytes, path) -> tuple[dict, int]:
 
 
 def read_checkpoint(path) -> StageCheckpoint:
-    """Read the file once and check it: the manifest keys, the fields of
-    :data:`FIELD_NAMES` in order, each of ``nx * ny`` values, and the payload
-    length."""
+    """Read the file once and check it: the manifest keys, a finite clock, the
+    fields of :data:`FIELD_NAMES` in order, each of ``nx * ny`` values, and the
+    payload length."""
     with open(path, "rb") as fh:
         data = fh.read()
     manifest, start = _parse_manifest(data, path)
     nx, ny = manifest["nx"], manifest["ny"]
     if not all(type(n) is int and n > 0 for n in (nx, ny)):
         raise CheckpointError(f"{path}: grid {nx!r}x{ny!r} is not two positive integers")
+    clock = manifest["clock"]
+    if type(clock) not in (int, float) or not math.isfinite(clock):
+        raise CheckpointError(f"{path}: clock {clock!r} is not a finite number")
     if manifest["fields"] != [{"name": name, "size": nx * ny} for name in FIELD_NAMES]:
         raise CheckpointError(
             f"{path}: manifest fields are not {', '.join(FIELD_NAMES)} of nx*ny = {nx * ny} "
@@ -135,7 +139,7 @@ def read_checkpoint(path) -> StageCheckpoint:
     block = np.frombuffer(data, dtype="<f8", offset=start).reshape(len(FIELD_NAMES), ny, nx)
     return StageCheckpoint(
         stage=manifest["stage"],
-        clock=manifest["clock"],
+        clock=clock,
         nx=nx,
         ny=ny,
         seed=manifest["seed"],

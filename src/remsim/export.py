@@ -8,19 +8,23 @@ from pathlib import Path
 import numpy as np
 
 
+def _write_table(path, header: list[str], rows) -> None:
+    """The header row through csv.writer, then one %-format per row of numbers:
+    the same text as csv.writer with f"{v:.10g}" per value, faster."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    row_format = ",".join(["%.10g"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.write("".join(row_format % tuple(row) for row in rows))
+
+
 def write_csv(path, grid, fields: dict[str, np.ndarray]) -> None:
     """One row per cell: x, y, then one column per field (row-major,
     bottom row first, matching the array layout)."""
     xv, yv = grid.cell_centers()
-    names = list(fields)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    table = np.column_stack([xv.ravel(), yv.ravel()] + [np.asarray(fields[n]).ravel() for n in names])
-    # one %-format per row: the same text as csv.writer with f"{v:.10g}" per value, faster
-    row_format = ",".join(["%.10g"] * table.shape[1]) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["x", "y", *names])
-        fh.write("".join(row_format % tuple(row) for row in table.tolist()))
+    table = np.column_stack([xv.ravel(), yv.ravel()] + [np.asarray(f).ravel() for f in fields.values()])
+    _write_table(path, ["x", "y", *fields], table.tolist())
 
 
 def write_vtk(path, grid, fields: dict[str, np.ndarray]) -> None:
@@ -49,10 +53,4 @@ def write_vtk(path, grid, fields: dict[str, np.ndarray]) -> None:
 
 def write_series_csv(path, header: list[str], rows) -> None:
     """Time-series table (e.g. monitoring-well breakthrough)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.10g}" if isinstance(v, float) else v for v in row])
+    _write_table(path, header, rows)

@@ -110,8 +110,9 @@ def run(
     export: str | None = "csv",
 ) -> RunResult:
     """Run the selected (contiguous) stages, writing checkpoints and reports."""
-    if sorted(stages) != stages or any(b - a != 1 for a, b in zip(stages, stages[1:])):
-        raise ConfigError("stage selection must be a contiguous ascending range")
+    if (not stages or stages != list(range(stages[0], stages[-1] + 1))
+            or stages[0] < 1 or stages[-1] > 4):
+        raise ConfigError("stage selection must be a contiguous ascending range of stages 1-4")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir else out_dir

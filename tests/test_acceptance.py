@@ -2,10 +2,11 @@
 
 Each test covers one numbered acceptance criterion and prints a single
 PASS/FAIL line (straight to the real stdout, so it shows under capture).
-The full-resolution default-scenario stages are expensive, so they run once
-in a session fixture and are shared by the criteria that inspect them.
+The full-resolution default pipeline is expensive, so ``pipeline.run`` runs
+it once in a session fixture, shared by the criteria that inspect it;
+criterion 11 runs it once more.
 
-Run with ``pytest tests/test_acceptance.py -v``; expect ~2 minutes.
+Run with ``pytest tests/test_acceptance.py -v``; expect about 1.5 minutes.
 """
 
 from __future__ import annotations
@@ -34,14 +35,7 @@ from remsim.pipeline import run as pipeline_run
 from remsim.reaction import reactive_step
 from remsim.scenario import Scenario
 from remsim.solute import TransportKernel
-from remsim.stages import (
-    _mass,
-    initial_checkpoint,
-    run_stage1,
-    run_stage2,
-    run_stage3,
-    run_stage4,
-)
+from remsim.stages import _mass, run_stage4
 from remsim.twophase import (
     POOL_THRESHOLD,
     ImpesStepper,
@@ -77,20 +71,22 @@ def scn():
 
 
 @pytest.fixture(scope="session")
-def staged(scn):
-    """Default scenario, all four stages at full resolution.
+def staged_dir(tmp_path_factory):
+    """Where ``staged`` writes its checkpoints."""
+    return tmp_path_factory.mktemp("staged")
 
-    Returns {stage: (StageResult, wall_seconds)}.
+
+@pytest.fixture(scope="session")
+def staged(staged_dir):
+    """Default scenario at seed 0, all four stages through ``pipeline.run``.
+
+    Returns {stage: (StageResult, wall_seconds)}, where the wall time is the
+    whole run's.
     """
-    out = {}
-    prev = initial_checkpoint(scn)
-    for num, runner in ((1, run_stage1), (2, run_stage2),
-                        (3, run_stage3), (4, run_stage4)):
-        t0 = time.perf_counter()
-        res = runner(scn, prev)
-        out[num] = (res, time.perf_counter() - t0)
-        prev = res.checkpoint
-    return out
+    t0 = time.perf_counter()
+    result = pipeline_run(RunConfig.default(), [1, 2, 3, 4], staged_dir, seed=0, export=None)
+    wall = time.perf_counter() - t0
+    return {stage: (res, wall) for stage, res in result.results.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +469,12 @@ def test_criterion_10_degradation_suite(scn, staged, capsys, monkeypatch):
 # 11. Determinism: identical runs give byte-identical checkpoints
 # ---------------------------------------------------------------------------
 
-def test_criterion_11_determinism(tmp_path, capsys):
-    cfg = RunConfig.default()
-    pipeline_run(cfg, [1, 2, 3, 4], tmp_path / "a", seed=0, export=None)
-    pipeline_run(cfg, [1, 2, 3, 4], tmp_path / "b", seed=0, export=None)
+def test_criterion_11_determinism(staged, staged_dir, tmp_path, capsys):
+    # a second independent run against the one behind ``staged``
+    pipeline_run(RunConfig.default(), [1, 2, 3, 4], tmp_path, seed=0, export=None)
     same = all(
-        checkpoint_path(tmp_path / "a", stage).read_bytes()
-        == checkpoint_path(tmp_path / "b", stage).read_bytes()
+        checkpoint_path(staged_dir, stage).read_bytes()
+        == checkpoint_path(tmp_path, stage).read_bytes()
         for stage in (1, 2, 3, 4)
     )
     _finish(11, "determinism: byte-identical checkpoints across runs",

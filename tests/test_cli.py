@@ -125,7 +125,9 @@ class TestExitCodes:
         (b'"nx":35', b'"nx":36'),              # grid size disagrees with the field sizes
         (b'"seed":0,', b''),                   # manifest key missing
         (b'"name":"sn"', b'"name":"zz"'),      # field renamed
-    ], ids=["nx", "seed_missing", "field_renamed"])
+        (b'"clock":259200.0', b'"clock":"x"'),  # clock not a number
+        (b'"clock":259200.0', b'"clock":NaN'),  # clock not finite
+    ], ids=["nx", "seed_missing", "field_renamed", "clock_text", "clock_nan"])
     def test_edited_manifest_returns_3(self, stage1_ckpt, tmp_path, capsys, old, new):
         data = stage1_ckpt.read_bytes()
         assert data.count(old) == 1

@@ -72,6 +72,13 @@ class TestStageSelection:
         with pytest.raises(ConfigError):
             run(fast_cfg, [1, 3], tmp_path)
 
+    @pytest.mark.parametrize("stages", [[], [0], [0, 1], [5], [4, 5]],
+                             ids=["empty", "zero", "from_zero", "five", "past_four"])
+    def test_outside_1_to_4_rejected(self, fast_cfg, tmp_path, stages):
+        with pytest.raises(ConfigError):
+            run(fast_cfg, stages, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
 
 class TestRun:
     def test_full_pipeline(self, fast_cfg, tmp_path):
