@@ -3,28 +3,45 @@
 from __future__ import annotations
 
 import csv
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 
-def _write_table(path, header: list[str], rows) -> None:
-    """The header row through csv.writer, then one %-format per row of numbers:
-    the same text as csv.writer with f"{v:.10g}" per value, faster."""
+def _write_table(path, header: list[str], lines) -> None:
+    """The header row through csv.writer, then the formatted data lines."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    row_format = ",".join(["%.10g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.write("".join(row_format % tuple(row) for row in rows))
+        fh.write("".join(lines))
+
+
+def _row_format(columns: int) -> str:
+    """One %-format per row of numbers: the same text as csv.writer with
+    f"{v:.10g}" per value, faster."""
+    return ",".join(["%.10g"] * columns) + "\r\n"
+
+
+@lru_cache(maxsize=4)
+def _xy_text(grid) -> tuple[str, ...]:
+    """Each cell's ``x,y,`` row prefix in :func:`write_csv`, row-major; the
+    grid is the same for every snapshot of a run, so this is formatted once."""
+    xv, yv = grid.cell_centers()
+    return tuple("%.10g,%.10g," % xy for xy in zip(xv.ravel().tolist(), yv.ravel().tolist()))
 
 
 def write_csv(path, grid, fields: dict[str, np.ndarray]) -> None:
     """One row per cell: x, y, then one column per field (row-major,
     bottom row first, matching the array layout)."""
-    xv, yv = grid.cell_centers()
-    table = np.column_stack([xv.ravel(), yv.ravel()] + [np.asarray(f).ravel() for f in fields.values()])
-    _write_table(path, ["x", "y", *fields], table.tolist())
+    xy = _xy_text(grid)
+    table = np.column_stack([np.asarray(f).ravel() for f in fields.values()])
+    if len(table) != len(xy):
+        raise ValueError(f"fields of {len(table)} cells on a grid of {len(xy)}")
+    row_format = _row_format(len(fields))
+    _write_table(path, ["x", "y", *fields],
+                 (prefix + row_format % tuple(row) for prefix, row in zip(xy, table.tolist())))
 
 
 def write_vtk(path, grid, fields: dict[str, np.ndarray]) -> None:
@@ -53,4 +70,5 @@ def write_vtk(path, grid, fields: dict[str, np.ndarray]) -> None:
 
 def write_series_csv(path, header: list[str], rows) -> None:
     """Time-series table (e.g. monitoring-well breakthrough)."""
-    _write_table(path, header, rows)
+    row_format = _row_format(len(header))
+    _write_table(path, header, (row_format % tuple(row) for row in rows))

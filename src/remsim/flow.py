@@ -28,21 +28,25 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
-import scipy
 from numpy.linalg import LinAlgError
 
 
 def _load_flapack():
-    """scipy's compiled LAPACK wrappers, loaded without running
-    ``scipy/linalg/__init__.py``: that package import pulls in scipy's
-    array-API layer (with ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``)
-    and costs about 0.3 s and 18 MiB per process."""
-    spec = PathFinder.find_spec("_flapack", [os.path.join(scipy.__path__[0], "linalg")])
+    """scipy's compiled LAPACK wrappers, loaded from scipy's directory without
+    importing the ``scipy`` package: ``scipy/linalg/__init__.py`` pulls in
+    scipy's array-API layer (with ``numpy.f2py``, ``numpy.testing`` and
+    ``numpy.ma``) and costs about 0.3 s and 18 MiB per process, and
+    ``scipy/__init__.py`` alone tens of milliseconds."""
+    scipy = find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("remsim needs scipy's LAPACK wrappers, and scipy is not installed")
+    directories = [os.path.join(path, "linalg") for path in scipy.submodule_search_locations]
+    spec = PathFinder.find_spec("_flapack", directories)
     if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no linalg/_flapack extension")
+        raise ImportError(f"no _flapack extension in {', '.join(directories)}")
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

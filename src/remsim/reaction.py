@@ -22,13 +22,17 @@ def reactive_step(c, rho_m, reaction: ReactionCfg, dt: float):
     (c', rho_m').
 
     With K == 0 or dt == 0 the inputs are returned unchanged (bitwise),
-    so a zeroed rate constant is a true no-op.
+    so a zeroed rate constant is a true no-op.  Cells without iron
+    (``rho_m`` not above 0) do not react: they keep c and rho_m bit for bit,
+    and the update is evaluated only on the cells that hold iron.
     """
     kk = reaction.k_sa * reaction.alpha_s
     if kk == 0.0 or dt == 0.0:
         return c, rho_m
-    c = np.asarray(c, dtype=float)
-    rho_m = np.asarray(rho_m, dtype=float)
+    c_out = np.array(c, dtype=float)
+    rho_out = np.array(rho_m, dtype=float)
+    iron = rho_out > 0
+    c, rho_m = c_out[iron], rho_out[iron]
     x = reaction.stoichiometry
     a = rho_m - x * c
     # decaying exponential for either sign of a, so large dt never overflows:
@@ -43,6 +47,6 @@ def reactive_step(c, rho_m, reaction: ReactionCfg, dt: float):
     bal = a == 0
     if np.any(bal):
         c_new = np.where(bal, c / (1.0 + x * kk * c * dt), c_new)
-    rho_new = np.maximum(a + x * c_new, 0.0)
-    return np.maximum(c_new, 0.0), rho_new
-
+    rho_out[iron] = np.maximum(a + x * c_new, 0.0)
+    c_out[iron] = np.maximum(c_new, 0.0)
+    return c_out, rho_out

@@ -35,7 +35,11 @@ class TransportKernel:
     Face fluxes ``a_lo*c_lo + a_hi*c_hi`` (``a_lo = max(f, 0) + g``, ``a_hi =
     min(f, 0) - g``) are folded once into a stencil divided by ``pv``: ``diag``
     (faces and open sides) and the non-negative ``west``/
-    ``east``/``south``/``north`` weights.  The export sums the net outflow
+    ``east``/``south``/``north`` weights.  A sub-step of length ``sub`` is one
+    pass of the weights ``1 + sub*diag`` and ``sub`` times the neighbour
+    weights, formed once per sub-step length: all are non-negative, the first
+    at least ``1 - cfl``, so the update is a non-negative combination of the
+    old values (Hundsdorfer & Verwer 2003, ch. I).  The export sums the net outflow
     ``export_weights`` of the boundary cells ``export_cells`` times their
     concentration with a numpy reduction, not a BLAS dot product, whose
     summation order would follow the BLAS thread count.
@@ -81,6 +85,17 @@ class TransportKernel:
         self.south, self.north = (lo_y / self.pv[1:, :]).ravel(), (-hi_y / self.pv[:-1, :]).ravel()
         self.export_cells = np.flatnonzero(outflow)
         self.export_weights = outflow.ravel()[self.export_cells]
+        self._sub, self._weights = None, ()
+
+    def _stencil(self, sub: float) -> tuple[np.ndarray, ...]:
+        """The stencil of one sub-step of length sub, ``(center, west, east,
+        south, north)``: ``c' = center*c + west*c[W] + ...``.  The last
+        length's weights are kept, so a kernel stepped at one dt forms them once."""
+        if sub != self._sub:
+            self._weights = (1.0 + sub * self.diag, sub * self.west, sub * self.east,
+                             sub * self.south, sub * self.north)
+            self._sub = sub
+        return self._weights
 
     def step(self, c: np.ndarray, dt: float, c_in: float = 0.0) -> tuple[np.ndarray, float]:
         """Advance by dt (sub-stepping internally), the wells injecting at the
@@ -91,15 +106,16 @@ class TransportKernel:
         ny, nx = c.shape
         inject = [(j * nx + i, sub * rate * c_in / self.pv[j, i])
                   for (i, j), rate in self.well_sources.items()]
+        center, west, east, south, north = self._stencil(sub)
         c, exported = c.ravel(), 0.0
         for _ in range(n_sub):
-            r = self.diag * c
-            r[1:] += self.west * c[:-1]
-            r[:-1] += self.east * c[1:]
-            r[nx:] += self.south * c[:-nx]
-            r[:-nx] += self.north * c[nx:]
             exported += sub * float((self.export_weights * c[self.export_cells]).sum())
-            c = c + sub * r
+            r = center * c
+            r[1:] += west * c[:-1]
+            r[:-1] += east * c[1:]
+            r[nx:] += south * c[:-nx]
+            r[:-nx] += north * c[nx:]
+            c = r
             for cell, dc in inject:
                 c[cell] += dc
         if c.min() < -1e-12:
@@ -111,22 +127,33 @@ class TransportKernel:
 # NAPL dissolution (stagnant-film / LEA)
 # ---------------------------------------------------------------------------
 
-def dissolution_substep(c, sn, rho_n, solubility, transport: TransportCfg, dt):
+def dissolution_substep(c, sn, rho_n, solubility, transport: TransportCfg, dt, cells=None):
     """Analytic relaxation of c toward the ``solubility`` Cs at the rate
     ``transport.mass_transfer``, with exact NAPL mass transfer.
 
     Returns new arrays (c', sn').  The transfer is capped so a step never
     dissolves more NAPL than the cell holds, and never drives c past Cs;
     it is evaluated only in the cells that hold NAPL.
+
+    A caller that dissolves one field step after step passes ``cells``, the
+    flat indices of exactly the cells with ``sn > 0``: the step then updates
+    the C-ordered c and sn in place on those cells alone, with no pass over
+    the grid, and returns them.
     """
-    active = np.flatnonzero(sn > 0)
-    # new arrays; c + 0.0 is c + dc with dc = 0 bitwise, so -0.0 becomes 0.0
-    c1, sn1 = c.ravel() + 0.0, sn.ravel().copy()
-    dc = np.minimum((solubility - c1[active]) * (-np.expm1(-transport.mass_transfer * dt)),
-                    sn1[active] * rho_n)
-    c1[active] += dc
-    sn1[active] -= dc / rho_n
-    return c1.reshape(c.shape), sn1.reshape(sn.shape)
+    if cells is None:
+        cells = np.flatnonzero(sn > 0)
+        c, sn = np.array(c, order="C"), np.array(sn, order="C")
+        # new arrays; c + 0.0 is c + dc with dc = 0 bitwise, so -0.0 becomes 0.0
+        c += 0.0
+    elif not (c.flags.c_contiguous and sn.flags.c_contiguous):
+        raise ValueError("an in-place dissolution step needs C-ordered arrays")
+    c_flat, sn_flat = c.reshape(-1), sn.reshape(-1)
+    c_napl, sn_napl = c_flat[cells], sn_flat[cells]
+    dc = np.minimum((solubility - c_napl) * (-np.expm1(-transport.mass_transfer * dt)),
+                    sn_napl * rho_n)
+    c_flat[cells] = c_napl + dc
+    sn_flat[cells] = sn_napl - dc / rho_n
+    return c, sn
 
 
 def probe(c: np.ndarray, cell: tuple[int, int]) -> float:

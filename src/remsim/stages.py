@@ -166,20 +166,30 @@ def _darcy(scn: Scenario, f: dict, mu, mobility, cache: FactorCache, sources=Non
     return flow
 
 
-def _aqueous_step(scn: Scenario, kernel: TransportKernel, f: dict, ledger: dict, dt: float,
-                  c_in={}):
+def _napl_cells(f: dict) -> np.ndarray:
+    """Give the field state its own ``sn``, which :func:`_aqueous_step`
+    dissolves in place, and return the flat indices of the cells holding NAPL."""
+    f["sn"] = f["sn"].copy()
+    return np.flatnonzero(f["sn"] > 0)
+
+
+def _aqueous_step(scn: Scenario, kernel: TransportKernel, f: dict, ledger: dict,
+                  napl: np.ndarray, dt: float, c_in={}) -> np.ndarray:
     """Advect and disperse every ledger species over dt, the kernel's wells
     injecting it at the concentration ``c_in[name]`` (none if absent), and
-    book what it injects and exports; then dissolve NAPL into the water
-    over the same dt."""
+    book what it injects and exports; then dissolve NAPL into the water over
+    the same dt, in place on ``napl``, the cells that hold it
+    (:func:`_napl_cells`).  Returns the cells that still hold NAPL: ``sn``
+    only falls in stages 2-4, so they are found among ``napl``."""
     cfg = scn.config
     for name, entry in ledger.items():
         conc = c_in.get(name, 0.0)
         f["c_" + name], exported = kernel.step(f["c_" + name], dt, conc)
         entry.injected += kernel.inflow * conc * dt
         entry.exported += exported
-    f["c_tce"], f["sn"] = dissolution_substep(f["c_tce"], f["sn"], cfg.rho_n, cfg.solubility,
-                                              cfg.transport, dt)
+    # every stage's ledger holds tce, so c_tce is the kernel's new array
+    dissolution_substep(f["c_tce"], f["sn"], cfg.rho_n, cfg.solubility, cfg.transport, dt, napl)
+    return napl[f["sn"].reshape(-1)[napl] > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +256,21 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     mon = scn.monitor_cells
     marks = set(cfg.snapshots[1])
     snapshots, series = [], []
+    napl = _napl_cells(f)
+    # _mass's weights, formed once: theta_m does not change in stage 2
+    pore_volume = f["theta_m"] * cv
 
     def step(t, dt):
-        _aqueous_step(scn, kernel, f, ledger, dt)
-        napl_mass = _mass(f, f["sn"], cv) * rho_n
+        nonlocal napl
+        napl = _aqueous_step(scn, kernel, f, ledger, napl, dt)
+        napl_mass = float((pore_volume * f["sn"]).sum()) * rho_n
         series.append([t + dt, napl_mass, napl_mass / max(napl0, 1e-300)]
                       + [probe(f["c_tce"], cell) for cell in mon.values()])
         return dt
 
     for t in _march(cfg.stage_durations[1], marks, STAGE2_DT, step):
         if t in marks:
-            snapshots.append((t, {"c_tce": f["c_tce"], "sn": f["sn"]}))
+            snapshots.append((t, {"c_tce": f["c_tce"], "sn": f["sn"].copy()}))
 
     napl_end = _mass(f, f["sn"], cv) * rho_n
     ledger["tce"].dissolved = napl0 - napl_end
@@ -307,8 +321,10 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         "cmc": Ledger(initial=_mass(f, f["c_cmc"], cv)),
         "tce": Ledger(initial=_mass(f, f["c_tce"], cv), napl=napl0),
     }
+    napl = _napl_cells(f)
 
     def step(t, dt):
+        nonlocal napl
         mu = nz.cmc_viscosity(f["c_cmc"], cfg.cmc, cfg.mu_w)
         flow = _darcy(scn, f, mu, mobility, cache, sources)
         # background flow is +x; injection pushes the upgradient faces back
@@ -316,7 +332,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
             diagnostics["flux_reversed"] = True
         kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport,
                                  TRANSPORT_CFL, well_sources=sources)
-        _aqueous_step(scn, kernel, f, ledger, dt, c_in)
+        napl = _aqueous_step(scn, kernel, f, ledger, napl, dt, c_in)
         katt = nz.attachment_rate(dc, f["theta_m"], flow.velocity_magnitude(), mu, cfg.nzvi,
                                   cfg.rho_w, cfg.gravity)
         f["c_nzvi"], f["s_bulk"] = nz.deposit_step(f["c_nzvi"], f["s_bulk"], katt, f["theta_m"], dt)
@@ -366,13 +382,14 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     marks = set(cfg.snapshots[3])
     snapshots, series = [], []
     cache = FactorCache()
+    napl = _napl_cells(f)
 
     def step(t, dt):
-        nonlocal rho_m
+        nonlocal rho_m, napl
         mu = nz.cmc_viscosity(f["c_cmc"], cfg.cmc, cfg.mu_w)
         flow = _darcy(scn, f, mu, mobility, cache)
         kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport, TRANSPORT_CFL)
-        _aqueous_step(scn, kernel, f, ledger, dt)
+        napl = _aqueous_step(scn, kernel, f, ledger, napl, dt)
         pre = f["c_tce"]
         f["c_tce"], rho_m = reactive_step(pre, rho_m, cfg.reaction, dt)
         ledger["tce"].degraded += _mass(f, pre - f["c_tce"], cv)

@@ -58,15 +58,17 @@ def test_csv_matches_csv_writer_per_value_format(tmp_path):
     g = build_grid((3.0, 2.0), (1.0, 1.0))
     a = np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 1e-300]])
     b = np.array([[1e300, -1.5, 2.0 / 3.0], [7.0, 1e-5, -123456789012.5]])
-    path = tmp_path / "snap.csv"
-    write_csv(path, g, {"a": a, "b": b})
-    expected = io.StringIO(newline="")
-    writer = csv.writer(expected)
-    writer.writerow(["x", "y", "a", "b"])
     xv, yv = g.cell_centers()
-    for row in zip(xv.ravel(), yv.ravel(), a.ravel(), b.ravel()):
-        writer.writerow([f"{v:.10g}" for v in row])
-    assert path.read_bytes() == expected.getvalue().encode()
+    # the second and third files reuse the grid's x,y text
+    for fields in ({"a": a, "b": b}, {"b": b}, {"a": a, "b": b}):
+        path = tmp_path / "snap.csv"
+        write_csv(path, g, fields)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["x", "y", *fields])
+        for row in zip(xv.ravel(), yv.ravel(), *(f.ravel() for f in fields.values())):
+            writer.writerow([f"{v:.10g}" for v in row])
+        assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_vtk_values_match_per_value_format(tmp_path):

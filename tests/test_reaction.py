@@ -63,6 +63,17 @@ class TestReactiveStep:
         assert c1 == pytest.approx(0.9, rel=1e-12)
         assert r1 == 0.0
 
+    def test_cells_without_iron_keep_their_contaminant(self):
+        # no iron, no reaction: c and rho_m stay bit for bit, not one ulp off
+        rng = np.random.default_rng(7)
+        c = rng.uniform(0.0, 1.27, 100_000)
+        r = np.where(rng.random(100_000) < 0.5, rng.uniform(0.0, 3.0, 100_000), 0.0)
+        c1, r1 = reactive_step(c, r, PARAMS, 86400.0)
+        none = r == 0
+        assert c1[none].tobytes() == c[none].tobytes()
+        assert r1[none].tobytes() == r[none].tobytes()
+        assert (c1[~none] < c[~none]).all() and (r1[~none] < r[~none]).all()
+
     def test_iron_exhaustion_leaves_residual_contaminant(self):
         c0, r0 = 2.0, 0.85  # iron can only consume 1.0 of contaminant
         c1, r1 = reactive_step(np.array(c0), np.array(r0), PARAMS, 1e10)

@@ -142,6 +142,19 @@ class TestStencil:
             assert c.min() >= 0.0
 
 
+    def test_alternating_dt_matches_fresh_kernels(self):
+        # the kernel keeps the weights of its last sub-step length
+        g, theta, flow, wells, rng = random_case(9, 6, seed=3)
+        kernel = TransportKernel(g, theta, flow, self.params, 0.9, well_sources=wells)
+        c = rng.uniform(0.0, 2.0, theta.shape)
+        for factor in (0.5, 2.5, 0.5, 2.5, 2.5, 7.0, 0.5):
+            dt = factor * kernel.stable_dt
+            fresh = TransportKernel(g, theta, flow, self.params, 0.9, well_sources=wells)
+            c_fresh, exported_fresh = fresh.step(c, dt, 5.0)
+            c, exported = kernel.step(c, dt, 5.0)
+            assert c.tobytes() == c_fresh.tobytes() and exported == exported_fresh
+
+
 class TestKernel:
     def test_ogata_banks_front(self):
         # 200-cell column, physical dispersion dominating the upwind error
@@ -296,6 +309,27 @@ class TestDissolution:
             assert c1 is not ci and sn1 is not sni
             np.testing.assert_array_equal(ci, c)
             np.testing.assert_array_equal(sni, sn)
+
+    def test_in_place_on_kept_cells(self):
+        p = transport(mass_transfer=1e-4)
+        rng = np.random.default_rng(4)
+        c = rng.uniform(0.0, 1.27, (6, 9))
+        sn = np.where(rng.random((6, 9)) < 0.4, rng.uniform(0.0, 0.3, (6, 9)), 0.0)
+        sn[3, 0], c[3, 0] = 1e-9, 0.0  # the NAPL cap binds
+        c[0, 3] = -0.0
+        whole = dissolution_substep(c, sn, 1470.0, CS, p, 1e5)
+        cells = np.flatnonzero(sn > 0)
+        c1, sn1 = c.copy(), sn.copy()
+        out = dissolution_substep(c1, sn1, 1470.0, CS, p, 1e5, cells)
+        assert out[0] is c1 and out[1] is sn1
+        assert c1.ravel()[cells].tobytes() == whole[0].ravel()[cells].tobytes()
+        assert sn1.tobytes() == whole[1].tobytes()
+        # every other cell is left as it was, -0.0 included
+        rest = np.setdiff1d(np.arange(c.size), cells)
+        assert c1.ravel()[rest].tobytes() == c.ravel()[rest].tobytes()
+        with pytest.raises(ValueError):
+            dissolution_substep(np.asfortranarray(c), np.asfortranarray(sn), 1470.0, CS, p, 1e5,
+                                cells)
 
     def test_relaxation_matches_ode(self):
         # dc/dt = Kl (Cs - c) in a sealed cell -> exponential approach

@@ -8,6 +8,7 @@ from remsim.config import RunConfig
 from remsim.flow import FactorCache
 from remsim.pipeline import run
 from remsim.scenario import Scenario
+from remsim.solute import dissolution_substep
 from remsim.stages import (
     LEDGER_TERMS,
     STAGE4_DT,
@@ -282,6 +283,40 @@ class TestContinuation:
         assert continuation.ledger["tce"].degraded == 0.0
         for name, field in null_run.checkpoint.fields.items():
             np.testing.assert_array_equal(field, continuation.checkpoint.fields[name])
+
+
+class TestNaplCells:
+    def test_kept_cells_and_dissolution_match_whole_grid(self, fast_run, monkeypatch):
+        # 60 days of stage 2 on a NAPL field of 5 decades of saturation, in
+        # which cells run out one after another
+        text = fast_config_text().replace("stage2_duration = 20 day", "stage2_duration = 60 day")
+        scn = Scenario.build(RunConfig.from_text(text), 0)
+        ckpt1 = fast_run.results[1].checkpoint
+        rng = np.random.default_rng(0)
+        shape = ckpt1.fields["sn"].shape
+        sn0 = np.where(rng.random(shape) < 0.3, 0.05 * 10.0 ** rng.uniform(-5.0, 0.0, shape), 0.0)
+        ckpt = dataclasses.replace(ckpt1, fields={**ckpt1.fields, "sn": sn0})
+        held = sn0.copy()
+        days = []
+
+        def checked(c, sn, rho_n, solubility, transport, dt, cells=None):
+            assert cells.tobytes() == np.flatnonzero(sn > 0).tobytes()
+            whole = dissolution_substep(c, sn, rho_n, solubility, transport, dt)
+            out = dissolution_substep(c, sn, rho_n, solubility, transport, dt, cells)
+            assert out[0].tobytes() == whole[0].tobytes()
+            assert out[1].tobytes() == whole[1].tobytes()
+            days.append((cells.size, sn.copy()))
+            return out
+
+        monkeypatch.setattr(stages, "dissolution_substep", checked)
+        res = stages.run_stage2(scn, ckpt)
+        assert len(days) == 60
+        assert days[0][0] > days[-1][0] > 0
+        assert len({n for n, _ in days}) > 10
+        # the incoming state and the snapshots keep their own sn
+        assert ckpt.fields["sn"].tobytes() == held.tobytes()
+        for t, fields in res.snapshots:
+            assert fields["sn"].tobytes() == days[round(t / stages.DAY) - 1][1].tobytes()
 
 
 class FullSolveCache(FactorCache):
