@@ -100,9 +100,10 @@ def clogging_update(s_bulk, k0, theta0, clogging: CloggingCfg, rho_p):
 
 def cmc_viscosity(c_cmc, cmc: CmcCfg, mu_w: float) -> np.ndarray:
     """Log-linear mixing between water (viscosity ``mu_w``) and the injected
-    CMC solution."""
+    CMC solution, written ``mu_w * (mu_s / mu_w) ** x`` at the CMC fraction x:
+    clean water gets ``mu_w`` exactly."""
     x = np.clip(np.asarray(c_cmc, dtype=float) / cmc.concentration, 0.0, 1.0)
-    return np.exp(x * np.log(cmc.solution_viscosity) + (1.0 - x) * np.log(mu_w))
+    return mu_w * (cmc.solution_viscosity / mu_w) ** x
 
 
 # deposit (kg/m^3) counted in the radius of influence

@@ -12,9 +12,9 @@ the stage-0 checkpoint of :func:`initial_checkpoint`, built in memory.  All
 four stages walk one schedule (:func:`_march`): stage 1 takes the IMPES
 sub-steps its stability bounds allow, stages 2-4 fixed operator-split steps.
 Stage 1's chunks end only at its output times, the release end and the stage
-end, and its series holds one row per chunk end.  Stages 2-4 move the water
-phase with one aqueous step (:func:`_aqueous_step`): transport, then
-dissolution.
+end, and its series holds one row per chunk end.  Stages 2-4 run through one
+runner (:func:`_aqueous_stage`), which solves the flow again only when ``k``
+or ``c_cmc`` has been replaced.
 All four also share one field state: a copy of the incoming checkpoint's
 ``fields`` dict whose entries the runner replaces as the stage advances and
 hands on to the outgoing checkpoint.  The state holds each quantity once:
@@ -155,41 +155,54 @@ def _water_mobility(sn, material):
     return np.maximum(krw, 1e-6)
 
 
-def _darcy(scn: Scenario, f: dict, mu, mobility, cache: FactorCache, sources=None):
-    """Aqueous Darcy flow under the ambient heads on the current ``f["k"]``,
-    re-using the stage's pressure factors; stores the pressure in the field
-    state."""
-    cfg = scn.config
-    flow = solve_pressure(scn.grid, f["k"], mu, mobility, cfg.head_left, cfg.head_right,
-                          rho=cfg.rho_w, g=cfg.gravity, well_sources=sources, cache=cache)
-    f["pw"] = flow.pressure
-    return flow
-
-
-def _napl_cells(f: dict) -> np.ndarray:
-    """Give the field state its own ``sn``, which :func:`_aqueous_step`
-    dissolves in place, and return the flat indices of the cells holding NAPL."""
+def _aqueous_stage(scn: Scenario, stage: int, f: dict, ledger: dict, dt_max: float, operate,
+                   sources=None, c_in={}):
+    """The runner of stages 2-4: walks :func:`_march` over stage ``stage`` on
+    the field state ``f``, yielding each chunk's stop time, the last step's
+    flow and the stage's :class:`FactorCache`.  A step of dt from t solves the
+    flow (ambient heads, wells ``sources``) again only when ``f["k"]`` or
+    ``f["c_cmc"]`` is not the array the last solve read: no other field moves
+    the water mobility within a stage.  It transports every ``ledger`` species
+    at the wells' ``c_in[name]`` (none if absent), booking what is injected
+    and exported, dissolves NAPL on the cells holding it, and calls
+    ``operate(t, dt, flow, mu)``.  The march's end books final and dissolved."""
+    cfg, g, cv = scn.config, scn.grid, scn.grid.cell_volume
+    mobility = _water_mobility(f["sn"], scn.material)
+    cache = FactorCache()
+    # the field state gets its own sn, which each step dissolves in place;
+    # sn only falls, so the cells that still hold NAPL are found among napl
     f["sn"] = f["sn"].copy()
-    return np.flatnonzero(f["sn"] > 0)
+    napl = np.flatnonzero(f["sn"] > 0)
+    read = (None, None)       # the k and c_cmc arrays the last solve read
+    flow = kernel = mu = None
 
+    def step(t, dt):
+        nonlocal napl, read, flow, kernel, mu
+        if read[0] is not f["k"] or read[1] is not f["c_cmc"]:
+            read = f["k"], f["c_cmc"]
+            flow = kernel = None      # freed before the new ones are built
+            mu = nz.cmc_viscosity(f["c_cmc"], cfg.cmc, cfg.mu_w)
+            flow = solve_pressure(g, f["k"], mu, mobility, cfg.head_left, cfg.head_right,
+                                  rho=cfg.rho_w, g=cfg.gravity, well_sources=sources, cache=cache)
+            f["pw"] = flow.pressure
+            kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport, TRANSPORT_CFL,
+                                     well_sources=sources)
+        for name, entry in ledger.items():
+            conc = c_in.get(name, 0.0)
+            f["c_" + name], exported = kernel.step(f["c_" + name], dt, conc)
+            entry.injected += kernel.inflow * conc * dt
+            entry.exported += exported
+        # every stage's ledger holds tce, so c_tce is the kernel's new array
+        dissolution_substep(f["c_tce"], f["sn"], cfg.rho_n, cfg.solubility, cfg.transport, dt, napl)
+        napl = napl[f["sn"].reshape(-1)[napl] > 0]
+        operate(t, dt, flow, mu)
+        return dt
 
-def _aqueous_step(scn: Scenario, kernel: TransportKernel, f: dict, ledger: dict,
-                  napl: np.ndarray, dt: float, c_in={}) -> np.ndarray:
-    """Advect and disperse every ledger species over dt, the kernel's wells
-    injecting it at the concentration ``c_in[name]`` (none if absent), and
-    book what it injects and exports; then dissolve NAPL into the water over
-    the same dt, in place on ``napl``, the cells that hold it
-    (:func:`_napl_cells`).  Returns the cells that still hold NAPL: ``sn``
-    only falls in stages 2-4, so they are found among ``napl``."""
-    cfg = scn.config
+    for t in _march(cfg.stage_durations[stage - 1], cfg.snapshots[stage - 1], dt_max, step):
+        yield t, flow, cache
+    ledger["tce"].dissolved = ledger["tce"].napl - _mass(f, f["sn"], cv) * cfg.rho_n
     for name, entry in ledger.items():
-        conc = c_in.get(name, 0.0)
-        f["c_" + name], exported = kernel.step(f["c_" + name], dt, conc)
-        entry.injected += kernel.inflow * conc * dt
-        entry.exported += exported
-    # every stage's ledger holds tce, so c_tce is the kernel's new array
-    dissolution_substep(f["c_tce"], f["sn"], cfg.rho_n, cfg.solubility, cfg.transport, dt, napl)
-    return napl[f["sn"].reshape(-1)[napl] > 0]
+        entry.final = _mass(f, f["c_" + name], cv)
 
 
 # ---------------------------------------------------------------------------
@@ -243,43 +256,32 @@ def run_stage1(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
 # ---------------------------------------------------------------------------
 
 def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
-    cfg, g, m = scn.config, scn.grid, scn.material
+    cfg, g = scn.config, scn.grid
     rho_n, cv = cfg.rho_n, g.cell_volume
     f = dict(ckpt.fields)
-
-    cache = FactorCache()
-    flow = _darcy(scn, f, np.full_like(f["k"], cfg.mu_w), _water_mobility(f["sn"], m), cache)
-    kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport, TRANSPORT_CFL)
 
     napl0 = _mass(f, f["sn"], cv) * rho_n
     ledger = {"tce": Ledger(initial=_mass(f, f["c_tce"], cv), napl=napl0)}
     mon = scn.monitor_cells
     marks = set(cfg.snapshots[1])
     snapshots, series = [], []
-    napl = _napl_cells(f)
     # _mass's weights, formed once: theta_m does not change in stage 2
     pore_volume = f["theta_m"] * cv
 
-    def step(t, dt):
-        nonlocal napl
-        napl = _aqueous_step(scn, kernel, f, ledger, napl, dt)
+    def operate(t, dt, flow, mu):
         napl_mass = float((pore_volume * f["sn"]).sum()) * rho_n
         series.append([t + dt, napl_mass, napl_mass / max(napl0, 1e-300)]
                       + [probe(f["c_tce"], cell) for cell in mon.values()])
-        return dt
 
-    for t in _march(cfg.stage_durations[1], marks, STAGE2_DT, step):
+    for t, flow, cache in _aqueous_stage(scn, 2, f, ledger, STAGE2_DT, operate):
         if t in marks:
             snapshots.append((t, {"c_tce": f["c_tce"], "sn": f["sn"].copy()}))
 
-    napl_end = _mass(f, f["sn"], cv) * rho_n
-    ledger["tce"].dissolved = napl0 - napl_end
-    ledger["tce"].final = _mass(f, f["c_tce"], cv)
     # water enters only across the upgradient boundary; at solubility it
     # carries at most this much TCE out of the source over the stage
     inflow = float(np.maximum(flow.qx[:, 0], 0.0).sum()) * g.dy
     diagnostics = {
-        "undissolved_fraction": napl_end / max(napl0, 1e-300),
+        "undissolved_fraction": _mass(f, f["sn"], cv) * rho_n / max(napl0, 1e-300),
         "pressure": cache.stats(),
         "budget": {"dissolution_ceiling": cfg.solubility * inflow * cfg.stage_durations[1],
                    "napl_initial": napl0},
@@ -305,51 +307,36 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     dc = nz.collector_diameter(k0, theta0)
     f["theta_m"], f["k"], _ = nz.clogging_update(f["s_bulk"], k0, theta0, cfg.clogging, rho_p)
 
-    sources = scn.injection_sources()
     c_in = {"nzvi": cfg.nzvi.concentration, "cmc": cfg.cmc.concentration}
-    mobility = _water_mobility(f["sn"], m)
     screen = (cfg.injection.x, g.height - cfg.injection.depth)
     iw, jw = scn.injection_cells[0]
     diagnostics = {"flux_reversed": False}
-    cache = FactorCache()
 
     marks = set(cfg.snapshots[2])
     snapshots, series = [], []
-    napl0 = _mass(f, f["sn"], cv) * rho_n
     ledger = {
         "nzvi": Ledger(initial=_mass(f, f["c_nzvi"], cv) + float(f["s_bulk"].sum()) * cv),
         "cmc": Ledger(initial=_mass(f, f["c_cmc"], cv)),
-        "tce": Ledger(initial=_mass(f, f["c_tce"], cv), napl=napl0),
+        "tce": Ledger(initial=_mass(f, f["c_tce"], cv), napl=_mass(f, f["sn"], cv) * rho_n),
     }
-    napl = _napl_cells(f)
 
-    def step(t, dt):
-        nonlocal napl
-        mu = nz.cmc_viscosity(f["c_cmc"], cfg.cmc, cfg.mu_w)
-        flow = _darcy(scn, f, mu, mobility, cache, sources)
+    def operate(t, dt, flow, mu):
         # background flow is +x; injection pushes the upgradient faces back
         if flow.qx[jw, max(iw - 2, 0): iw + 1].min() < 0:
             diagnostics["flux_reversed"] = True
-        kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport,
-                                 TRANSPORT_CFL, well_sources=sources)
-        napl = _aqueous_step(scn, kernel, f, ledger, napl, dt, c_in)
         katt = nz.attachment_rate(dc, f["theta_m"], flow.velocity_magnitude(), mu, cfg.nzvi,
                                   cfg.rho_w, cfg.gravity)
         f["c_nzvi"], f["s_bulk"] = nz.deposit_step(f["c_nzvi"], f["s_bulk"], katt, f["theta_m"], dt)
         f["theta_m"], f["k"], _ = nz.clogging_update(f["s_bulk"], k0, theta0, cfg.clogging, rho_p)
-        return dt
 
-    for t in _march(cfg.stage_durations[2], marks, STAGE3_DT, step):
+    for t, _, cache in _aqueous_stage(scn, 3, f, ledger, STAGE3_DT, operate,
+                                      scn.injection_sources(), c_in):
         roi = nz.radius_of_influence(f["s_bulk"], g, screen)
         series.append([t, roi, float(f["s_bulk"].max()), float(1.0 - (f["k"] / k0).min())])
         if t in marks:
             snapshots.append((t, {name: f[name] for name in ("c_nzvi", "s_bulk", "c_cmc", "k")}))
 
-    ledger["nzvi"].final = _mass(f, f["c_nzvi"], cv) + float(f["s_bulk"].sum()) * cv
-    ledger["cmc"].final = _mass(f, f["c_cmc"], cv)
-    ledger["tce"].final = _mass(f, f["c_tce"], cv)
-    ledger["tce"].dissolved = napl0 - _mass(f, f["sn"], cv) * rho_n
-
+    ledger["nzvi"].final += float(f["s_bulk"].sum()) * cv
     _, roi, _, max_k_reduction = series[-1]
     diagnostics.update({
         "roi": roi,
@@ -367,43 +354,31 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
 # ---------------------------------------------------------------------------
 
 def run_stage4(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
-    cfg, g, m = scn.config, scn.grid, scn.material
+    cfg, g = scn.config, scn.grid
     rho_n, cv = cfg.rho_n, g.cell_volume
     f = dict(ckpt.fields)
     # the iron that reacts, per unit pore volume; written back as s_bulk
     rho_m = f["s_bulk"] / f["theta_m"]
 
-    mobility = _water_mobility(f["sn"], m)
     iron0 = _mass(f, rho_m, cv)
-    napl0 = _mass(f, f["sn"], cv) * rho_n
-    ledger = {"tce": Ledger(initial=_mass(f, f["c_tce"], cv), napl=napl0),
+    ledger = {"tce": Ledger(initial=_mass(f, f["c_tce"], cv), napl=_mass(f, f["sn"], cv) * rho_n),
               "cmc": Ledger(initial=_mass(f, f["c_cmc"], cv))}
     mon = scn.monitor_cells
     marks = set(cfg.snapshots[3])
     snapshots, series = [], []
-    cache = FactorCache()
-    napl = _napl_cells(f)
 
-    def step(t, dt):
-        nonlocal rho_m, napl
-        mu = nz.cmc_viscosity(f["c_cmc"], cfg.cmc, cfg.mu_w)
-        flow = _darcy(scn, f, mu, mobility, cache)
-        kernel = TransportKernel(g, f["theta_m"], flow, cfg.transport, TRANSPORT_CFL)
-        napl = _aqueous_step(scn, kernel, f, ledger, napl, dt)
+    def operate(t, dt, flow, mu):
+        nonlocal rho_m
         pre = f["c_tce"]
         f["c_tce"], rho_m = reactive_step(pre, rho_m, cfg.reaction, dt)
         ledger["tce"].degraded += _mass(f, pre - f["c_tce"], cv)
         iron_frac = _mass(f, rho_m, cv) / max(iron0, 1e-300)
         series.append([t + dt, iron_frac] + [probe(f["c_tce"], cell) for cell in mon.values()])
-        return dt
 
-    for t in _march(cfg.stage_durations[3], marks, STAGE4_DT, step):
+    for t, _, cache in _aqueous_stage(scn, 4, f, ledger, STAGE4_DT, operate):
         if t in marks:
             snapshots.append((t, {"c_tce": f["c_tce"], "rho_m": rho_m}))
 
-    ledger["tce"].dissolved = napl0 - _mass(f, f["sn"], cv) * rho_n
-    for name in ledger:
-        ledger[name].final = _mass(f, f["c_" + name], cv)
     f["s_bulk"] = rho_m * f["theta_m"]
     ckpt_out = _make_checkpoint(scn, 4, ckpt.clock + t, f)
     diagnostics = {

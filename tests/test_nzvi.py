@@ -170,6 +170,12 @@ class TestCmcViscosity:
         assert cmc_viscosity(0.0, self.CMC, 1e-3) == pytest.approx(1e-3, rel=1e-12)
         assert cmc_viscosity(3.0, self.CMC, 1e-3) == pytest.approx(2.7e-3, rel=1e-12)
 
+    def test_clean_water_is_exactly_mu_w(self):
+        for mu_w in (1e-3, 8.9e-4):
+            assert cmc_viscosity(0.0, self.CMC, mu_w) == mu_w
+            mu = cmc_viscosity(np.array([[0.0, -1e-18], [0.0, -0.0]]), self.CMC, mu_w)
+            assert mu.tobytes() == np.full((2, 2), mu_w).tobytes()
+
     def test_log_linear_midpoint(self):
         assert cmc_viscosity(1.5, self.CMC, 1e-3) == pytest.approx(
             np.sqrt(1e-3 * 2.7e-3), rel=1e-12

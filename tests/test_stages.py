@@ -5,12 +5,13 @@ import pytest
 
 from remsim import stages, twophase
 from remsim.config import RunConfig
-from remsim.flow import FactorCache
+from remsim.flow import FactorCache, solve_pressure
 from remsim.pipeline import run
 from remsim.scenario import Scenario
 from remsim.solute import dissolution_substep
 from remsim.stages import (
     LEDGER_TERMS,
+    STAGE3_DT,
     STAGE4_DT,
     Ledger,
     initial_checkpoint,
@@ -218,10 +219,10 @@ class TestBudgets:
     def test_stage2_dissolution_ceiling(self, fast_run):
         # stage 2's flow, solved again from the stage-1 checkpoint
         scn = Scenario.build(RunConfig.from_text(fast_config_text()), 0)
-        f = dict(fast_run.results[1].checkpoint.fields)
+        f, cfg = fast_run.results[1].checkpoint.fields, scn.config
         mobility = stages._water_mobility(f["sn"], scn.material)
-        qx = stages._darcy(scn, f, np.full_like(f["k"], scn.config.mu_w), mobility,
-                           FactorCache()).qx
+        qx = solve_pressure(scn.grid, f["k"], np.full_like(f["k"], cfg.mu_w), mobility,
+                            cfg.head_left, cfg.head_right, rho=cfg.rho_w, g=cfg.gravity).qx
         res = fast_run.results[2]
         inflow = float(np.maximum(qx[:, 0], 0.0).sum())           # m^3/s per m
         assert (qx[:, 0] > 0).all()
@@ -341,6 +342,15 @@ class TestPressureReuse:
             for name, field in forced.checkpoint.fields.items():
                 np.testing.assert_allclose(reused.checkpoint.fields[name], field, rtol=0,
                                            atol=1e-6 * np.abs(field).max())
+
+    def test_flow_solved_again_only_when_k_or_cmc_moves(self, fast_run):
+        # stage 2 replaces neither k nor c_cmc; stage 3 clogs k and stage 4
+        # transports CMC every step
+        cfg = RunConfig.from_text(fast_config_text())
+        solves = {2: 1, 3: cfg.stage_durations[2] / STAGE3_DT, 4: cfg.stage_durations[3] / STAGE4_DT}
+        assert solves == {2: 1, 3: 12, 4: 20}
+        for stage, n in solves.items():
+            assert fast_run.results[stage].diagnostics["pressure"]["solves"] == n, stage
 
     def test_report_counts_pressure_solves(self, fast_run):
         lines = fast_run.report.splitlines()
