@@ -29,7 +29,8 @@ class ConfigError(ValueError):
 
 
 def parse_sections(text: str) -> dict[str, dict[str, str]]:
-    """Parse the raw section/key/value structure, keeping values as strings."""
+    """Parse the raw section/key/value structure, keeping values as strings.
+    A section header or a key within one section given twice is refused."""
     sections: dict[str, dict[str, str]] = {}
     current: dict[str, str] | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -38,12 +39,17 @@ def parse_sections(text: str) -> dict[str, dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            current = sections.setdefault(name, {})
+            if name in sections:
+                raise ConfigError(f"line {lineno}: section [{name}] given twice")
+            current = sections[name] = {}
             continue
         if "=" not in line or current is None:
             raise ConfigError(f"line {lineno}: expected 'key = value' inside a section")
         key, _, value = line.partition("=")
-        current[key.strip()] = value.strip()
+        key = key.strip()
+        if key in current:
+            raise ConfigError(f"line {lineno}: [{name}] {key} given twice")
+        current[key] = value.strip()
     return sections
 
 

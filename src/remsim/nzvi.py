@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import CloggingCfg, CmcCfg, NzviCfg
+from .flow import SolverError
 
 _KB = 1.380649e-23  # Boltzmann constant (J/K)
 
@@ -89,10 +90,12 @@ def clogging_update(s_bulk, k0, theta0, clogging: CloggingCfg, rho_p):
 
     theta_m = theta0 - s_bulk/rho_p (deposit occupies pore space at particle
     density); the clean-bed specific surface a0 grows by the exposed deposit
-    surface; then k/k0 = (theta_m/theta0)^3 (a0/a)^2.  Returns (theta_m, k, a)."""
+    surface; then k/k0 = (theta_m/theta0)^3 (a0/a)^2.  Returns (theta_m, k, a).
+    A deposit that fills the pore space is a :class:`SolverError`: the
+    injection has outrun what the model can represent."""
     theta_m = theta0 - s_bulk / rho_p
     if np.any(theta_m <= 0):
-        raise ValueError("deposition has consumed all pore space")
+        raise SolverError("deposition has consumed all pore space")
     a = clogging.a0 + clogging.zvi_specific_area * clogging.gamma * s_bulk / rho_p
     k = k0 * (theta_m / theta0) ** 3 * (clogging.a0 / a) ** 2
     return theta_m, k, a

@@ -46,8 +46,6 @@ def generate_log_normal_field(
     to each layer's permeability; clay cells keep their constant value.
     """
     k = material.k.copy()
-    if log_variance == 0.0:
-        return k
     sigma = np.sqrt(log_variance)
     amplitude = _spectrum(grid, correlation_length)
     for lid, props in material.props.items():

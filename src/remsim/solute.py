@@ -127,25 +127,16 @@ class TransportKernel:
 # NAPL dissolution (stagnant-film / LEA)
 # ---------------------------------------------------------------------------
 
-def dissolution_substep(c, sn, rho_n, solubility, transport: TransportCfg, dt, cells=None):
+def dissolution_substep(c, sn, rho_n, solubility, transport: TransportCfg, dt, cells):
     """Analytic relaxation of c toward the ``solubility`` Cs at the rate
-    ``transport.mass_transfer``, with exact NAPL mass transfer.
+    ``transport.mass_transfer``, with exact NAPL mass transfer, on the cells
+    ``cells``: the flat indices of exactly the cells with ``sn > 0``.
 
-    Returns new arrays (c', sn').  The transfer is capped so a step never
-    dissolves more NAPL than the cell holds, and never drives c past Cs;
-    it is evaluated only in the cells that hold NAPL.
-
-    A caller that dissolves one field step after step passes ``cells``, the
-    flat indices of exactly the cells with ``sn > 0``: the step then updates
-    the C-ordered c and sn in place on those cells alone, with no pass over
-    the grid, and returns them.
+    Updates the C-ordered c and sn in place on those cells alone, with no
+    pass over the grid, and returns them.  The transfer is capped so a step
+    never dissolves more NAPL than the cell holds, and never drives c past Cs.
     """
-    if cells is None:
-        cells = np.flatnonzero(sn > 0)
-        c, sn = np.array(c, order="C"), np.array(sn, order="C")
-        # new arrays; c + 0.0 is c + dc with dc = 0 bitwise, so -0.0 becomes 0.0
-        c += 0.0
-    elif not (c.flags.c_contiguous and sn.flags.c_contiguous):
+    if not (c.flags.c_contiguous and sn.flags.c_contiguous):
         raise ValueError("an in-place dissolution step needs C-ordered arrays")
     c_flat, sn_flat = c.reshape(-1), sn.reshape(-1)
     c_napl, sn_napl = c_flat[cells], sn_flat[cells]

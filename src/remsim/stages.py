@@ -158,9 +158,9 @@ def _water_mobility(sn, material):
 def _aqueous_stage(scn: Scenario, stage: int, f: dict, ledger: dict, dt_max: float, operate,
                    sources=None, c_in={}):
     """The runner of stages 2-4: walks :func:`_march` over stage ``stage`` on
-    the field state ``f``, yielding each chunk's stop time, the last step's
-    flow and the stage's :class:`FactorCache`.  A step of dt from t solves the
-    flow (ambient heads, wells ``sources``) again only when ``f["k"]`` or
+    the field state ``f``, yielding each chunk's stop time and the stage's
+    :class:`FactorCache`.  A step of dt from t solves the flow (ambient
+    heads, wells ``sources``) again only when ``f["k"]`` or
     ``f["c_cmc"]`` is not the array the last solve read: no other field moves
     the water mobility within a stage.  It transports every ``ledger`` species
     at the wells' ``c_in[name]`` (none if absent), booking what is injected
@@ -199,7 +199,7 @@ def _aqueous_stage(scn: Scenario, stage: int, f: dict, ledger: dict, dt_max: flo
         return dt
 
     for t in _march(cfg.stage_durations[stage - 1], cfg.snapshots[stage - 1], dt_max, step):
-        yield t, flow, cache
+        yield t, cache
     ledger["tce"].dissolved = ledger["tce"].napl - _mass(f, f["sn"], cv) * cfg.rho_n
     for name, entry in ledger.items():
         entry.final = _mass(f, f["c_" + name], cv)
@@ -267,19 +267,22 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     snapshots, series = [], []
     # _mass's weights, formed once: theta_m does not change in stage 2
     pore_volume = f["theta_m"] * cv
+    inflow = 0.0    # water entering across the upgradient boundary (m^2/s)
 
     def operate(t, dt, flow, mu):
+        nonlocal inflow
+        if t == 0.0:    # stage 2 solves its one flow for its first step
+            inflow = float(np.maximum(flow.qx[:, 0], 0.0).sum()) * g.dy
         napl_mass = float((pore_volume * f["sn"]).sum()) * rho_n
         series.append([t + dt, napl_mass, napl_mass / max(napl0, 1e-300)]
                       + [probe(f["c_tce"], cell) for cell in mon.values()])
 
-    for t, flow, cache in _aqueous_stage(scn, 2, f, ledger, STAGE2_DT, operate):
+    for t, cache in _aqueous_stage(scn, 2, f, ledger, STAGE2_DT, operate):
         if t in marks:
             snapshots.append((t, {"c_tce": f["c_tce"], "sn": f["sn"].copy()}))
 
-    # water enters only across the upgradient boundary; at solubility it
-    # carries at most this much TCE out of the source over the stage
-    inflow = float(np.maximum(flow.qx[:, 0], 0.0).sum()) * g.dy
+    # at solubility the inflow carries at most this much TCE out of the
+    # source over the stage
     diagnostics = {
         "undissolved_fraction": _mass(f, f["sn"], cv) * rho_n / max(napl0, 1e-300),
         "pressure": cache.stats(),
@@ -329,7 +332,7 @@ def run_stage3(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         f["c_nzvi"], f["s_bulk"] = nz.deposit_step(f["c_nzvi"], f["s_bulk"], katt, f["theta_m"], dt)
         f["theta_m"], f["k"], _ = nz.clogging_update(f["s_bulk"], k0, theta0, cfg.clogging, rho_p)
 
-    for t, _, cache in _aqueous_stage(scn, 3, f, ledger, STAGE3_DT, operate,
+    for t, cache in _aqueous_stage(scn, 3, f, ledger, STAGE3_DT, operate,
                                       scn.injection_sources(), c_in):
         roi = nz.radius_of_influence(f["s_bulk"], g, screen)
         series.append([t, roi, float(f["s_bulk"].max()), float(1.0 - (f["k"] / k0).min())])
@@ -375,7 +378,7 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         iron_frac = _mass(f, rho_m, cv) / max(iron0, 1e-300)
         series.append([t + dt, iron_frac] + [probe(f["c_tce"], cell) for cell in mon.values()])
 
-    for t, _, cache in _aqueous_stage(scn, 4, f, ledger, STAGE4_DT, operate):
+    for t, cache in _aqueous_stage(scn, 4, f, ledger, STAGE4_DT, operate):
         if t in marks:
             snapshots.append((t, {"c_tce": f["c_tce"], "rho_m": rho_m}))
 

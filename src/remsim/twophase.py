@@ -35,12 +35,6 @@ from .grid import MaterialMap
 # Brooks-Corey closures
 # ---------------------------------------------------------------------------
 
-def effective_saturation(sw, swr, snr):
-    """Se = (Sw - Swr) / (1 - Swr - Snr), clamped to [SE_CLAMP, 1]."""
-    se = (sw - swr) / (1.0 - swr - snr)
-    return np.clip(se, SE_CLAMP, 1.0)
-
-
 def capillary_pressure(se, pd, lam):
     """Brooks-Corey pc = pd * Se^(-1/lambda); pd = 0 disables capillarity."""
     se = np.asarray(se, dtype=float)
@@ -80,10 +74,12 @@ def hydrostatic_two_phase(grid, config: RunConfig) -> dict:
 # Interface entry-pressure rule
 # ---------------------------------------------------------------------------
 
-def interface_block_mask(pd_up, pd_recv, pc_up, lith_up, lith_recv):
-    """True where NAPL flux must be zeroed: different lithology, receiving
-    cell finer (higher entry pressure) and upstream pc not yet above it."""
-    return (lith_up != lith_recv) & (pd_recv > pd_up) & (pc_up <= pd_recv)
+def interface_block_mask(pd_up, pd_recv, pc_up):
+    """True where NAPL flux must be zeroed: receiving cell finer (higher
+    entry pressure) and upstream pc not yet above it.  The rule is decided on
+    entry pressures, which are set per lithology (:class:`MaterialMap`), so a
+    higher receiving entry pressure is a change of lithology."""
+    return (pd_recv > pd_up) & (pc_up <= pd_recv)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +159,14 @@ class ImpesStepper:
     def closures(self, f: dict, cols: slice):
         """``(pc, dpc, krw, krn)`` of the field state ``f`` on the grid columns
         ``cols``, at the water saturation ``1 - sn``: ``dpc`` is -dpc/dSw, the
-        slope the capillary bound feels."""
+        slope the capillary bound feels.  The effective saturation, clipped to
+        [0, 1], sets the relative permeabilities; the capillary terms see it
+        no lower than :data:`SE_CLAMP`."""
         m = self.material
         sw = 1.0 - f["sn"][:, cols]
         swr, snr, pd, lam = (a[:, cols] for a in (m.swr, m.snr, m.entry_pressure, m.bc_lambda))
-        se_pc = effective_saturation(sw, swr, snr)
         se_kr = np.clip((sw - swr) / (1.0 - swr - snr), 0.0, 1.0)
+        se_pc = np.maximum(se_kr, SE_CLAMP)
         pc = capillary_pressure(se_pc, pd, lam)
         dpc = pd / lam * se_pc ** (-1.0 / lam - 1.0) / (1.0 - swr - snr)
         krw, krn = rel_perm(se_kr, lam)
@@ -180,7 +178,7 @@ class ImpesStepper:
         the cells of the columns ``cols``, from their ``pw`` and closures."""
         c, m = self.config, self.material
         pn = pw + pc
-        pd, lith = m.entry_pressure[:, cols], m.lithology[:, cols]
+        pd = m.entry_pressure[:, cols]
         x_faces, y_faces = _window_faces(cols)
         faces = []
         for (lo, hi), kf, dz in zip(FACES, (self.kfx[x_faces], self.kfy[y_faces]),
@@ -190,8 +188,8 @@ class ImpesStepper:
             # entry-pressure rule, applied in the NAPL flow direction
             blocked = np.where(
                 up_n,
-                interface_block_mask(pd[lo], pd[hi], pc[lo], lith[lo], lith[hi]),
-                interface_block_mask(pd[hi], pd[lo], pc[hi], lith[hi], lith[lo]),
+                interface_block_mask(pd[lo], pd[hi], pc[lo]),
+                interface_block_mask(pd[hi], pd[lo], pc[hi]),
             )
             krn_f = np.where(blocked, 0.0, np.where(up_n, krn[lo], krn[hi]))
             lw = kf * np.where(up_w, krw[lo], krw[hi]) / c.mu_w

@@ -54,10 +54,7 @@ class UnitError(ValueError):
 
 def _unit(unit: str) -> tuple[float, tuple[int, ...]]:
     """SI factor and dimension of a possibly compound unit like ``kg/m^2/s``."""
-    unit = unit.strip()
-    if unit in _UNITS:
-        return _UNITS[unit]
-    # compound: numerator / denom / denom ... each part may carry ^n
+    # numerator / denom / denom ..., each part may carry ^n
     parts = unit.split("/")
     factor, dim = _atom(parts[0])
     for p in parts[1:]:

@@ -9,6 +9,7 @@ import pytest
 
 import remsim
 from remsim.cli import build_parser, main
+from tests.test_config import set_key
 from tests.test_pipeline import fast_config_text
 
 
@@ -109,6 +110,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: [well.monitoring] velocity")
         assert not (tmp_path / "stage1.ckpt").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("solubility = 1.27 kg/m^3\n", "solubility = 1.27 kg/m^3\nsolubility = 12.7 kg/m^3\n",
+         "[fluids] solubility given twice"),
+        ("[flow]\n", "[fluids]\nwater_density = 0.5 kg/m^3\n\n[flow]\n",
+         "section [fluids] given twice"),
+    ], ids=["key", "section"])
+    def test_repeat_returns_2(self, tmp_path, capsys, old, new, message):
+        text = fast_config_text()
+        assert text.count(old) == 1
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace(old, new))
+        assert main(["--config", str(bad), "--stage", "all", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: line ") and message in err
+        assert not (tmp_path / "stage1.ckpt").exists()
+
+    def test_pore_space_exhausted_returns_4(self, tmp_path, capsys):
+        # a suspension this dense fills the pores by deposition in stage 3
+        text = set_key(fast_config_text(), "nzvi", "concentration", "100000 kg/m^3")
+        (tmp_path / "clog.cfg").write_text(set_key(text, "nzvi", "attachment_efficiency", "1"))
+        code = main(["--config", str(tmp_path / "clog.cfg"), "--stage", "all",
+                     "--out", str(tmp_path)])
+        assert code == 4
+        assert capsys.readouterr().err == ("solver failure: deposition has consumed all "
+                                           "pore space\n")
+        assert (tmp_path / "stage2.ckpt").exists() and not (tmp_path / "stage3.ckpt").exists()
 
     def test_unreadable_stage_returns_2(self, cfg_file, tmp_path):
         assert main(["--config", str(cfg_file), "--stage", "nine", "--out", str(tmp_path)]) == 2

@@ -66,6 +66,18 @@ class TestSectionParser:
         with pytest.raises(ConfigError):
             parse_sections("x = 1 m\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("[a]\nx = 1 m\ny = 2 s\nx = 3 m\n", "line 4: [a] x given twice"),
+        ("[a]\nx = 1 m\n[b]\ny = 2 s\n[a]\nz = 3 m\n", "line 5: section [a] given twice"),
+    ], ids=["key", "section"])
+    def test_repeat_refused(self, text, message):
+        # a second value would silently override the first
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_sections(text)
+        # one key name in two sections is two keys
+        assert parse_sections("[a]\nx = 1 m\n[b]\nx = 2 m\n") == {"a": {"x": "1 m"},
+                                                                   "b": {"x": "2 m"}}
+
 
 def set_key(text: str, section: str, key: str, value: str) -> str:
     """``text`` with ``key`` of ``[section]`` set to ``value``."""

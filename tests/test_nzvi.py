@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from remsim.config import CloggingCfg, CmcCfg, NzviCfg, TransportCfg
-from remsim.flow import FlowField
+from remsim.flow import FlowField, SolverError
 from remsim.grid import build_grid
 from remsim.nzvi import (
     attachment_rate,
@@ -159,7 +159,7 @@ class TestClogging:
         assert (np.diff(k) < 0).all() and (np.diff(theta_m) < 0).all()
 
     def test_pore_space_exhaustion_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SolverError, match="consumed all pore space"):
             clogging_update(np.array(3000.0), 1e-12, 0.4, self.CLOG, 6100.0)
 
 

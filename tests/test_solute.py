@@ -288,6 +288,28 @@ def whole_grid_dissolution(c, sn, rho_n, cs, params, dt):
     return c + dc, sn - dc / rho_n
 
 
+def check_in_place(c, sn, rho_n, cs, params, dt):
+    """Dissolves copies of c and sn in place on their NAPL cells and checks
+    the step against :func:`whole_grid_dissolution` on those cells, and that
+    every other cell is left as it was, -0.0 included."""
+    cells = np.flatnonzero(sn > 0)
+    whole = whole_grid_dissolution(c, sn, rho_n, cs, params, dt)
+    c1, sn1 = c.copy(), sn.copy()
+    out = dissolution_substep(c1, sn1, rho_n, cs, params, dt, cells)
+    assert out[0] is c1 and out[1] is sn1
+    for new, old, want in ((c1, c, whole[0]), (sn1, sn, whole[1])):
+        assert new.ravel()[cells].tobytes() == want.ravel()[cells].tobytes()
+        rest = np.setdiff1d(np.arange(old.size), cells)
+        assert new.ravel()[rest].tobytes() == old.ravel()[rest].tobytes()
+    return c1, sn1
+
+
+def dissolve(c, sn, params, dt):
+    """One dissolution step of new arrays c and sn on their NAPL cells."""
+    c, sn = np.array(c, dtype=float), np.array(sn, dtype=float)
+    return dissolution_substep(c, sn, 1470.0, CS, params, dt, np.flatnonzero(sn > 0))
+
+
 class TestDissolution:
     def test_matches_whole_grid_formula_bitwise(self):
         p = transport(mass_transfer=1e-4)
@@ -299,16 +321,8 @@ class TestDissolution:
         sn[1, :3] = -1e-12         # rounding-level negative saturation
         c[2, :3] = CS  # saturated water
         sn[3, 0], c[3, 0] = 1e-9, 0.0  # the NAPL cap binds
-        for order in ("C", "F"):
-            ci, sni = np.array(c, order=order), np.array(sn, order=order)
-            c1, sn1 = dissolution_substep(ci, sni, 1470.0, CS, p, 1e5)
-            c2, sn2 = whole_grid_dissolution(ci, sni, 1470.0, CS, p, 1e5)
-            assert c1.tobytes() == c2.tobytes() and sn1.tobytes() == sn2.tobytes(), order
-            assert c1[3, 0] == 1e-9 * 1470.0
-            # new arrays, the inputs untouched: snapshots keep references
-            assert c1 is not ci and sn1 is not sni
-            np.testing.assert_array_equal(ci, c)
-            np.testing.assert_array_equal(sni, sn)
+        c1, _ = check_in_place(c, sn, 1470.0, CS, p, 1e5)
+        assert c1[3, 0] == 1e-9 * 1470.0
 
     def test_in_place_on_kept_cells(self):
         p = transport(mass_transfer=1e-4)
@@ -317,51 +331,35 @@ class TestDissolution:
         sn = np.where(rng.random((6, 9)) < 0.4, rng.uniform(0.0, 0.3, (6, 9)), 0.0)
         sn[3, 0], c[3, 0] = 1e-9, 0.0  # the NAPL cap binds
         c[0, 3] = -0.0
-        whole = dissolution_substep(c, sn, 1470.0, CS, p, 1e5)
-        cells = np.flatnonzero(sn > 0)
-        c1, sn1 = c.copy(), sn.copy()
-        out = dissolution_substep(c1, sn1, 1470.0, CS, p, 1e5, cells)
-        assert out[0] is c1 and out[1] is sn1
-        assert c1.ravel()[cells].tobytes() == whole[0].ravel()[cells].tobytes()
-        assert sn1.tobytes() == whole[1].tobytes()
-        # every other cell is left as it was, -0.0 included
-        rest = np.setdiff1d(np.arange(c.size), cells)
-        assert c1.ravel()[rest].tobytes() == c.ravel()[rest].tobytes()
+        check_in_place(c, sn, 1470.0, CS, p, 1e5)
         with pytest.raises(ValueError):
             dissolution_substep(np.asfortranarray(c), np.asfortranarray(sn), 1470.0, CS, p, 1e5,
-                                cells)
+                                np.flatnonzero(sn > 0))
 
     def test_relaxation_matches_ode(self):
         # dc/dt = Kl (Cs - c) in a sealed cell -> exponential approach
         p = transport(mass_transfer=1200.0 / 86400.0)
-        c = np.array([[0.2]])
-        sn = np.array([[0.5]])
         dt = 600.0
-        c1, sn1 = dissolution_substep(c, sn, 1470.0, CS, p, dt)
+        c1, sn1 = dissolve([[0.2]], [[0.5]], p, dt)
         exact = CS - (CS - 0.2) * np.exp(-p.mass_transfer * dt)
         assert c1[0, 0] == pytest.approx(exact, rel=1e-12)
         assert sn1[0, 0] == pytest.approx(0.5 - (exact - 0.2) / 1470.0, rel=1e-12)
 
     def test_exhaustion_clipped(self):
         p = transport(mass_transfer=1e-2)
-        c = np.array([[0.0]])
-        sn = np.array([[1e-7]])  # only 1.47e-4 kg/m^3 of NAPL available
-        c1, sn1 = dissolution_substep(c, sn, 1470.0, CS, p, 1e6)
+        # only 1.47e-4 kg/m^3 of NAPL available
+        c1, sn1 = dissolve([[0.0]], [[1e-7]], p, 1e6)
         assert c1[0, 0] == pytest.approx(1e-7 * 1470.0, rel=1e-12)
         assert sn1[0, 0] == 0.0
 
     def test_no_napl_no_flux(self):
         p = transport(mass_transfer=1e-2)
-        c1, sn1 = dissolution_substep(
-            np.array([[0.4]]), np.array([[0.0]]), 1470.0, CS, p, 1e5
-        )
+        c1, sn1 = dissolve([[0.4]], [[0.0]], p, 1e5)
         assert c1[0, 0] == 0.4 and sn1[0, 0] == 0.0
 
     def test_saturated_water_no_transfer(self):
         p = transport(mass_transfer=1e-2)
-        c1, sn1 = dissolution_substep(
-            np.array([[1.27]]), np.array([[0.3]]), 1470.0, CS, p, 1e5
-        )
+        c1, sn1 = dissolve([[1.27]], [[0.3]], p, 1e5)
         assert c1[0, 0] == pytest.approx(1.27, rel=1e-14)
         assert sn1[0, 0] == pytest.approx(0.3, rel=1e-14)
 

@@ -21,6 +21,7 @@ from remsim.stages import (
 )
 from remsim.twophase import MAX_DS, TWO_PHASE_CFL
 from tests.test_pipeline import fast_config_text
+from tests.test_solute import check_in_place
 
 SPECIES = {1: {"napl"}, 2: {"tce"}, 3: {"nzvi", "cmc", "tce"}, 4: {"tce", "cmc"}}
 
@@ -234,6 +235,14 @@ class TestBudgets:
         # stage 1 released 0.001 kg/m^2/s over the 2 m strip for 1 day
         assert budget["napl_initial"] == pytest.approx(0.001 * 2.0 * 86400.0, rel=1e-9)
 
+    def test_stage2_of_no_length(self, fast_run):
+        # no step, so no flow is solved and no water enters
+        text = fast_config_text().replace("stage2_duration = 20 day", "stage2_duration = 0 day")
+        ckpt1 = fast_run.results[1].checkpoint
+        res = stages.run_stage2(Scenario.build(RunConfig.from_text(text), 0), ckpt1)
+        assert res.diagnostics["budget"]["dissolution_ceiling"] == 0.0
+        assert res.series == [] and res.checkpoint.clock == ckpt1.clock
+
     def test_stage4_iron_capacity(self, fast_run):
         f = fast_run.results[3].checkpoint.fields
         iron = float(f["s_bulk"].sum())                              # kg/m on 1 m^2 cells
@@ -300,12 +309,10 @@ class TestNaplCells:
         held = sn0.copy()
         days = []
 
-        def checked(c, sn, rho_n, solubility, transport, dt, cells=None):
+        def checked(c, sn, rho_n, solubility, transport, dt, cells):
             assert cells.tobytes() == np.flatnonzero(sn > 0).tobytes()
-            whole = dissolution_substep(c, sn, rho_n, solubility, transport, dt)
+            check_in_place(c, sn, rho_n, solubility, transport, dt)
             out = dissolution_substep(c, sn, rho_n, solubility, transport, dt, cells)
-            assert out[0].tobytes() == whole[0].tobytes()
-            assert out[1].tobytes() == whole[1].tobytes()
             days.append((cells.size, sn.copy()))
             return out
 

@@ -10,15 +10,16 @@ from remsim.twophase import (
     LIMITS,
     MAX_DS,
     SAT_TOL,
+    SE_CLAMP,
     TWO_PHASE_CFL,
     ImpesStepper,
     capillary_pressure,
-    effective_saturation,
     hydrostatic_two_phase,
     interface_block_mask,
     rel_perm,
     source_zone_stats,
 )
+from tests.test_pipeline import fast_config_text
 from tests.test_stages import every_limit_config_text
 
 # fluids of the unit problems
@@ -37,9 +38,17 @@ def impes_step(state, material, dt, source=None, stepper=None):
     return out
 
 
+def clamped_saturation(sw, material):
+    """Se = (Sw - Swr) / (1 - Swr - Snr), clamped to [SE_CLAMP, 1]: the
+    saturation the capillary pressure sees."""
+    m = material
+    return np.clip((sw - m.swr) / (1.0 - m.swr - m.snr), SE_CLAMP, 1.0)
+
+
 class ReferenceStepper:
     """Whole-grid IMPES sub-steps, the form the column window replaced: the
-    closures, face terms, bounds and saturation update cover every cell."""
+    closures, face terms, bounds and saturation update cover every cell, and
+    the entry-pressure rule also asks for a change of lithology."""
 
     def __init__(self, material, config=CONFIG):
         grid = material.grid
@@ -55,7 +64,7 @@ class ReferenceStepper:
     def closures(self, state):
         m = self.material
         sw = 1.0 - state["sn"]
-        se_pc = effective_saturation(sw, m.swr, m.snr)
+        se_pc = clamped_saturation(sw, m)
         se_kr = np.clip((sw - m.swr) / (1.0 - m.swr - m.snr), 0.0, 1.0)
         pc = capillary_pressure(se_pc, m.entry_pressure, m.bc_lambda)
         krw, krn = rel_perm(se_kr, m.bc_lambda)
@@ -70,10 +79,10 @@ class ReferenceStepper:
         for (lo, hi), kf, dz in zip(FACES, (self.kfx, self.kfy), (0.0, self.grid.dy)):
             up_w = pw[hi] - pw[lo] + c.rho_w * c.gravity * dz < 0
             up_n = pn[hi] - pn[lo] + c.rho_n * c.gravity * dz < 0
-            blocked = np.where(
+            blocked = (lith[lo] != lith[hi]) & np.where(
                 up_n,
-                interface_block_mask(pd[lo], pd[hi], pc[lo], lith[lo], lith[hi]),
-                interface_block_mask(pd[hi], pd[lo], pc[hi], lith[hi], lith[lo]),
+                interface_block_mask(pd[lo], pd[hi], pc[lo]),
+                interface_block_mask(pd[hi], pd[lo], pc[hi]),
             )
             krn_f = np.where(blocked, 0.0, np.where(up_n, krn[lo], krn[hi]))
             lw = kf * np.where(up_w, krw[lo], krw[hi]) / c.mu_w
@@ -102,7 +111,7 @@ class ReferenceStepper:
             dt_adv = np.where(out > 0, MAX_DS * pv / out, np.inf).min()
             avail = np.maximum(1.0 - m.swr - state["sn"], 0.02)
             dt_in = np.where(inflow > 0, TWO_PHASE_CFL * avail * pv / inflow, np.inf).min()
-        se = effective_saturation(1.0 - state["sn"], m.swr, m.snr)
+        se = clamped_saturation(1.0 - state["sn"], m)
         dpc = (m.entry_pressure / m.bc_lambda * se ** (-1.0 / m.bc_lambda - 1.0)
                / (1.0 - m.swr - m.snr))
         with np.errstate(invalid="ignore"):
@@ -162,12 +171,19 @@ def homogeneous(grid, **over):
     return MaterialMap(grid=grid, lithology=lith, props={0: LithologyCfg(**props)})
 
 
+def one_cell_closures(sn):
+    """``ImpesStepper.closures`` of one homogeneous cell holding ``sn``."""
+    stepper = ImpesStepper(homogeneous(build_grid((1.0, 1.0), (1.0, 1.0))), CONFIG)
+    return [a[0, 0] for a in stepper.closures({"sn": np.array([[sn]])}, slice(0, 1))]
+
+
 class TestClosures:
     def test_effective_saturation_hand_value(self):
-        # (0.54 - 0.08) / (1 - 0.08 - 0.08)
-        assert effective_saturation(0.54, 0.08, 0.08) == pytest.approx(
-            0.46 / 0.84, rel=1e-12
-        )
+        # Se = (0.54 - 0.08) / (1 - 0.08 - 0.08) at sw = 0.54; lambda = 2
+        se = 0.46 / 0.84
+        pc, _, krw, _ = one_cell_closures(0.46)
+        assert pc == pytest.approx(1300.0 * se ** -0.5, rel=1e-12)
+        assert krw == pytest.approx(se ** 4, rel=1e-12)
 
     def test_pc_endpoint_is_entry_pressure(self):
         assert capillary_pressure(1.0, 1300.0, 2.0) == pytest.approx(1300.0, rel=1e-12)
@@ -177,11 +193,12 @@ class TestClosures:
         assert capillary_pressure(0.25, 1500.0, 2.0) == pytest.approx(3000.0, rel=1e-12)
 
     def test_pc_clamped_near_residual(self):
-        se = effective_saturation(0.08, 0.08, 0.08)  # at residual -> clamp
-        assert se == 0.01
-        assert capillary_pressure(se, 1300.0, 2.0) == pytest.approx(
-            1300.0 * 0.01 ** -0.5, rel=1e-12
-        )
+        # sw = 0.08, at residual: the relative permeabilities see Se = 0 and
+        # the capillary pressure Se = SE_CLAMP = 0.01
+        pc, _, krw, krn = one_cell_closures(0.92)
+        assert SE_CLAMP == 0.01
+        assert pc == pytest.approx(1300.0 * 0.01 ** -0.5, rel=1e-12)
+        assert (krw, krn) == (0.0, 1.0)
 
     def test_rel_perm_hand_values(self):
         # lambda = 2: krw = Se^4, krn = (1-Se)^2 (1 - Se^2)
@@ -199,20 +216,37 @@ class TestClosures:
 class TestInterfaceRule:
     def test_blocked_into_finer(self):
         # sand (pc = 2000) above clay (pd = 3200): no invasion yet
-        assert interface_block_mask(1300.0, 3200.0, np.array(2000.0), 0, 2)
+        assert interface_block_mask(1300.0, 3200.0, np.array(2000.0))
 
     def test_permitted_once_entry_exceeded(self):
-        assert not interface_block_mask(1300.0, 3200.0, np.array(3300.0), 0, 2)
+        assert not interface_block_mask(1300.0, 3200.0, np.array(3300.0))
 
     def test_permitted_into_slightly_finer_sand(self):
         # upper sand pc = 1600 above lower sand pd = 1500
-        assert not interface_block_mask(1300.0, 1500.0, np.array(1600.0), 0, 1)
+        assert not interface_block_mask(1300.0, 1500.0, np.array(1600.0))
 
     def test_inactive_same_lithology(self):
-        assert not interface_block_mask(1300.0, 1300.0, np.array(100.0), 0, 0)
+        assert not interface_block_mask(1300.0, 1300.0, np.array(100.0))
 
     def test_inactive_into_coarser(self):
-        assert not interface_block_mask(1500.0, 1300.0, np.array(100.0), 1, 0)
+        assert not interface_block_mask(1500.0, 1300.0, np.array(100.0))
+
+    @pytest.mark.parametrize("text", [RunConfig.default().source_text, fast_config_text()],
+                             ids=["default", "fast"])
+    def test_finer_receiver_is_another_lithology(self, text):
+        # the rule reads entry pressures alone: a scenario's material sets one
+        # entry pressure per lithology, so a finer receiver is another lithology
+        m = Scenario.build(RunConfig.from_text(text), 0).material
+        for lid in m.props:
+            assert np.unique(m.entry_pressure[m.lithology == lid]).size == 1
+        pd, lith = m.entry_pressure, m.lithology
+        finer = 0
+        for lo, hi in FACES:
+            for up, recv in ((lo, hi), (hi, lo)):
+                rises = pd[recv] > pd[up]
+                assert (lith[recv][rises] != lith[up][rises]).all()
+                finer += int(rises.sum())
+        assert finer > 0
 
 
 class TestHydrostaticState:
