@@ -115,10 +115,12 @@ def _parse_manifest(data: bytes, path) -> tuple[dict, int]:
 
 def read_checkpoint(path) -> StageCheckpoint:
     """Read the file once and check it: the manifest keys, a finite clock, the
-    fields of :data:`FIELD_NAMES` in order, each of ``nx * ny`` values, and the
-    payload length."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    fields of :data:`FIELD_NAMES` in order, each of ``nx * ny`` values, the
+    payload length and finite values."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as err:
+        raise CheckpointError(f"{path}: cannot be read: {err.strerror}") from err
     manifest, start = _parse_manifest(data, path)
     nx, ny = manifest["nx"], manifest["ny"]
     if not all(type(n) is int and n > 0 for n in (nx, ny)):
@@ -137,6 +139,10 @@ def read_checkpoint(path) -> StageCheckpoint:
             f"{path}: payload length {len(data) - start} != manifest total {expected}"
         )
     block = np.frombuffer(data, dtype="<f8", offset=start).reshape(len(FIELD_NAMES), ny, nx)
+    finite = np.isfinite(block).all(axis=(1, 2))
+    if not finite.all():
+        bad = [name for name, ok in zip(FIELD_NAMES, finite) if not ok]
+        raise CheckpointError(f"{path}: non-finite values in {', '.join(bad)}")
     return StageCheckpoint(
         stage=manifest["stage"],
         clock=clock,

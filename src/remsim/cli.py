@@ -14,12 +14,11 @@ from .pipeline import (
     EXIT_MISSING_CHECKPOINT,
     EXIT_OK,
     EXIT_SOLVER,
+    EXPORTERS,
     AuditError,
-    MissingCheckpointError,
     parse_stage_selection,
     run,
 )
-from .solute import TransportError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out", help="output directory (default: ./out)")
     p.add_argument("--seed", type=int, default=0, help="random-field seed (default: 0)")
     p.add_argument("--checkpoint", help="checkpoint directory (default: the output directory)")
-    p.add_argument("--export", choices=["csv", "vtk"], default="csv",
+    p.add_argument("--export", choices=list(EXPORTERS), default="csv",
                    help="snapshot format (default: csv)")
     return p
 
@@ -41,7 +40,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         stages = parse_stage_selection(args.stage)
-        config = RunConfig.from_file(args.config) if args.config else RunConfig.default()
+        config = RunConfig.default() if args.config is None else RunConfig.from_file(args.config)
         result = run(
             config,
             stages,
@@ -53,13 +52,10 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except MissingCheckpointError as err:
-        print(f"missing prerequisite checkpoint: {err}", file=sys.stderr)
-        return EXIT_MISSING_CHECKPOINT
     except CheckpointError as err:
         print(f"checkpoint error: {err}", file=sys.stderr)
         return EXIT_MISSING_CHECKPOINT
-    except (SolverError, TransportError) as err:
+    except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
     except AuditError as err:

@@ -257,8 +257,14 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as err:
+            raise ConfigError(f"{path}: cannot be read: {err.strerror}") from err
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from err
+        return cls.from_text(text)
 
     @classmethod
     def default(cls) -> "RunConfig":

@@ -1,9 +1,12 @@
 """Stage orchestration: checkpoint resolution, snapshot export, audits.
 
-Exit-code taxonomy (shared with the CLI):
-  0 success, 2 configuration error, 3 missing, corrupt, foreign or
-  wrong-stage prerequisite checkpoint, 4 solver failure, 5 mass-balance
-  audit failure.
+Exit-code taxonomy (shared with the CLI), one exception per code:
+  0 success; 2 configuration error (:class:`ConfigError`: a bad or
+  unreadable config, an unusable output path, a seed out of range); 3
+  missing, unreadable, corrupt, non-finite, foreign or wrong-stage
+  prerequisite checkpoint (:class:`CheckpointError`); 4 solver failure
+  (:class:`SolverError`); 5 mass-balance audit failure (:class:`AuditError`,
+  a NaN closure included).
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from .stages import (
 
 AUDIT_TOLERANCE = 5e-3
 
+# snapshot writers by format, which is also the file extension
+EXPORTERS = {"csv": write_csv, "vtk": write_vtk}
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MISSING_CHECKPOINT = 3
@@ -35,12 +41,13 @@ EXIT_SOLVER = 4
 EXIT_AUDIT = 5
 
 
-class MissingCheckpointError(FileNotFoundError):
-    """A requested stage lacks its prerequisite checkpoint."""
-
-
 class AuditError(RuntimeError):
     """A stage's mass balance failed to close within tolerance."""
+
+
+def closes(err: float) -> bool:
+    """Whether a ledger's closure error passes the audit; NaN fails."""
+    return err <= AUDIT_TOLERANCE
 
 
 def parse_stage_selection(text: str) -> list[int]:
@@ -83,7 +90,7 @@ def _audit_lines(stage: int, res: StageResult) -> list[str]:
             f"{name} {mass:.6e}" for name, mass in res.diagnostics["budget"].items()) + "  kg/m")
     for name, ledger in res.ledger.items():
         err = ledger.closure()
-        status = "ok" if err <= AUDIT_TOLERANCE else "FAIL"
+        status = "ok" if closes(err) else "FAIL"
         lines.append(f"  {name:8s} closure error {err:.3e}  [{status}]")
         lines.append("    " + "  ".join(f"{term} {getattr(ledger, term):.6e}"
                                         for term in LEDGER_TERMS) + "  kg/m")
@@ -92,10 +99,8 @@ def _audit_lines(stage: int, res: StageResult) -> list[str]:
 
 def _export(res: StageResult, out_dir: Path, grid, fmt: str) -> None:
     stage_dir = out_dir / f"stage{res.stage}"
-    writer = write_vtk if fmt == "vtk" else write_csv
-    ext = "vtk" if fmt == "vtk" else "csv"
     for t, fields in res.snapshots:
-        writer(stage_dir / f"snapshot_t{t / DAY:09.3f}d.{ext}", grid, fields)
+        EXPORTERS[fmt](stage_dir / f"snapshot_t{t / DAY:09.3f}d.{fmt}", grid, fields)
     header = res.diagnostics.get("series_header")
     if header and res.series:
         write_series_csv(stage_dir / "series.csv", header, res.series)
@@ -113,20 +118,25 @@ def run(
     if (not stages or stages != list(range(stages[0], stages[-1] + 1))
             or stages[0] < 1 or stages[-1] > 4):
         raise ConfigError("stage selection must be a contiguous ascending range of stages 1-4")
+    # a seed in [0, 2**63) reaches the random field's Philox key unchanged;
+    # numpy wraps a negative one and may round a larger one through float64
+    if not 0 <= seed < 2**63:
+        raise ConfigError(f"seed {seed} is outside [0, 2**63)")
+    if export is not None and export not in EXPORTERS:
+        raise ConfigError(f"export format {export!r} is not one of {', '.join(EXPORTERS)}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir else out_dir
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
+    for directory in (out_dir, ckpt_dir):
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot make directory {directory}: {err.strerror}") from err
 
     scn = Scenario.build(config, seed)
     if stages[0] == 1:
         prev = initial_checkpoint(scn)
     else:
         path = checkpoint_path(ckpt_dir, stages[0] - 1)
-        if not path.exists():
-            raise MissingCheckpointError(
-                f"stage {stages[0]} requires checkpoint {path}, which does not exist"
-            )
         prev = read_checkpoint(path)
         if prev.stage != stages[0] - 1:
             raise CheckpointError(f"{path}: holds the state after stage {prev.stage}, "
@@ -153,7 +163,7 @@ def run(
         if export:
             _export(res, out_dir, scn.grid, export)
         report_lines += _audit_lines(stage, res)
-        failed += [f"stage {stage}/{n}" for n, e in res.audit.items() if e > AUDIT_TOLERANCE]
+        failed += [f"stage {stage}/{n}" for n, e in res.audit.items() if not closes(e)]
         prev = res.checkpoint
 
     report = "\n".join(report_lines) + "\n"

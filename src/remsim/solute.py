@@ -14,11 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import TransportCfg
-from .flow import FlowField, scatter_faces
-
-
-class TransportError(RuntimeError):
-    """Negative concentrations or broken kernel invariants."""
+from .flow import FlowField, SolverError, scatter_faces
 
 
 class TransportKernel:
@@ -119,7 +115,7 @@ class TransportKernel:
             for cell, dc in inject:
                 c[cell] += dc
         if c.min() < -1e-12:
-            raise TransportError(f"negative concentration {c.min():.3e}")
+            raise SolverError(f"negative concentration {c.min():.3e}")
         return c.reshape(ny, nx), exported
 
 

@@ -9,7 +9,7 @@ pressure exceeds the receiving layer's entry pressure.
 
 A sub-step costs what the NAPL footprint costs: the closures, face terms,
 stability bounds and saturation update cover only a window of grid columns
-around the NAPL, two columns wider on each side (:class:`ImpesStepper`).
+around the NAPL, one column wider on each side (:class:`ImpesStepper`).
 Outside it every quantity is its NAPL-free value, so the pressure system,
 still assembled on the whole grid, and every result are bit for bit those of
 a whole-grid sub-step.
@@ -107,24 +107,24 @@ class ImpesStepper:
     sub-steps with and without it.  ``injected_mass`` sums the NAPL the
     source has fed in; ``limits`` counts the sub-steps each bound of
     :data:`LIMITS` has set; ``window_columns`` sums the width of each
-    sub-step's window ``E`` and ``window_max`` is the widest.
+    sub-step's window ``C`` and ``window_max`` is the widest.
 
     A sub-step works on a window of whole grid columns around the NAPL.  Let
     ``N`` be the columns holding NAPL (``sn != 0``) or fed by the sub-step's
     source.  The NAPL flux through a face is zero unless its upwind cell
     holds NAPL, so only the cells of ``C``, ``N`` widened by one column on
-    each side, can change saturation in one sub-step; ``E``, ``C`` widened by
-    one more column, holds every face of a ``C`` cell.  Both are clipped to
-    the grid, and an empty ``N`` gives a one-column window.  The closures,
-    face terms, NAPL fluxes, stability bounds and divergence are evaluated
-    on ``E``, and ``sn`` is updated on ``C``, each cell summing its faces in
-    the same order as on the whole grid.  A cell outside ``E`` is NAPL-free
-    (``sn = 0``, ``sw = 1``), so ``krw = 1``, ``krn = 0`` and ``pc = pd``
-    there; its faces carry no NAPL flux and bound nothing, and the pressure
-    system, still assembled on the whole grid, takes their closed forms
-    ``lw = kf / mu_w`` and ``ln = 0``, which equal the closures'
-    ``kf * 1.0 / mu_w`` bit for bit.  Results are therefore those of a
-    whole-grid sub-step, bit for bit.
+    each side and clipped to the grid, can change saturation in one
+    sub-step; an empty ``N`` gives a one-column window.  The closures, face
+    terms, NAPL fluxes, stability bounds and divergence are evaluated on the
+    faces between ``C`` cells, and ``sn`` is updated on ``C``, each cell
+    summing its faces in the same order as on the whole grid.  A cell
+    outside ``N`` is NAPL-free (``sn = 0``, ``sw = 1``), so ``krw = 1``,
+    ``krn = 0`` and ``pc = pd`` there.  Every face with a cell outside
+    ``C`` lies between two such cells: it carries no NAPL flux and bounds
+    nothing, and the pressure system, still assembled on the whole grid,
+    takes its closed forms ``lw = kf / mu_w`` and ``ln = 0``, which equal
+    the closures' ``kf * 1.0 / mu_w`` bit for bit.  Results are therefore
+    those of a whole-grid sub-step, bit for bit.
     """
 
     def __init__(self, material: MaterialMap, config: RunConfig):
@@ -143,17 +143,16 @@ class ImpesStepper:
         self.window_max = 0
 
     def _window(self, sn, source):
-        """The columns ``(C, E)`` of a sub-step from ``sn`` and ``source``, as
-        slices."""
+        """The columns ``C`` of a sub-step from ``sn`` and ``source``, as a
+        slice."""
         held = (sn != 0).any(axis=0)
         if source is not None:
             held |= (source != 0).any(axis=0)
         napl = np.flatnonzero(held)
         if napl.size == 0:
-            return slice(0, 1), slice(0, 1)
-        first, stop, nx = int(napl[0]), int(napl[-1]) + 1, self.grid.nx
-        return (slice(max(first - 1, 0), min(stop + 1, nx)),
-                slice(max(first - 2, 0), min(stop + 2, nx)))
+            return slice(0, 1)
+        first, stop = int(napl[0]), int(napl[-1]) + 1
+        return slice(max(first - 1, 0), min(stop + 1, self.grid.nx))
 
     # -- closures ---------------------------------------------------------
     def closures(self, f: dict, cols: slice):
@@ -255,7 +254,7 @@ class ImpesStepper:
         """One IMPES sub-step of at most ``dt_target`` under the NAPL release
         ``source`` (1/s per cell volume, or ``None``): replaces the ``sn`` and
         ``pw`` entries of the field state ``f`` and returns the dt taken."""
-        update, cols = self._window(f["sn"], source)
+        cols = self._window(f["sn"], source)
         self.window_columns += cols.stop - cols.start
         self.window_max = max(self.window_max, cols.stop - cols.start)
         pc, dpc, krw, krn = self.closures(f, cols)
@@ -284,8 +283,8 @@ class ImpesStepper:
             )
         # outside C every cell keeps its saturation, 0
         sn_new = f["sn"].copy()
-        changed = sn_new[:, update]
-        changed += dsn[:, update.start - cols.start:update.stop - cols.start]
+        changed = sn_new[:, cols]
+        changed += dsn
         if changed.min() < -10 * SAT_TOL or changed.max() > 1.0 + 10 * SAT_TOL:
             raise SolverError(
                 f"saturation out of bounds: [{sn_new.min():.3e}, {sn_new.max():.3e}]")

@@ -85,3 +85,11 @@ class TestErrors:
             write_checkpoint(ck, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["s1.ckpt"]
+
+    def test_non_finite_payload(self, tmp_path):
+        ck = make_ckpt()
+        ck.fields["pw"][1, 2], ck.fields["k"][0, 0] = np.nan, -np.inf
+        path = tmp_path / "s1.ckpt"
+        write_checkpoint(ck, path)
+        with pytest.raises(CheckpointError, match=r"s1\.ckpt: non-finite values in pw, k$"):
+            read_checkpoint(path)

@@ -5,9 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import remsim
+from remsim import pipeline
+from remsim.checkpoint import read_checkpoint, write_checkpoint
 from remsim.cli import build_parser, main
 from tests.test_config import set_key
 from tests.test_pipeline import fast_config_text
@@ -27,6 +30,14 @@ def stage1_ckpt(cfg_file, tmp_path_factory):
     shutil.copy(cfg_file, out / "fast.cfg")
     assert main(["--config", str(out / "fast.cfg"), "--stage", "1", "--out", str(out)]) == 0
     return out / "stage1.ckpt"
+
+
+@pytest.fixture(scope="module")
+def stage3_ckpt(cfg_file, tmp_path_factory):
+    """A stage-3 checkpoint of the fast config."""
+    out = tmp_path_factory.mktemp("stage3")
+    pipeline.run(remsim.RunConfig.from_file(cfg_file), [1, 2, 3], out, export=None)
+    return out / "stage3.ckpt"
 
 
 class TestParser:
@@ -138,6 +149,51 @@ class TestExitCodes:
                                            "pore space\n")
         assert (tmp_path / "stage2.ckpt").exists() and not (tmp_path / "stage3.ckpt").exists()
 
+    @pytest.mark.parametrize("case", ["config_missing", "config_empty", "config_directory",
+                                      "config_not_utf8", "out_is_file", "checkpoint_is_file"])
+    def test_unusable_path_returns_2(self, cfg_file, tmp_path, capsys, case):
+        args = {"--config": str(cfg_file), "--stage": "1", "--out": str(tmp_path / "out")}
+        if case == "config_missing":
+            args["--config"] = str(tmp_path / "absent.cfg")
+        elif case == "config_empty":
+            args["--config"] = ""   # not the built-in scenario
+        elif case == "config_directory":
+            args["--config"] = str(tmp_path)
+        elif case == "config_not_utf8":
+            (tmp_path / "latin1.cfg").write_bytes(fast_config_text().encode() + b"# caf\xe9\n")
+            args["--config"] = str(tmp_path / "latin1.cfg")
+        else:
+            (tmp_path / "taken").write_text("")
+            args["--out" if case == "out_is_file" else "--checkpoint"] = str(tmp_path / "taken")
+        assert main([word for pair in args.items() for word in pair]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "Traceback" not in err
+        assert not list(tmp_path.glob("**/stage1.ckpt"))
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1, 2**64])
+    def test_seed_out_of_range_returns_2(self, cfg_file, tmp_path, capsys, seed):
+        code = main(["--config", str(cfg_file), "--stage", "1", "--out", str(tmp_path / "out"),
+                     "--seed", str(seed)])
+        assert code == 2
+        assert capsys.readouterr().err == (f"configuration error: seed {seed} is outside "
+                                           "[0, 2**63)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_closure_returns_5(self, cfg_file, tmp_path, capsys, monkeypatch):
+        # a NaN closure fails the audit and is marked [FAIL] in the report
+        def run_stage1(scn, prev):
+            res = stage1(scn, prev)
+            res.ledger["napl"].final = float("nan")
+            return res
+
+        stage1 = pipeline.run_stage1
+        monkeypatch.setattr(pipeline, "run_stage1", run_stage1)
+        code = main(["--config", str(cfg_file), "--stage", "1", "--out", str(tmp_path)])
+        assert code == 5
+        assert capsys.readouterr().err == ("audit failure: mass balance closure exceeded "
+                                           "tolerance: stage 1/napl\n")
+        assert "  napl     closure error nan  [FAIL]" in (tmp_path / "audit_report.txt").read_text()
+
     def test_unreadable_stage_returns_2(self, cfg_file, tmp_path):
         assert main(["--config", str(cfg_file), "--stage", "nine", "--out", str(tmp_path)]) == 2
 
@@ -166,6 +222,23 @@ class TestExitCodes:
         assert code == 3
         assert "checkpoint error" in capsys.readouterr().err
         assert not (tmp_path / "stage2.ckpt").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, "directory"],
+                             ids=["nan", "inf", "directory"])
+    def test_unusable_checkpoint_returns_3(self, cfg_file, stage3_ckpt, tmp_path, capsys, value):
+        path = tmp_path / "stage3.ckpt"
+        if value == "directory":
+            path.mkdir()
+            message = f"{path}: cannot be read: Is a directory"
+        else:
+            ckpt = read_checkpoint(stage3_ckpt)
+            ckpt.fields["c_tce"][2, 10] = value
+            write_checkpoint(ckpt, path)
+            message = f"{path}: non-finite values in c_tce"
+        code = main(["--config", str(cfg_file), "--stage", "4", "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == f"checkpoint error: {message}\n"
+        assert not (tmp_path / "stage4.ckpt").exists()
 
     def test_foreign_checkpoint_returns_3(self, cfg_file, tmp_path):
         assert main(["--config", str(cfg_file), "--stage", "1", "--out", str(tmp_path)]) == 0

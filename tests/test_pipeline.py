@@ -11,7 +11,6 @@ from remsim.pipeline import (
     EXIT_MISSING_CHECKPOINT,
     EXIT_OK,
     EXIT_SOLVER,
-    MissingCheckpointError,
     checkpoint_path,
     parse_stage_selection,
     run,
@@ -79,6 +78,12 @@ class TestStageSelection:
             run(fast_cfg, stages, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("export", ["xlsx", "CSV", ""])
+    def test_unknown_export_rejected(self, fast_cfg, tmp_path, export):
+        with pytest.raises(ConfigError, match=f"export format {export!r} is not one of csv, vtk"):
+            run(fast_cfg, [1], tmp_path / "out", export=export)
+        assert not (tmp_path / "out").exists()
+
 
 class TestRun:
     def test_full_pipeline(self, fast_cfg, tmp_path):
@@ -120,7 +125,7 @@ class TestRun:
         assert not checkpoint_path(tmp_path, 3).exists()
 
     def test_missing_prerequisite(self, fast_cfg, tmp_path):
-        with pytest.raises(MissingCheckpointError):
+        with pytest.raises(CheckpointError, match="stage2.ckpt: cannot be read"):
             run(fast_cfg, [3], tmp_path / "empty")
 
     def test_grid_mismatch_rejected(self, fast_cfg, tmp_path):

@@ -10,7 +10,7 @@ from scipy.special import erfc
 
 import remsim
 from remsim.config import TransportCfg
-from remsim.flow import FlowField, scatter_faces
+from remsim.flow import FlowField, SolverError, scatter_faces
 from remsim.grid import build_grid
 from remsim.solute import TransportKernel, dissolution_substep, probe
 
@@ -175,6 +175,16 @@ class TestKernel:
         exact = ogata_banks(x, t_end, q, alpha * q, c0)
         err = np.linalg.norm(c[0] - exact) / np.linalg.norm(exact)
         assert err <= 0.02
+
+    def test_negative_concentration_raises(self):
+        # past the positivity bound a spike's centre weight 1 - cfl is
+        # negative, so one sub-step drives it below zero
+        g = build_grid((5.0, 5.0), (0.5, 0.5))
+        kernel = TransportKernel(g, np.ones((g.ny, g.nx)), uniform_flow(g), transport(1e-7), 3.0)
+        c = np.zeros((g.ny, g.nx))
+        c[5, 5] = 1.0
+        with pytest.raises(SolverError, match=r"^negative concentration -2\.000e\+00$"):
+            kernel.step(c, kernel.stable_dt)
 
     def test_pure_diffusion_conserves_mass(self):
         g = build_grid((10.0, 10.0), (0.5, 0.5))

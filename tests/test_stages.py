@@ -205,11 +205,11 @@ class TestSubstepLimits:
 
     def test_report_prints_window_under_limits(self, fast_run):
         # the fast config's NAPL sits under a 2 m strip of 1 m columns: the
-        # source's two columns widen by two on each side
+        # source's two columns widen by one on each side
         window = fast_run.results[1].diagnostics["window"]
-        assert window == {"mean_columns": 6.0, "max_columns": 6, "columns": 35}
+        assert window == {"mean_columns": 4.0, "max_columns": 4, "columns": 35}
         lines = fast_run.report.splitlines()
-        assert lines[lines.index("stage 1 audit:") + 3] == "  window: mean 6.0/35 columns, max 6"
+        assert lines[lines.index("stage 1 audit:") + 3] == "  window: mean 4.0/35 columns, max 4"
         assert sum(line.startswith("  window:") for line in lines) == 1
 
 

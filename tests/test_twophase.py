@@ -433,10 +433,10 @@ class TestWindow:
         stepper, reference = pair(m)
         out, substeps = lockstep(self.slug(cols), stepper, reference, [(None, 86400.0)])
         assert substeps >= 5
-        # the NAPL spreads into a third column; clipped at the grid edge, C
-        # adds one column to it and E two
+        # the NAPL spreads into a third column; clipped at the grid edge, the
+        # window C adds one column to it
         assert (out["sn"][:, 2] > 0).any() if cols == np.s_[:2] else (out["sn"][:, -3] > 0).any()
-        assert stepper.window_max == 5
+        assert stepper.window_max == 4
 
     def test_no_napl_and_no_source(self):
         stepper, reference = pair(homogeneous(self.g))
