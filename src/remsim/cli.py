@@ -14,7 +14,7 @@ from .pipeline import (
     EXIT_MISSING_CHECKPOINT,
     EXIT_OK,
     EXIT_SOLVER,
-    EXPORTERS,
+    EXPORT_FORMATS,
     AuditError,
     parse_stage_selection,
     run,
@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out", help="output directory (default: ./out)")
     p.add_argument("--seed", type=int, default=0, help="random-field seed (default: 0)")
     p.add_argument("--checkpoint", help="checkpoint directory (default: the output directory)")
-    p.add_argument("--export", choices=list(EXPORTERS), default="csv",
+    p.add_argument("--export", choices=EXPORT_FORMATS, default="csv",
                    help="snapshot format (default: csv)")
     return p
 

@@ -31,8 +31,9 @@ from .stages import (
 
 AUDIT_TOLERANCE = 5e-3
 
-# snapshot writers by format, which is also the file extension
-EXPORTERS = {"csv": write_csv, "vtk": write_vtk}
+# snapshot formats, each also the file extension; ``_export`` looks its
+# writer up by module name at call time, so a rebound writer is the one called
+EXPORT_FORMATS = ("csv", "vtk")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,8 +100,9 @@ def _audit_lines(stage: int, res: StageResult) -> list[str]:
 
 def _export(res: StageResult, out_dir: Path, grid, fmt: str) -> None:
     stage_dir = out_dir / f"stage{res.stage}"
+    writer = write_vtk if fmt == "vtk" else write_csv
     for t, fields in res.snapshots:
-        EXPORTERS[fmt](stage_dir / f"snapshot_t{t / DAY:09.3f}d.{fmt}", grid, fields)
+        writer(stage_dir / f"snapshot_t{t / DAY:09.3f}d.{fmt}", grid, fields)
     header = res.diagnostics.get("series_header")
     if header and res.series:
         write_series_csv(stage_dir / "series.csv", header, res.series)
@@ -122,10 +124,14 @@ def run(
     # numpy wraps a negative one and may round a larger one through float64
     if not 0 <= seed < 2**63:
         raise ConfigError(f"seed {seed} is outside [0, 2**63)")
-    if export is not None and export not in EXPORTERS:
-        raise ConfigError(f"export format {export!r} is not one of {', '.join(EXPORTERS)}")
+    if export is not None and export not in EXPORT_FORMATS:
+        raise ConfigError(f"export format {export!r} is not one of {', '.join(EXPORT_FORMATS)}")
     out_dir = Path(out_dir)
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir else out_dir
+    # an existing file is refused before either directory is made
+    for directory in (out_dir, ckpt_dir):
+        if directory.exists() and not directory.is_dir():
+            raise ConfigError(f"cannot make directory {directory}: it is a file")
     for directory in (out_dir, ckpt_dir):
         try:
             directory.mkdir(parents=True, exist_ok=True)

@@ -169,6 +169,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "Traceback" not in err
         assert not list(tmp_path.glob("**/stage1.ckpt"))
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1, 2**64])
     def test_seed_out_of_range_returns_2(self, cfg_file, tmp_path, capsys, seed):
