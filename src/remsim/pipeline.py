@@ -126,17 +126,15 @@ def run(
         raise ConfigError(f"seed {seed} is outside [0, 2**63)")
     if export is not None and export not in EXPORT_FORMATS:
         raise ConfigError(f"export format {export!r} is not one of {', '.join(EXPORT_FORMATS)}")
+    # an empty path would name the current directory
+    for name, directory in (("output", out_dir), ("checkpoint", checkpoint_dir)):
+        if directory == "":
+            raise ConfigError(f"the {name} directory is an empty path")
     out_dir = Path(out_dir)
-    ckpt_dir = Path(checkpoint_dir) if checkpoint_dir else out_dir
-    # an existing file is refused before either directory is made
+    ckpt_dir = out_dir if checkpoint_dir is None else Path(checkpoint_dir)
     for directory in (out_dir, ckpt_dir):
         if directory.exists() and not directory.is_dir():
             raise ConfigError(f"cannot make directory {directory}: it is a file")
-    for directory in (out_dir, ckpt_dir):
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-        except OSError as err:
-            raise ConfigError(f"cannot make directory {directory}: {err.strerror}") from err
 
     scn = Scenario.build(config, seed)
     if stages[0] == 1:
@@ -157,6 +155,13 @@ def run(
                 f"{path}: written by config {prev.config_hash} with seed {prev.seed}, "
                 f"not by this run's config {config.config_hash} with seed {seed}"
             )
+
+    # every refusal above comes before the first directory is made
+    for directory in (out_dir, ckpt_dir):
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot make directory {directory}: {err.strerror}") from err
 
     runners = {1: run_stage1, 2: run_stage2, 3: run_stage3, 4: run_stage4}
     results: dict[int, StageResult] = {}

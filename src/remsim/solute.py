@@ -97,7 +97,7 @@ class TransportKernel:
         """Advance by dt (sub-stepping internally), the wells injecting at the
         concentration ``c_in``.  Returns the new field and the net mass (kg
         per m of thickness) advected out of the domain."""
-        n_sub = max(1, int(np.ceil(dt / self.stable_dt))) if np.isfinite(self.stable_dt) else 1
+        n_sub = max(1, int(np.ceil(dt / self.stable_dt)))
         sub = dt / n_sub
         ny, nx = c.shape
         inject = [(j * nx + i, sub * rate * c_in / self.pv[j, i])
@@ -141,9 +141,3 @@ def dissolution_substep(c, sn, rho_n, solubility, transport: TransportCfg, dt, c
     c_flat[cells] = c_napl + dc
     sn_flat[cells] = sn_napl - dc / rho_n
     return c, sn
-
-
-def probe(c: np.ndarray, cell: tuple[int, int]) -> float:
-    """Concentration at a monitoring-well screen cell (i, j)."""
-    i, j = cell
-    return float(c[j, i])

@@ -40,8 +40,8 @@ from .checkpoint import StageCheckpoint
 from .flow import FactorCache, solve_pressure
 from .reaction import reactive_step
 from .scenario import Scenario
-from .solute import TransportKernel, dissolution_substep, probe
-from .twophase import ImpesStepper, hydrostatic_two_phase, rel_perm, source_zone_stats
+from .solute import TransportKernel, dissolution_substep
+from .twophase import ImpesStepper, hydrostatic_two_phase, water_mobility
 
 DAY = 86400.0
 
@@ -52,6 +52,8 @@ STAGE4_DT = 1.0 * DAY
 # fraction of the transport kernel's positivity bound each sub-step takes;
 # above 1 the explicit upwind update loses positivity
 TRANSPORT_CFL = 0.9
+# NAPL saturation counted as pooled in the source-zone statistics
+POOL_THRESHOLD = 0.3
 
 LEDGER_TERMS = ("initial", "injected", "dissolved", "exported", "degraded", "final")
 
@@ -147,14 +149,6 @@ def _march(duration: float, marks, dt_max: float, step):
         yield t
 
 
-def _water_mobility(sn, material):
-    """Water relative permeability at the water saturation ``1 - sn``, with
-    trapped NAPL (mobility scale)."""
-    se = np.clip((1.0 - sn - material.swr) / (1.0 - material.swr - material.snr), 0.0, 1.0)
-    krw, _ = rel_perm(se, material.bc_lambda)
-    return np.maximum(krw, 1e-6)
-
-
 def _aqueous_stage(scn: Scenario, stage: int, f: dict, ledger: dict, dt_max: float, operate,
                    sources=None, c_in={}):
     """The runner of stages 2-4: walks :func:`_march` over stage ``stage`` on
@@ -167,7 +161,7 @@ def _aqueous_stage(scn: Scenario, stage: int, f: dict, ledger: dict, dt_max: flo
     and exported, dissolves NAPL on the cells holding it, and calls
     ``operate(t, dt, flow, mu)``.  The march's end books final and dissolved."""
     cfg, g, cv = scn.config, scn.grid, scn.grid.cell_volume
-    mobility = _water_mobility(f["sn"], scn.material)
+    mobility = water_mobility(f["sn"], scn.material)
     cache = FactorCache()
     # the field state gets its own sn, which each step dissolves in place;
     # sn only falls, so the cells that still hold NAPL are found among napl
@@ -209,6 +203,35 @@ def _aqueous_stage(scn: Scenario, stage: int, f: dict, ledger: dict, dt_max: flo
 # Stage 1
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SourceZoneStats:
+    total_mass: float
+    upper_fraction: float
+    lower_fraction: float
+    pool_fraction: float
+    ganglia_fraction: float
+
+
+def source_zone_stats(f: dict, material, rho_n: float) -> SourceZoneStats:
+    """NAPL mass on the field state ``f``, weighed as :func:`_mass` weighs
+    ``sn`` and times ``rho_n``, with the fractions above and below
+    ``material``'s layer split and at or above :data:`POOL_THRESHOLD` (pools)
+    or under it (ganglia)."""
+    volume = f["theta_m"] * material.grid.cell_volume * f["sn"]
+    total = float(volume.sum())
+    if total == 0.0:
+        return SourceZoneStats(0.0, 0.0, 0.0, 0.0, 0.0)
+    upper = material.layer_mask(upper=True)
+    pool = f["sn"] >= POOL_THRESHOLD
+    return SourceZoneStats(
+        total_mass=total * rho_n,
+        upper_fraction=float(volume[upper].sum() / total),
+        lower_fraction=float(volume[~upper].sum() / total),
+        pool_fraction=float(volume[pool].sum() / total),
+        ganglia_fraction=float(volume[~pool].sum() / total),
+    )
+
+
 def run_stage1(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     cfg, g, m = scn.config, scn.grid, scn.material
     rho_n, cv = cfg.rho_n, g.cell_volume
@@ -227,14 +250,14 @@ def run_stage1(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     marks = set(cfg.snapshots[0])
     snapshots, series = [], []
     for t in _march(duration, marks | {cfg.infil_duration}, np.inf, step):
-        stats = source_zone_stats(f["sn"], m, rho_n)
+        stats = source_zone_stats(f, m, rho_n)
         series.append([t, stats.total_mass, stats.pool_fraction, stats.ganglia_fraction,
                        stats.upper_fraction, stats.lower_fraction])
         if t in marks:
             snapshots.append((t, {"sn": f["sn"], "sw": 1.0 - f["sn"]}))
 
     ledger["napl"].injected = stepper.injected_mass
-    ledger["napl"].final = _mass(f, f["sn"], cv) * rho_n
+    ledger["napl"].final = stats.total_mass
     diagnostics = {
         "source_zone": stats,
         "pressure": stepper.cache.stats(),
@@ -275,7 +298,7 @@ def run_stage2(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
             inflow = float(np.maximum(flow.qx[:, 0], 0.0).sum()) * g.dy
         napl_mass = float((pore_volume * f["sn"]).sum()) * rho_n
         series.append([t + dt, napl_mass, napl_mass / max(napl0, 1e-300)]
-                      + [probe(f["c_tce"], cell) for cell in mon.values()])
+                      + [float(f["c_tce"][j, i]) for i, j in mon.values()])
 
     for t, cache in _aqueous_stage(scn, 2, f, ledger, STAGE2_DT, operate):
         if t in marks:
@@ -376,7 +399,7 @@ def run_stage4(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         f["c_tce"], rho_m = reactive_step(pre, rho_m, cfg.reaction, dt)
         ledger["tce"].degraded += _mass(f, pre - f["c_tce"], cv)
         iron_frac = _mass(f, rho_m, cv) / max(iron0, 1e-300)
-        series.append([t + dt, iron_frac] + [probe(f["c_tce"], cell) for cell in mon.values()])
+        series.append([t + dt, iron_frac] + [float(f["c_tce"][j, i]) for i, j in mon.values()])
 
     for t, cache in _aqueous_stage(scn, 4, f, ledger, STAGE4_DT, operate):
         if t in marks:

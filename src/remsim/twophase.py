@@ -22,8 +22,6 @@ the release source that each sub-step is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import RunConfig
@@ -50,14 +48,21 @@ def rel_perm(se, lam):
     return krw, krn
 
 
+def water_mobility(sn, material):
+    """Water relative permeability at the water saturation ``1 - sn``, with
+    trapped NAPL (mobility scale): the ``krw`` of :meth:`ImpesStepper.closures`
+    floored at 1e-6, the water mobility of the stage 2-4 flow."""
+    se = np.clip((1.0 - sn - material.swr) / (1.0 - material.swr - material.snr), 0.0, 1.0)
+    krw, _ = rel_perm(se, material.bc_lambda)
+    return np.maximum(krw, 1e-6)
+
+
 # target largest NAPL saturation change per sub-step (the advection bound)
 MAX_DS = 0.1
 # safety factor of the inflow and capillary bounds
 TWO_PHASE_CFL = 0.5
 # least effective saturation the capillary pressure sees
 SE_CLAMP = 0.01
-# NAPL saturation counted as pooled in the source-zone statistics
-POOL_THRESHOLD = 0.3
 # a sub-step snaps saturation excursions past [0, 1] up to 10 * SAT_TOL back
 SAT_TOL = 1e-9
 
@@ -292,35 +297,3 @@ class ImpesStepper:
         np.clip(changed, 0.0, 1.0, out=changed)
         f["sn"], f["pw"] = sn_new, pw
         return dt
-
-
-# ---------------------------------------------------------------------------
-# Source-zone statistics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SourceZoneStats:
-    total_mass: float
-    upper_fraction: float
-    lower_fraction: float
-    pool_fraction: float
-    ganglia_fraction: float
-
-
-def source_zone_stats(sn: np.ndarray, material: MaterialMap, rho_n: float) -> SourceZoneStats:
-    """NAPL mass on ``material``'s grid, with the fractions above and below
-    the layer split and at or above ``POOL_THRESHOLD`` (pools) or under it
-    (ganglia)."""
-    mass = material.porosity * sn * material.grid.cell_volume * rho_n
-    total = float(mass.sum())
-    if total == 0.0:
-        return SourceZoneStats(0.0, 0.0, 0.0, 0.0, 0.0)
-    upper = material.layer_mask(upper=True)
-    pool = sn >= POOL_THRESHOLD
-    return SourceZoneStats(
-        total_mass=total,
-        upper_fraction=float(mass[upper].sum() / total),
-        lower_fraction=float(mass[~upper].sum() / total),
-        pool_fraction=float(mass[pool].sum() / total),
-        ganglia_fraction=float(mass[~pool].sum() / total),
-    )

@@ -35,13 +35,8 @@ from remsim.pipeline import run as pipeline_run
 from remsim.reaction import reactive_step
 from remsim.scenario import Scenario
 from remsim.solute import TransportKernel
-from remsim.stages import _mass, run_stage4
-from remsim.twophase import (
-    POOL_THRESHOLD,
-    ImpesStepper,
-    capillary_pressure,
-    hydrostatic_two_phase,
-)
+from remsim.stages import POOL_THRESHOLD, _mass, run_stage4
+from remsim.twophase import ImpesStepper, capillary_pressure, hydrostatic_two_phase
 
 DAY = 86400.0
 

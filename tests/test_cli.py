@@ -150,8 +150,13 @@ class TestExitCodes:
         assert (tmp_path / "stage2.ckpt").exists() and not (tmp_path / "stage3.ckpt").exists()
 
     @pytest.mark.parametrize("case", ["config_missing", "config_empty", "config_directory",
-                                      "config_not_utf8", "out_is_file", "checkpoint_is_file"])
-    def test_unusable_path_returns_2(self, cfg_file, tmp_path, capsys, case):
+                                      "config_not_utf8", "out_is_file", "checkpoint_is_file",
+                                      "out_empty", "checkpoint_empty"])
+    def test_unusable_path_returns_2(self, cfg_file, tmp_path, capsys, monkeypatch, case):
+        # run from an empty working directory, which an empty path would name
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
         args = {"--config": str(cfg_file), "--stage": "1", "--out": str(tmp_path / "out")}
         if case == "config_missing":
             args["--config"] = str(tmp_path / "absent.cfg")
@@ -162,14 +167,37 @@ class TestExitCodes:
         elif case == "config_not_utf8":
             (tmp_path / "latin1.cfg").write_bytes(fast_config_text().encode() + b"# caf\xe9\n")
             args["--config"] = str(tmp_path / "latin1.cfg")
-        else:
+        elif case.endswith("_is_file"):
             (tmp_path / "taken").write_text("")
             args["--out" if case == "out_is_file" else "--checkpoint"] = str(tmp_path / "taken")
+        else:
+            args["--out" if case == "out_empty" else "--checkpoint"] = ""
         assert main([word for pair in args.items() for word in pair]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "Traceback" not in err
         assert not list(tmp_path.glob("**/stage1.ckpt"))
         assert not (tmp_path / "out").exists()
+        assert not list(cwd.iterdir())
+
+    @pytest.mark.parametrize("case, code", [("uneven_grid", 2), ("screen_outside", 2),
+                                            ("missing_prerequisite", 3)],
+                             ids=["uneven_grid", "screen_outside", "missing_prerequisite"])
+    def test_refusal_makes_no_directory(self, tmp_path, capsys, case, code):
+        # the scenario and the prerequisite checkpoint are checked before
+        # --out is made
+        text, stage = fast_config_text(), "1"
+        if case == "uneven_grid":
+            text = set_key(text, "grid", "dx", "0.6 m")
+        elif case == "screen_outside":
+            text = set_key(text, "well.injection", "screen_length", "20 m")
+        else:
+            stage = "2"
+        (tmp_path / "run.cfg").write_text(text)
+        out = tmp_path / "new"
+        assert main(["--config", str(tmp_path / "run.cfg"), "--stage", stage,
+                     "--out", str(out)]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1, 2**64])
     def test_seed_out_of_range_returns_2(self, cfg_file, tmp_path, capsys, seed):

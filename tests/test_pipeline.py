@@ -1,3 +1,4 @@
+import csv
 import shutil
 
 import numpy as np
@@ -15,6 +16,7 @@ from remsim.pipeline import (
     parse_stage_selection,
     run,
 )
+from remsim.scenario import Scenario
 
 
 def fast_config_text() -> str:
@@ -168,6 +170,22 @@ class TestRun:
         a = read_checkpoint(checkpoint_path(tmp_path / "a", 1))
         b = read_checkpoint(checkpoint_path(tmp_path / "b", 1))
         assert not np.array_equal(a.fields["k"], b.fields["k"])
+
+    def test_monitoring_columns_read_the_well_cell(self, tmp_path):
+        # a second well inside the plume, at cell (14, 9), where c_tce changes
+        # from row to row; the transposed index c[14, 9] lies off the 12 rows
+        cfg = RunConfig.from_text(fast_config_text() + "\n[well.near]\nx = 14.5 m\n"
+                                  "depth = 2.5 m\nscreen_length = 0.02 m\n")
+        cells = Scenario.build(cfg, 0).monitor_cells
+        assert cells["near"] == (14, 9)
+        run(cfg, [1, 2, 3, 4], tmp_path)
+        for stage in (2, 4):
+            with open(tmp_path / f"stage{stage}" / "series.csv", newline="") as fh:
+                last = list(csv.DictReader(fh))[-1]
+            c = read_checkpoint(checkpoint_path(tmp_path, stage)).fields["c_tce"]
+            assert 0 < c[8, 14] < c[9, 14] < c[10, 14]
+            for name, (i, j) in cells.items():
+                assert last[name] == "%.10g" % c[j, i], (stage, name)
 
 
 def test_exit_codes_are_distinct():

@@ -12,7 +12,7 @@ import remsim
 from remsim.config import TransportCfg
 from remsim.flow import FlowField, SolverError, scatter_faces
 from remsim.grid import build_grid
-from remsim.solute import TransportKernel, dissolution_substep, probe
+from remsim.solute import TransportKernel, dissolution_substep
 
 CS = 1.27  # solubility (kg/m^3)
 
@@ -185,6 +185,17 @@ class TestKernel:
         c[5, 5] = 1.0
         with pytest.raises(SolverError, match=r"^negative concentration -2\.000e\+00$"):
             kernel.step(c, kernel.stable_dt)
+
+    def test_nothing_moving_takes_one_substep(self):
+        # no flow, no dispersion and no diffusion: nothing bounds a sub-step,
+        # so dt / stable_dt is 0 and a step is one sub-step of the whole dt
+        g = build_grid((2.0, 1.0), (0.5, 0.5))
+        kernel = TransportKernel(g, np.ones((g.ny, g.nx)), uniform_flow(g), transport(), 0.9)
+        assert kernel.stable_dt == np.inf
+        c = np.arange(8.0).reshape(g.ny, g.nx)
+        c1, exported = kernel.step(c, 86400.0)
+        assert kernel._sub == 86400.0
+        assert c1.tobytes() == c.tobytes() and exported == 0.0
 
     def test_pure_diffusion_conserves_mass(self):
         g = build_grid((10.0, 10.0), (0.5, 0.5))
@@ -372,8 +383,3 @@ class TestDissolution:
         c1, sn1 = dissolve([[1.27]], [[0.3]], p, 1e5)
         assert c1[0, 0] == pytest.approx(1.27, rel=1e-14)
         assert sn1[0, 0] == pytest.approx(0.3, rel=1e-14)
-
-
-def test_probe_reads_cell():
-    c = np.arange(12.0).reshape(3, 4)
-    assert probe(c, (2, 1)) == 6.0

@@ -221,7 +221,7 @@ class TestBudgets:
         # stage 2's flow, solved again from the stage-1 checkpoint
         scn = Scenario.build(RunConfig.from_text(fast_config_text()), 0)
         f, cfg = fast_run.results[1].checkpoint.fields, scn.config
-        mobility = stages._water_mobility(f["sn"], scn.material)
+        mobility = twophase.water_mobility(f["sn"], scn.material)
         qx = solve_pressure(scn.grid, f["k"], np.full_like(f["k"], cfg.mu_w), mobility,
                             cfg.head_left, cfg.head_right, rho=cfg.rho_w, g=cfg.gravity).qx
         res = fast_run.results[2]

@@ -5,7 +5,7 @@ from remsim.config import LithologyCfg, RunConfig
 from remsim.flow import FACES, FactorCache, SolverError, _harmonic, lateral_heads, scatter_faces
 from remsim.grid import MaterialMap, build_grid
 from remsim.scenario import Scenario
-from remsim.stages import _chunks, _mass
+from remsim.stages import _chunks, _mass, initial_checkpoint, run_stage1, source_zone_stats
 from remsim.twophase import (
     LIMITS,
     MAX_DS,
@@ -17,7 +17,7 @@ from remsim.twophase import (
     hydrostatic_two_phase,
     interface_block_mask,
     rel_perm,
-    source_zone_stats,
+    water_mobility,
 )
 from tests.test_pipeline import fast_config_text
 from tests.test_stages import every_limit_config_text
@@ -212,6 +212,16 @@ class TestClosures:
         assert (krw0, krn0) == (0.0, 1.0)
         assert (krw1, krn1) == (1.0, 0.0)
 
+    def test_water_mobility_is_the_closures_krw(self):
+        # the water mobility of stages 2-4 is the krw of stage 1's closures,
+        # floored at 1e-6, on the state stage 1 hands on
+        scn = Scenario.build(RunConfig.from_text(fast_config_text()), 0)
+        f = run_stage1(scn, initial_checkpoint(scn)).checkpoint.fields
+        _, _, krw, _ = ImpesStepper(scn.material, scn.config).closures(f, slice(0, scn.grid.nx))
+        mobility = water_mobility(f["sn"], scn.material)
+        assert (mobility < 1.0).any()
+        assert mobility.tobytes() == np.maximum(krw, 1e-6).tobytes()
+
 
 class TestInterfaceRule:
     def test_blocked_into_finer(self):
@@ -368,7 +378,7 @@ class TestSourceZoneStats:
     def test_empty_field(self):
         g = build_grid((1.0, 1.0), (0.5, 0.5))
         m = homogeneous(g)
-        s = source_zone_stats(np.zeros((g.ny, g.nx)), m, 1470.0)
+        s = source_zone_stats({"sn": np.zeros((g.ny, g.nx)), "theta_m": m.porosity}, m, 1470.0)
         assert s.total_mass == 0.0
 
     def test_fractions_sum_to_one(self):
@@ -376,7 +386,7 @@ class TestSourceZoneStats:
         m = homogeneous(g)
         rng = np.random.default_rng(0)
         sn = rng.uniform(0.0, 0.6, (g.ny, g.nx))
-        s = source_zone_stats(sn, m, 1470.0)
+        s = source_zone_stats({"sn": sn, "theta_m": m.porosity}, m, 1470.0)
         assert s.pool_fraction + s.ganglia_fraction == pytest.approx(1.0, rel=1e-12)
         assert s.upper_fraction + s.lower_fraction == pytest.approx(1.0, rel=1e-12)
 
@@ -384,7 +394,7 @@ class TestSourceZoneStats:
         g = build_grid((1.0, 1.0), (0.5, 0.5))
         m = homogeneous(g)
         sn = np.array([[0.5, 0.0], [0.0, 0.1]])
-        s = source_zone_stats(sn, m, 1470.0)
+        s = source_zone_stats({"sn": sn, "theta_m": m.porosity}, m, 1470.0)
         assert s.pool_fraction == pytest.approx(0.5 / 0.6, rel=1e-12)
 
 
