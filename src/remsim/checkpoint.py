@@ -5,6 +5,8 @@ then the concatenated field arrays as little-endian float64 in manifest
 order.  Reload followed by re-save is byte-identical, which is what the
 determinism contract of the pipeline is tested against.  Writes go through a
 temporary file and ``os.replace``, so no reader ever sees a partial file.
+:func:`read_checkpoint` makes every check of a file's contents; it range-checks
+only ``k`` and ``theta_m``, as the stages leave rounding-level negatives in ``sn``.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def _parse_manifest(data: bytes, path) -> tuple[dict, int]:
 def read_checkpoint(path) -> StageCheckpoint:
     """Read the file once and check it: the manifest keys, a finite clock, the
     fields of :data:`FIELD_NAMES` in order, each of ``nx * ny`` values, the
-    payload length and finite values."""
+    payload length, finite values, a positive ``k`` and a ``theta_m`` in (0, 1]."""
     try:
         data = Path(path).read_bytes()
     except OSError as err:
@@ -143,6 +145,11 @@ def read_checkpoint(path) -> StageCheckpoint:
     if not finite.all():
         bad = [name for name, ok in zip(FIELD_NAMES, finite) if not ok]
         raise CheckpointError(f"{path}: non-finite values in {', '.join(bad)}")
+    fields = dict(zip(FIELD_NAMES, block))
+    if not (fields["k"] > 0).all():
+        raise CheckpointError(f"{path}: non-positive values in k")
+    if not ((fields["theta_m"] > 0) & (fields["theta_m"] <= 1)).all():
+        raise CheckpointError(f"{path}: values of theta_m outside (0, 1]")
     return StageCheckpoint(
         stage=manifest["stage"],
         clock=clock,
@@ -151,5 +158,5 @@ def read_checkpoint(path) -> StageCheckpoint:
         seed=manifest["seed"],
         config_hash=manifest["config_hash"],
         # one array per field, so a field the stage replaces frees its memory
-        fields={name: values.copy() for name, values in zip(FIELD_NAMES, block)},
+        fields={name: values.copy() for name, values in fields.items()},
     )

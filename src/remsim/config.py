@@ -281,5 +281,7 @@ class RunConfig:
             if not (0 <= x0 < x1 <= self.width and 0 <= y0 < y1 <= self.height):
                 raise ConfigError(f"lens ({x0},{y0})-({x1},{y1}) outside domain")
         for name, w in {"injection": self.injection, **self.monitors}.items():
-            if not 0 <= w.x <= self.width or not 0 < w.depth < self.height:
-                raise ConfigError(f"well {name} outside domain")
+            top, bottom = w.depth - w.screen_length / 2, w.depth + w.screen_length / 2
+            if not (0 <= w.x <= self.width and 0 <= top and bottom <= self.height):
+                raise ConfigError(f"[well.{name}] x = {w.x} m or the screen, {top} to {bottom} m "
+                                  f"deep, lies outside the {self.width} x {self.height} m domain")

@@ -36,7 +36,7 @@ def write_csv(path, grid, fields: dict[str, np.ndarray]) -> None:
     """One row per cell: x, y, then one column per field (row-major,
     bottom row first, matching the array layout)."""
     xy = _xy_text(grid)
-    table = np.column_stack([np.asarray(f).ravel() for f in fields.values()])
+    table = np.column_stack([f.ravel() for f in fields.values()])
     if len(table) != len(xy):
         raise ValueError(f"fields of {len(table)} cells on a grid of {len(xy)}")
     row_format = _row_format(len(fields))
@@ -59,7 +59,6 @@ def write_vtk(path, grid, fields: dict[str, np.ndarray]) -> None:
         f"POINT_DATA {grid.nx * grid.ny}",
     ]
     for name, arr in fields.items():
-        arr = np.asarray(arr)
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
         # one %-format per row: the same text as f"{v:.10g}" per value, faster

@@ -352,9 +352,6 @@ def solve_pressure(
     the same sequence (see :class:`FactorCache`).
     """
     nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
-    if np.any(k_field <= 0) or np.any(mu_field <= 0):
-        raise ValueError("permeability and viscosity must be positive everywhere")
-
     lam = k_field / mu_field * mobility_scale
     yc = grid.yc
     lam_fx = _harmonic(lam[:, :-1], lam[:, 1:])

@@ -2,9 +2,9 @@
 
 Cell arrays are shaped ``(ny, nx)`` with row 0 at the domain bottom and the
 domain's lower-left corner at (0, 0); the flat index of cell (i, j) is
-``j*nx + i``.  All geometry is immutable after construction.  Lithologies
-and wells are described by the config's own records
-(:class:`~remsim.config.LithologyCfg`, :class:`~remsim.config.WellCfg`).
+``j*nx + i``.  Lithologies and wells are the config's own records, checked
+when the config is read; this module checks only what needs the cells: an
+even division (:func:`build_grid`) and a strip covering a column (:func:`strip_columns`).
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ def build_grid(domain_extent: tuple[float, float], resolution: tuple[float, floa
     """Uniform cell-centered grid covering ``domain_extent`` = (width, height)."""
     width, height = domain_extent
     dx, dy = resolution
-    if dx <= 0 or dy <= 0 or width <= 0 or height <= 0:
-        raise ConfigError("grid extents and resolution must be positive")
     nx = int(round(width / dx))
     ny = int(round(height / dy))
     if abs(nx * dx - width) > 1e-9 * width or abs(ny * dy - height) > 1e-9 * height:
@@ -81,7 +79,7 @@ class MaterialMap:
     entry_pressure: np.ndarray = field(init=False)
     bc_lambda: np.ndarray = field(init=False)
     k: np.ndarray = field(init=False)  # heterogeneous permeability (m^2)
-    split_elevation: float = 6.0
+    split_elevation: float             # upper/lower layer boundary (m)
 
     def __post_init__(self) -> None:
         shape = self.lithology.shape
@@ -126,13 +124,9 @@ def assign_lithology(grid: Grid, cfg: RunConfig) -> MaterialMap:
 
 def locate_well_cells(grid: Grid, well: WellCfg) -> list[tuple[int, int]]:
     """(i, j) cells covered by the screen; single containing cell for short screens."""
-    if not (0 <= well.x <= grid.width):
-        raise ConfigError("well outside domain")
     y_center = grid.height - well.depth
     y_lo = y_center - 0.5 * well.screen_length
     y_hi = y_center + 0.5 * well.screen_length
-    if y_lo < 0 or y_hi > grid.height:
-        raise ConfigError("well screen outside domain")
     i = min(int(well.x / grid.dx), grid.nx - 1)
     yc = grid.yc
     rows = [j for j in range(grid.ny) if y_lo <= yc[j] <= y_hi]

@@ -21,8 +21,6 @@ _KB = 1.380649e-23  # Boltzmann constant (J/K)
 def collector_diameter(k: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Equivalent grain diameter from inverting Kozeny-Carman,
     dc = sqrt(180 k (1-theta)^2 / theta^3)."""
-    k = np.asarray(k, dtype=float)
-    theta = np.asarray(theta, dtype=float)
     return np.sqrt(180.0 * k * (1.0 - theta) ** 2 / theta**3)
 
 
@@ -37,9 +35,7 @@ def single_collector_efficiency(
     clamped to (0, 1]; stagnant cells get the diffusion-dominated limit via
     a velocity floor.
     """
-    dc = np.asarray(dc, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    u = np.maximum(np.asarray(velocity, dtype=float), 1e-30)
+    u = np.maximum(velocity, 1e-30)
     dp = nzvi.particle_diameter
 
     gam = (1.0 - theta) ** (1.0 / 3.0)
@@ -60,7 +56,7 @@ def single_collector_efficiency(
 
 def deposition_rate(theta, v_pore, alpha, eta0, dc):
     """k_att = 3 (1 - theta) v alpha eta0 / (2 dc), v the pore velocity (1/s)."""
-    return 1.5 * (1.0 - np.asarray(theta)) * v_pore * alpha * eta0 / dc
+    return 1.5 * (1.0 - theta) * v_pore * alpha * eta0 / dc
 
 
 def attachment_rate(dc, theta, velocity, mu, nzvi: NzviCfg, rho_w: float, g: float) -> np.ndarray:
@@ -69,10 +65,8 @@ def attachment_rate(dc, theta, velocity, mu, nzvi: NzviCfg, rho_w: float, g: flo
     ``velocity`` is the Darcy velocity magnitude; the collector efficiency
     uses it as the approach velocity while the rate uses the pore velocity.
     """
-    theta = np.asarray(theta, dtype=float)
-    u = np.asarray(velocity, dtype=float)
-    eta0 = single_collector_efficiency(dc, theta, u, mu, nzvi, rho_w, g)
-    return deposition_rate(theta, u / theta, nzvi.attachment_efficiency, eta0, dc)
+    eta0 = single_collector_efficiency(dc, theta, velocity, mu, nzvi, rho_w, g)
+    return deposition_rate(theta, velocity / theta, nzvi.attachment_efficiency, eta0, dc)
 
 
 def deposit_step(c, s_bulk, katt, theta, dt):
@@ -105,7 +99,7 @@ def cmc_viscosity(c_cmc, cmc: CmcCfg, mu_w: float) -> np.ndarray:
     """Log-linear mixing between water (viscosity ``mu_w``) and the injected
     CMC solution, written ``mu_w * (mu_s / mu_w) ** x`` at the CMC fraction x:
     clean water gets ``mu_w`` exactly."""
-    x = np.clip(np.asarray(c_cmc, dtype=float) / cmc.concentration, 0.0, 1.0)
+    x = np.clip(c_cmc / cmc.concentration, 0.0, 1.0)
     return mu_w * (cmc.solution_viscosity / mu_w) ** x
 
 
@@ -116,7 +110,7 @@ ROI_THRESHOLD = 0.01
 def radius_of_influence(s_bulk, grid, screen: tuple[float, float]) -> float:
     """Max Euclidean distance from the screen center where the deposit
     reaches :data:`ROI_THRESHOLD`, or 0 where none does."""
-    mask = np.asarray(s_bulk) >= ROI_THRESHOLD
+    mask = s_bulk >= ROI_THRESHOLD
     if not mask.any():
         return 0.0
     xv, yv = grid.cell_centers()

@@ -55,12 +55,9 @@ def parse_stage_selection(text: str) -> list[int]:
     if text == "all":
         return [1, 2, 3, 4]
     try:
-        stage = int(text)
+        return [int(text)]
     except ValueError as err:
         raise ConfigError(f"invalid stage selection {text!r}") from err
-    if stage not in (1, 2, 3, 4):
-        raise ConfigError("stage must be 1, 2, 3, 4 or all")
-    return [stage]
 
 
 def checkpoint_path(directory, stage: int) -> Path:

@@ -35,14 +35,12 @@ from .grid import MaterialMap
 
 def capillary_pressure(se, pd, lam):
     """Brooks-Corey pc = pd * Se^(-1/lambda); pd = 0 disables capillarity."""
-    se = np.asarray(se, dtype=float)
-    return pd * se ** (-1.0 / np.asarray(lam, dtype=float))
+    return pd * se ** (-1.0 / lam)
 
 
 def rel_perm(se, lam):
     """Brooks-Corey-Burdine relative permeabilities (krw, krn) on Se in [0,1]."""
-    se = np.clip(np.asarray(se, dtype=float), 0.0, 1.0)
-    lam = np.asarray(lam, dtype=float)
+    se = np.clip(se, 0.0, 1.0)
     krw = se ** ((2.0 + 3.0 * lam) / lam)
     krn = (1.0 - se) ** 2 * (1.0 - se ** ((2.0 + lam) / lam))
     return krw, krn

@@ -240,7 +240,7 @@ def _gravity_column(dy: float):
     lith = np.zeros((g.ny, g.nx), dtype=int)
     props = LithologyCfg(permeability=1e-12, porosity=0.4, swr=0.08, snr=0.08,
                          entry_pressure=1300.0, bc_lambda=2.0)
-    m = MaterialMap(grid=g, lithology=lith, props={0: props})
+    m = MaterialMap(grid=g, lithology=lith, props={0: props}, split_elevation=6.0)
     cfg = RunConfig.default()
     st = hydrostatic_two_phase(g, cfg)
     _, yv = g.cell_centers()

@@ -35,11 +35,31 @@ class TestRoundTrip:
         assert path2.read_bytes() == first
 
     def test_missing_fields_default_to_zero(self, tmp_path):
-        ck = StageCheckpoint(stage=2, clock=0.0, nx=3, ny=2, seed=0, config_hash="x")
+        # the reader refuses a zero k or theta_m, so those two are given
+        given = {"k": np.full((2, 3), 1e-12), "theta_m": np.full((2, 3), 0.35)}
+        ck = StageCheckpoint(stage=2, clock=0.0, nx=3, ny=2, seed=0, config_hash="x",
+                             fields=dict(given))
         assert (ck.fields["c_tce"] == 0.0).all()
         path = tmp_path / "s2.ckpt"
         write_checkpoint(ck, path)
-        assert (read_checkpoint(path).fields["s_bulk"] == 0.0).all()
+        back = read_checkpoint(path).fields
+        for name in FIELD_NAMES:
+            expected = given.get(name, np.zeros((2, 3)))
+            np.testing.assert_array_equal(back[name], expected)
+
+    def test_values_the_stages_write_read_back(self, tmp_path):
+        # the stages leave rounding-level negatives in sn and the
+        # concentrations, which the reader does not range-check; a theta_m
+        # of 1 is the top of its range
+        ck = make_ckpt()
+        ck.fields["sn"][1, 2] = -5.4e-20
+        ck.fields["c_tce"][3, 0] = -1e-13
+        ck.fields["theta_m"][0, 4] = 1.0
+        path = tmp_path / "s2.ckpt"
+        write_checkpoint(ck, path)
+        back = read_checkpoint(path)
+        for name in FIELD_NAMES:
+            assert back.fields[name].tobytes() == ck.fields[name].tobytes()
 
 
 class TestErrors:

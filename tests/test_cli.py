@@ -196,7 +196,10 @@ class TestExitCodes:
         out = tmp_path / "new"
         assert main(["--config", str(tmp_path / "run.cfg"), "--stage", stage,
                      "--out", str(out)]) == code
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if case == "screen_outside":
+            assert "[well.injection]" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1, 2**64])
@@ -223,8 +226,12 @@ class TestExitCodes:
                                            "tolerance: stage 1/napl\n")
         assert "  napl     closure error nan  [FAIL]" in (tmp_path / "audit_report.txt").read_text()
 
-    def test_unreadable_stage_returns_2(self, cfg_file, tmp_path):
-        assert main(["--config", str(cfg_file), "--stage", "nine", "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("stage", ["nine", "0", "5"])
+    def test_unreadable_stage_returns_2(self, cfg_file, tmp_path, capsys, stage):
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_file), "--stage", stage, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
 
     def test_missing_checkpoint_returns_3(self, cfg_file, tmp_path):
         code = main(["--config", str(cfg_file), "--stage", "4", "--out", str(tmp_path)])
@@ -252,18 +259,25 @@ class TestExitCodes:
         assert "checkpoint error" in capsys.readouterr().err
         assert not (tmp_path / "stage2.ckpt").exists()
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, "directory"],
-                             ids=["nan", "inf", "directory"])
-    def test_unusable_checkpoint_returns_3(self, cfg_file, stage3_ckpt, tmp_path, capsys, value):
+    @pytest.mark.parametrize("name, value, problem", [
+        ("c_tce", np.nan, "non-finite values in c_tce"),
+        ("c_tce", np.inf, "non-finite values in c_tce"),
+        (None, "directory", "cannot be read: Is a directory"),
+        ("k", 0.0, "non-positive values in k"),
+        ("k", -1e-12, "non-positive values in k"),
+        ("theta_m", 0.0, "values of theta_m outside (0, 1]"),
+        ("theta_m", 1.5, "values of theta_m outside (0, 1]"),
+    ], ids=["nan", "inf", "directory", "k_zero", "k_negative", "theta_zero", "theta_above_one"])
+    def test_unusable_checkpoint_returns_3(self, cfg_file, stage3_ckpt, tmp_path, capsys,
+                                           name, value, problem):
         path = tmp_path / "stage3.ckpt"
         if value == "directory":
             path.mkdir()
-            message = f"{path}: cannot be read: Is a directory"
         else:
             ckpt = read_checkpoint(stage3_ckpt)
-            ckpt.fields["c_tce"][2, 10] = value
+            ckpt.fields[name][2, 10] = value
             write_checkpoint(ckpt, path)
-            message = f"{path}: non-finite values in c_tce"
+        message = f"{path}: {problem}"
         code = main(["--config", str(cfg_file), "--stage", "4", "--out", str(tmp_path)])
         assert code == 3
         assert capsys.readouterr().err == f"checkpoint error: {message}\n"

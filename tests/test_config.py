@@ -128,6 +128,12 @@ BAD_VALUES = {
     "infiltration_flux<0": ("infiltration", "flux", "-0.001 kg/m^2/s"),
     "infiltration_duration<0": ("infiltration", "duration", "-5 day"),
     "infiltration_width=0": ("infiltration", "width", "0 m"),
+    "dx=0": ("grid", "dx", "0 m"),
+    "height=0": ("domain", "height", "0 m"),
+    "well_x>width": ("well.injection", "x", "40 m"),
+    # the 0.02 m screen reaches 5 mm above the top, or below the 12 m bottom
+    "screen_above_top": ("well.injection", "depth", "0.005 m"),
+    "screen_below_bottom": ("well.monitoring", "depth", "11.995 m"),
 }
 
 DEFAULT_TEXT = RunConfig.default().source_text

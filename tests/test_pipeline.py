@@ -65,9 +65,12 @@ class TestStageSelection:
         with pytest.raises(ConfigError):
             parse_stage_selection("first")
 
-    def test_out_of_range(self):
+    def test_out_of_range(self, fast_cfg, tmp_path):
+        # the text parses; the run refuses the stage
+        assert parse_stage_selection("5") == [5]
         with pytest.raises(ConfigError):
-            parse_stage_selection("5")
+            run(fast_cfg, [5], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_noncontiguous_rejected(self, fast_cfg, tmp_path):
         with pytest.raises(ConfigError):

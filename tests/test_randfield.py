@@ -107,7 +107,7 @@ def test_matches_per_layer_reference_bitwise(extent):
     props = {UPPER_SAND: LithologyCfg(2e-11, 0.35, 0.08, 0.08, 1300.0, 2.0),
              LOWER_SAND: LithologyCfg(5e-12, 0.3, 0.08, 0.08, 1900.0, 2.0),
              CLAY: LithologyCfg(5e-14, 0.25, 0.189, 0.04, 3.2e4, 2.0)}
-    m = MaterialMap(grid=g, lithology=lith, props=props)
+    m = MaterialMap(grid=g, lithology=lith, props=props, split_elevation=6.0)
     for seed in (0, 9):
         k = generate_log_normal_field(g, m, 0.3, 0.7, seed)
         assert k.tobytes() == reference_field(g, m, 0.3, 0.7, seed).tobytes()

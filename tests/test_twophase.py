@@ -168,7 +168,8 @@ def homogeneous(grid, **over):
     )
     props.update(over)
     lith = np.zeros((grid.ny, grid.nx), dtype=int)
-    return MaterialMap(grid=grid, lithology=lith, props={0: LithologyCfg(**props)})
+    return MaterialMap(grid=grid, lithology=lith, props={0: LithologyCfg(**props)},
+                       split_elevation=grid.height / 2)
 
 
 def one_cell_closures(sn):
@@ -365,7 +366,7 @@ class TestStepping:
         lith[:10, :] = 2
         sand = LithologyCfg(1e-12, 0.4, 0.08, 0.08, 500.0, 2.0)
         clay = LithologyCfg(5e-14, 0.25, 0.189, 0.04, 1e9, 2.0)
-        m = MaterialMap(grid=g, lithology=lith, props={0: sand, 2: clay})
+        m = MaterialMap(grid=g, lithology=lith, props={0: sand, 2: clay}, split_elevation=2.0)
         st = hydrostatic_two_phase(g, CONFIG)
         st["sn"][-4:, :] = 0.5
         stepper = ImpesStepper(m, CONFIG)
@@ -477,7 +478,8 @@ class TestWindow:
         lith[:, 7:] = 1
         sand = LithologyCfg(1e-11, 0.4, 0.08, 0.08, 500.0, 2.0)
         fine = LithologyCfg(1e-12, 0.35, 0.1, 0.05, 5000.0, 2.0)
-        m = MaterialMap(grid=self.g, lithology=lith, props={0: sand, 1: fine})
+        m = MaterialMap(grid=self.g, lithology=lith, props={0: sand, 1: fine},
+                        split_elevation=self.g.height / 2)
         stepper, reference = pair(m)
         out, substeps = lockstep(self.slug(np.s_[5:7], sn=0.3), stepper, reference,
                                  [(None, 86400.0)])
