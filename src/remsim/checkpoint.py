@@ -54,6 +54,10 @@ class StageCheckpoint:
     fields: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # every other field defaults to zeros; a zero k or theta_m is refused
+        missing = [name for name in ("k", "theta_m") if name not in self.fields]
+        if missing:
+            raise ValueError(f"checkpoint fields {', '.join(missing)} are required")
         for name in FIELD_NAMES:
             self.fields.setdefault(name, np.zeros((self.ny, self.nx)))
 

@@ -20,8 +20,9 @@ All four also share one field state: a copy of the incoming checkpoint's
 hands on to the outgoing checkpoint.  The state holds each quantity once:
 the NAPL saturation ``sn``, whose complement is the water saturation, and
 the bulk iron deposit ``s_bulk``, which stage 4 reacts as the iron per unit
-pore volume ``s_bulk / theta_m``.  No stage reads the checkpoint's ``sw``;
-:func:`_make_checkpoint` writes it as ``1 - sn`` for readers of the file.
+pore volume ``s_bulk / theta_m``.  Only :func:`_make_checkpoint` forms the
+checkpoint's ``sw``, as ``1 - sn``, for readers of the file: no stage reads
+it and no snapshot holds it.
 
 Every stage keeps a :class:`Ledger` for each species it moves: initial,
 injected, dissolved, exported, degraded and final mass, each weighed by
@@ -245,7 +246,11 @@ def run_stage1(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
     def step(t, dt):
         # the release end is a mark, so no sub-step straddles it; t snaps to
         # each chunk stop, as in stages 2-4 (see _march)
-        return stepper.substep(f, dt, source if t < cfg.infil_duration else None)
+        if t >= cfg.infil_duration:
+            return stepper.substep(f, dt)
+        dt = stepper.substep(f, dt, source)
+        ledger["napl"].injected += float(np.sum(source) * cv * dt * rho_n)
+        return dt
 
     marks = set(cfg.snapshots[0])
     snapshots, series = [], []
@@ -254,9 +259,8 @@ def run_stage1(scn: Scenario, ckpt: StageCheckpoint) -> StageResult:
         series.append([t, stats.total_mass, stats.pool_fraction, stats.ganglia_fraction,
                        stats.upper_fraction, stats.lower_fraction])
         if t in marks:
-            snapshots.append((t, {"sn": f["sn"], "sw": 1.0 - f["sn"]}))
+            snapshots.append((t, {"sn": f["sn"]}))
 
-    ledger["napl"].injected = stepper.injected_mass
     ledger["napl"].final = stats.total_mass
     diagnostics = {
         "source_zone": stats,

@@ -107,10 +107,9 @@ class ImpesStepper:
     given the NAPL release source, a volumetric rate per cell volume (1/s),
     or ``None``; the source moves only the right-hand side of the pressure
     system, so the stepper's own :class:`FactorCache`, ``cache``, serves
-    sub-steps with and without it.  ``injected_mass`` sums the NAPL the
-    source has fed in; ``limits`` counts the sub-steps each bound of
-    :data:`LIMITS` has set; ``window_columns`` sums the width of each
-    sub-step's window ``C`` and ``window_max`` is the widest.
+    sub-steps with and without it.  ``limits`` counts the sub-steps each
+    bound of :data:`LIMITS` has set; ``window_columns`` sums the width of
+    each sub-step's window ``C`` and ``window_max`` is the widest.
 
     A sub-step works on a window of whole grid columns around the NAPL.  Let
     ``N`` be the columns holding NAPL (``sn != 0``) or fed by the sub-step's
@@ -140,7 +139,6 @@ class ImpesStepper:
         self.kfy = _harmonic(k[:-1, :], k[1:, :]) * grid.dx / grid.dy
         self.pore_vol = material.porosity * grid.cell_volume
         # running audit
-        self.injected_mass = 0.0
         self.limits = dict.fromkeys(LIMITS, 0)
         self.window_columns = 0
         self.window_max = 0
@@ -281,9 +279,6 @@ class ImpesStepper:
         dsn = -div * dt / pv
         if source is not None:
             dsn += source[:, cols] * dt * self.grid.cell_volume / pv
-            self.injected_mass += float(
-                np.sum(source) * self.grid.cell_volume * dt * self.config.rho_n
-            )
         # outside C every cell keeps its saturation, 0
         sn_new = f["sn"].copy()
         changed = sn_new[:, cols]

@@ -47,6 +47,14 @@ class TestRoundTrip:
             expected = given.get(name, np.zeros((2, 3)))
             np.testing.assert_array_equal(back[name], expected)
 
+    @pytest.mark.parametrize("absent", [["k"], ["theta_m"], ["k", "theta_m"]])
+    def test_built_without_k_or_theta_m_refused(self, absent):
+        # the reader refuses their zeros, so they get none to write
+        fields = {name: np.ones((2, 3)) for name in FIELD_NAMES if name not in absent}
+        with pytest.raises(ValueError, match=f"fields {', '.join(absent)} are required"):
+            StageCheckpoint(stage=2, clock=0.0, nx=3, ny=2, seed=0, config_hash="x",
+                            fields=fields)
+
     def test_values_the_stages_write_read_back(self, tmp_path):
         # the stages leave rounding-level negatives in sn and the
         # concentrations, which the reader does not range-check; a theta_m

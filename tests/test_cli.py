@@ -12,6 +12,7 @@ import remsim
 from remsim import pipeline
 from remsim.checkpoint import read_checkpoint, write_checkpoint
 from remsim.cli import build_parser, main
+from remsim.config import RunConfig
 from tests.test_config import set_key
 from tests.test_pipeline import fast_config_text
 
@@ -36,7 +37,7 @@ def stage1_ckpt(cfg_file, tmp_path_factory):
 def stage3_ckpt(cfg_file, tmp_path_factory):
     """A stage-3 checkpoint of the fast config."""
     out = tmp_path_factory.mktemp("stage3")
-    pipeline.run(remsim.RunConfig.from_file(cfg_file), [1, 2, 3], out, export=None)
+    pipeline.run(RunConfig.from_file(cfg_file), [1, 2, 3], out, export=None)
     return out / "stage3.ckpt"
 
 
@@ -53,17 +54,74 @@ class TestParser:
             build_parser().parse_args(["--export", "hdf5"])
 
 
+SRC = str(Path(remsim.__file__).resolve().parents[1])
+
+
+def loaded_by(module: str) -> list[str]:
+    """The modules that importing ``module`` loads in a fresh interpreter."""
+    code = f"import sys, {module}; print(*sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+                         capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
 def test_import_leaves_out_ndimage_and_sparse():
     # no stage uses them, and importing them costs start-up time and memory;
     # scipy.linalg's package import alone costs about 0.3 s and 18 MiB per
     # process and the scipy package's tens of milliseconds, so remsim.flow
     # loads only its compiled LAPACK routines, and no scipy module at all
-    src = str(Path(remsim.__file__).resolve().parents[1])
-    code = ("import sys, remsim.cli; print([m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')])")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert [m for m in loaded_by("remsim.cli") if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_module_loads_only_what_it_imports():
+    # the package root re-exports nothing, so each name has one import path
+    assert [m for m in loaded_by("remsim.config") if m.startswith("remsim")] == [
+        "remsim", "remsim.config", "remsim.units"]
+    assert [m for m in loaded_by("remsim.checkpoint")
+            if m == "remsim.flow" or m.endswith("_flapack")] == []
+
+
+def test_files_independent_of_blas_threads_and_restart(cfg_file, tmp_path):
+    """The fast config through the CLI writes the same files, byte for byte,
+    at one and at two BLAS threads, and so does each of stages 2-4 restarted
+    at two threads from a copy of the one-thread run's previous checkpoint."""
+    def simulate(threads, out, *args):
+        env = {**os.environ, "PYTHONPATH": SRC,
+               "OMP_NUM_THREADS": str(threads), "OPENBLAS_NUM_THREADS": str(threads)}
+        subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "remsim.cli",
+                        "--config", str(cfg_file), "--out", str(out), *args],
+                       env=env, capture_output=True, check=True)
+
+    def files(directory):
+        return {str(p.relative_to(directory)): p.read_bytes()
+                for p in sorted(directory.rglob("*")) if p.is_file()}
+
+    def differing(ours, theirs):
+        return sorted(n for n in ours.keys() | theirs.keys() if ours.get(n) != theirs.get(n))
+
+    for threads in (1, 2):
+        simulate(threads, tmp_path / f"threads{threads}")
+    straight = files(tmp_path / "threads1")
+    # every checkpoint, snapshot, series.csv and audit_report.txt
+    assert {"stage4.ckpt", "audit_report.txt", "stage2/series.csv"} <= straight.keys()
+    assert differing(files(tmp_path / "threads2"), straight) == []
+    for stage in (2, 3, 4):
+        # in its own directory: the CLI writes stage N where it reads stage N-1
+        out = tmp_path / f"restart{stage}"
+        out.mkdir()
+        shutil.copy(tmp_path / "threads1" / f"stage{stage - 1}.ckpt", out)
+        simulate(2, out, "--stage", str(stage))
+        assert (out / f"stage{stage}.ckpt").read_bytes() == straight[f"stage{stage}.ckpt"]
+        # and its exports: snapshots and series.csv
+        assert differing(files(out / f"stage{stage}"),
+                         files(tmp_path / "threads1" / f"stage{stage}")) == []
+    # a stage-1 file offered as the stage-2 checkpoint; a checkpoint with a
+    # zero k is refused as test_unusable_checkpoint_returns_3[k_zero] shows
+    wrong = tmp_path / "wrong_stage"
+    wrong.mkdir()
+    shutil.copy(tmp_path / "threads1" / "stage1.ckpt", wrong / "stage2.ckpt")
+    assert main(["--config", str(cfg_file), "--stage", "3", "--out", str(wrong)]) == 3
+    assert not (wrong / "stage3.ckpt").exists()
 
 
 class TestExitCodes:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from remsim.stages import (
     run_stage4,
 )
 from remsim.twophase import MAX_DS, TWO_PHASE_CFL
+from tests.test_config import set_key
 from tests.test_pipeline import fast_config_text
 from tests.test_solute import check_in_place
 
@@ -38,6 +40,24 @@ def every_limit_config_text() -> str:
     return text
 
 
+def dissolution_column_text() -> str:
+    """``default.cfg`` without its lenses, cut to a 10 m x 0.2 m column of
+    200 x 1 cells of one uniform lithology under heads of 1.1 and 0.2 m, with
+    a 400-day stage 2; the release strip and both wells lie in the column."""
+    text = re.sub(r"\[lens\.\d+\]\n[^\[]*", "", RunConfig.default().source_text)
+    for section, key, value in (
+            ("domain", "width", "10 m"), ("domain", "height", "0.2 m"),
+            ("grid", "dx", "0.05 m"), ("grid", "dy", "0.2 m"),
+            ("layers", "split_elevation", "0 m"), ("randfield", "log_variance", "0"),
+            ("flow", "head_left", "1.1 m"), ("flow", "head_right", "0.2 m"),
+            ("infiltration", "center", "5 m"),
+            ("well.injection", "x", "5 m"), ("well.injection", "depth", "0.1 m"),
+            ("well.monitoring", "x", "9 m"), ("well.monitoring", "depth", "0.1 m"),
+            ("stages", "stage2_duration", "400 day")):
+        text = set_key(text, section, key, value)
+    return text
+
+
 @pytest.fixture(scope="module")
 def fast_run(tmp_path_factory):
     cfg = RunConfig.from_text(fast_config_text())
@@ -53,6 +73,13 @@ class TestLedgers:
         for stage, res in fast_run.results.items():
             for name, err in res.audit.items():
                 assert err <= 1e-4, (stage, name, err)
+
+    def test_stage1_books_the_release(self, fast_run):
+        # the strip's flux over its columns for the release's length
+        scn = Scenario.build(RunConfig.from_text(fast_config_text()), 0)
+        cfg = scn.config
+        released = cfg.infil_flux * len(scn.infil_columns) * scn.grid.dx * cfg.infil_duration
+        assert fast_run.results[1].ledger["napl"].injected == pytest.approx(released, rel=1e-12)
 
     def test_report_prints_every_term(self, fast_run):
         lines = fast_run.report.splitlines()
@@ -259,6 +286,46 @@ class TestBudgets:
             line = "  budget: " + ", ".join(f"{k} {v:.6e}" for k, v in budget.items()) + "  kg/m"
             assert lines[lines.index(f"stage {stage} audit:") + 2] == line
         assert sum(line.startswith("  budget:") for line in lines) == 2
+
+
+class TestDissolutionFront:
+    """Stage 2 on a 1D column against the exact dissolution front (ROADMAP
+    item 18).  With NAPL at a uniform residual ``sn0`` on [2, 4) m, clean water
+    upstream and fast mass transfer, the upstream edge of the NAPL moves at
+    the Rankine-Hugoniot speed of ``theta (c + sn rho_n)_t + (q c)_x = 0``,
+    ``q Cs / (theta (Cs + sn0 rho_n))`` (LeVeque 2002, ch. 11), and the
+    outlet carries Cs while NAPL is left."""
+
+    SN0 = 0.05
+
+    @pytest.fixture(scope="class")
+    def column(self):
+        scn = Scenario.build(RunConfig.from_text(dissolution_column_text()), 0)
+        xv, _ = scn.grid.cell_centers()
+        fields = {"sn": np.where((xv >= 2.0) & (xv < 4.0), self.SN0, 0.0),
+                  "theta_m": scn.material.porosity.copy(), "k": scn.material.k.copy()}
+        return scn, stages.run_stage2(scn, stages._make_checkpoint(scn, 1, 0.0, fields))
+
+    def test_front_within_one_cell(self, column):
+        scn, res = column
+        cfg, g = scn.config, scn.grid
+        (theta,) = np.unique(scn.material.porosity)
+        duration = cfg.stage_durations[1]
+        q = res.diagnostics["budget"]["dissolution_ceiling"] / (cfg.solubility * duration * g.dy)
+        exact = 2.0 + q * cfg.solubility * duration / (theta * (cfg.solubility
+                                                                + self.SN0 * cfg.rho_n))
+        assert exact - 2.0 > 20 * g.dx
+        # the first cell at half the residual or more, and the front the
+        # dissolved mass implies
+        cell = g.xc[np.argmax(res.checkpoint.fields["sn"][0] >= self.SN0 / 2)]
+        mass = 2.0 + res.ledger["tce"].dissolved / (theta * self.SN0 * cfg.rho_n * g.dy)
+        assert abs(cell - exact) <= g.dx and abs(mass - exact) <= g.dx, (exact, cell, mass)
+
+    def test_outlet_at_solubility_and_ledger_closed(self, column):
+        scn, res = column
+        outlet = res.checkpoint.fields["c_tce"][0, -1]
+        assert outlet == pytest.approx(scn.config.solubility, rel=1e-9)
+        assert res.audit["tce"] <= 1e-12
 
 
 class TestClosure:
