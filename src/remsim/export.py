@@ -26,22 +26,24 @@ def _row_format(columns: int) -> str:
 
 @lru_cache(maxsize=4)
 def _xy_text(grid) -> tuple[str, ...]:
-    """Each cell's ``x,y,`` row prefix in :func:`write_csv`, row-major; the
-    grid is the same for every snapshot of a run, so this is formatted once."""
-    xv, yv = grid.cell_centers()
-    return tuple("%.10g,%.10g," % xy for xy in zip(xv.ravel().tolist(), yv.ravel().tolist()))
+    """Each cell's ``x,y,`` row prefix in :func:`write_csv`, row-major.  The
+    cell centers are the mesh of ``xc`` and ``yc``, so each coordinate is
+    formatted once, and the grid, the same for every snapshot of a run, once
+    per run."""
+    xs, ys = (["%.10g," % v for v in axis.tolist()] for axis in (grid.xc, grid.yc))
+    return tuple(x + y for y in ys for x in xs)
 
 
 def write_csv(path, grid, fields: dict[str, np.ndarray]) -> None:
     """One row per cell: x, y, then one column per field (row-major,
     bottom row first, matching the array layout)."""
     xy = _xy_text(grid)
-    table = np.column_stack([f.ravel() for f in fields.values()])
-    if len(table) != len(xy):
-        raise ValueError(f"fields of {len(table)} cells on a grid of {len(xy)}")
-    row_format = _row_format(len(fields))
-    _write_table(path, ["x", "y", *fields],
-                 (prefix + row_format % tuple(row) for prefix, row in zip(xy, table.tolist())))
+    columns = [f.ravel().tolist() for f in fields.values()]
+    for column in columns:
+        if len(column) != len(xy):
+            raise ValueError(f"fields of {len(column)} cells on a grid of {len(xy)}")
+    row_format = "%s" + _row_format(len(fields))
+    _write_table(path, ["x", "y", *fields], (row_format % row for row in zip(xy, *columns)))
 
 
 def write_vtk(path, grid, fields: dict[str, np.ndarray]) -> None:

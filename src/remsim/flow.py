@@ -34,25 +34,27 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 
-def _load_flapack():
-    """scipy's compiled LAPACK wrappers, loaded from scipy's directory without
+def load_compiled(subpackage: str, name: str):
+    """scipy's compiled extension ``name`` from the ``subpackage`` directory
+    (``linalg/_flapack``, ``sparse/_sparsetools``), loaded by its path without
     importing the ``scipy`` package: ``scipy/linalg/__init__.py`` pulls in
     scipy's array-API layer (with ``numpy.f2py``, ``numpy.testing`` and
     ``numpy.ma``) and costs about 0.3 s and 18 MiB per process, and
-    ``scipy/__init__.py`` alone tens of milliseconds."""
+    ``scipy/__init__.py`` alone tens of milliseconds.  Neither extension
+    imports a scipy module when it loads."""
     scipy = find_spec("scipy")
     if scipy is None or not scipy.submodule_search_locations:
-        raise ImportError("remsim needs scipy's LAPACK wrappers, and scipy is not installed")
-    directories = [os.path.join(path, "linalg") for path in scipy.submodule_search_locations]
-    spec = PathFinder.find_spec("_flapack", directories)
+        raise ImportError(f"remsim needs scipy's {subpackage}/{name}, and scipy is not installed")
+    directories = [os.path.join(path, subpackage) for path in scipy.submodule_search_locations]
+    spec = PathFinder.find_spec(name, directories)
     if spec is None:
-        raise ImportError(f"no _flapack extension in {', '.join(directories)}")
+        raise ImportError(f"no {name} extension in {', '.join(directories)}")
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-_flapack = _load_flapack()
+_flapack = load_compiled("linalg", "_flapack")
 dpbtrf, dpbsv, dtbtrs, dtrtrs = _flapack.dpbtrf, _flapack.dpbsv, _flapack.dtbtrs, _flapack.dtrtrs
 
 

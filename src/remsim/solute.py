@@ -4,9 +4,11 @@ One kernel drives the aqueous TCE plume (Stage 2), CMC and aqueous nZVI
 (Stages 3-4).  Advection is first-order upwind, dispersion is the scalar
 D = Dd + alpha*|v| evaluated at faces, both explicit with automatic
 sub-stepping.  The flow is frozen for a kernel's life, so the kernel folds
-it once into a five-point stencil and each sub-step is one linear update.
-Dissolution of the NAPL source zone is an analytic per-cell relaxation
-toward solubility, capped by the available NAPL mass.
+it once into a five-point stencil held in the diagonal (DIA) sparse format,
+and each sub-step is one compiled DIA matrix-vector product (Saad 2003,
+*Iterative Methods for Sparse Linear Systems*, sec. 3.4).  Dissolution of
+the NAPL source zone is an analytic per-cell relaxation toward solubility,
+capped by the available NAPL mass.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from .config import TransportCfg
-from .flow import FlowField, SolverError, scatter_faces
+from .flow import FlowField, SolverError, load_compiled, scatter_faces
+
+# y += A x for A in DIA format, loaded without importing the scipy package
+dia_matvec = load_compiled("sparse", "_sparsetools").dia_matvec
 
 
 class TransportKernel:
@@ -29,16 +34,23 @@ class TransportKernel:
     passed per step so one kernel serves many species.
 
     Face fluxes ``a_lo*c_lo + a_hi*c_hi`` (``a_lo = max(f, 0) + g``, ``a_hi =
-    min(f, 0) - g``) are folded once into a stencil divided by ``pv``: ``diag``
-    (faces and open sides) and the non-negative ``west``/
-    ``east``/``south``/``north`` weights.  A sub-step of length ``sub`` is one
-    pass of the weights ``1 + sub*diag`` and ``sub`` times the neighbour
-    weights, formed once per sub-step length: all are non-negative, the first
-    at least ``1 - cfl``, so the update is a non-negative combination of the
-    old values (Hundsdorfer & Verwer 2003, ch. I).  The export sums the net outflow
-    ``export_weights`` of the boundary cells ``export_cells`` times their
-    concentration with a numpy reduction, not a BLAS dot product, whose
-    summation order would follow the BLAS thread count.
+    min(f, 0) - g``) are folded once into a stencil divided by ``pv``, the
+    ``(5, n)`` array ``stencil`` over the flat row-major grid.  Its rows are
+    ``diag`` (faces and open sides) and the non-negative west, east, south
+    and north weights, at the flat offsets ``offsets`` = (0, -1, +1, -nx,
+    +nx).  As scipy's DIA format asks, each weight sits in the column of the
+    cell it reads: west in ``[:n-1]``, east in ``[1:]``, south in ``[:n-nx]``
+    and north in ``[nx:]``; the other entries are zero and never read.  A
+    sub-step of length ``sub`` is one DIA product with the weights ``1 +
+    sub*diag`` and ``sub`` times the neighbour weights, formed once per
+    sub-step length: all are non-negative, the first at least ``1 - cfl``, so
+    the update is a non-negative combination of the old values (Hundsdorfer
+    & Verwer 2003, ch. I).  The product starts from zeros and adds
+    ``weight*c`` one diagonal at a time, in the row order above, so every
+    cell sums its five terms in a fixed order.  The export sums the net
+    outflow ``export_weights`` of the boundary cells ``export_cells`` times
+    their concentration with a numpy reduction, not a BLAS dot product,
+    whose summation order would follow the BLAS thread count.
     ``stable_dt`` adds each side's outflow on its own: netting a corner
     cell's inflow against its outflow would loosen that cell's bound.
     """
@@ -73,44 +85,46 @@ class TransportKernel:
         with np.errstate(divide="ignore"):
             self.stable_dt = float(cfl * np.where(out > 0, self.pv / out, np.inf).min())
 
-        # flat row-major stencil; x-weights are zero across row ends, boundary inflow is -outflow
-        self.diag = ((-faces - outflow) / self.pv).ravel()
-        west, east = np.zeros_like(self.pv), np.zeros_like(self.pv)
-        west[:, :-1], east[:, :-1] = lo_x / self.pv[:, 1:], -hi_x / self.pv[:, :-1]
-        self.west, self.east = west.ravel()[:-1], east.ravel()[:-1]
-        self.south, self.north = (lo_y / self.pv[1:, :]).ravel(), (-hi_y / self.pv[:-1, :]).ravel()
+        # flat row-major stencil, each weight at the cell it reads; x-weights are
+        # zero across row ends, boundary inflow is -outflow
+        ny, nx = self.pv.shape
+        self.offsets = np.array([0, -1, 1, -nx, nx], dtype=np.intc)
+        self.stencil = np.zeros((5, ny * nx))
+        diag, west, east, south, north = self.stencil.reshape(5, ny, nx)
+        diag[:] = (-faces - outflow) / self.pv
+        west[:, :-1], east[:, 1:] = lo_x / self.pv[:, 1:], -hi_x / self.pv[:, :-1]
+        south[:-1, :], north[1:, :] = lo_y / self.pv[1:, :], -hi_y / self.pv[:-1, :]
         self.export_cells = np.flatnonzero(outflow)
         self.export_weights = outflow.ravel()[self.export_cells]
-        self._sub, self._weights = None, ()
+        self._sub, self._weights = None, None
 
-    def _stencil(self, sub: float) -> tuple[np.ndarray, ...]:
-        """The stencil of one sub-step of length sub, ``(center, west, east,
-        south, north)``: ``c' = center*c + west*c[W] + ...``.  The last
-        length's weights are kept, so a kernel stepped at one dt forms them once."""
+    def _stencil(self, sub: float) -> np.ndarray:
+        """The stencil of one sub-step of length sub, laid out as ``stencil``:
+        ``1 + sub*diag`` in row 0 and ``sub`` times each neighbour weight.  The
+        last length's weights are kept, so a kernel stepped at one dt forms
+        them once."""
         if sub != self._sub:
-            self._weights = (1.0 + sub * self.diag, sub * self.west, sub * self.east,
-                             sub * self.south, sub * self.north)
+            self._weights = sub * self.stencil
+            self._weights[0] += 1.0
             self._sub = sub
         return self._weights
 
     def step(self, c: np.ndarray, dt: float, c_in: float = 0.0) -> tuple[np.ndarray, float]:
         """Advance by dt (sub-stepping internally), the wells injecting at the
-        concentration ``c_in``.  Returns the new field and the net mass (kg
-        per m of thickness) advected out of the domain."""
+        concentration ``c_in``.  Returns a new field, never a view of c, and
+        the net mass (kg per m of thickness) advected out of the domain."""
         n_sub = max(1, int(np.ceil(dt / self.stable_dt)))
         sub = dt / n_sub
         ny, nx = c.shape
+        n = ny * nx
         inject = [(j * nx + i, sub * rate * c_in / self.pv[j, i])
                   for (i, j), rate in self.well_sources.items()]
-        center, west, east, south, north = self._stencil(sub)
+        weights = self._stencil(sub)
         c, exported = c.ravel(), 0.0
         for _ in range(n_sub):
             exported += sub * float((self.export_weights * c[self.export_cells]).sum())
-            r = center * c
-            r[1:] += west * c[:-1]
-            r[:-1] += east * c[1:]
-            r[nx:] += south * c[:-nx]
-            r[:-nx] += north * c[nx:]
+            r = np.zeros(n)
+            dia_matvec(n, n, 5, n, self.offsets, weights, c, r)
             c = r
             for cell, dc in inject:
                 c[cell] += dc

@@ -2,6 +2,7 @@ import csv
 import io
 
 import numpy as np
+import pytest
 
 from remsim.export import write_csv, write_series_csv, write_vtk
 from remsim.grid import build_grid
@@ -79,3 +80,9 @@ def test_vtk_values_match_per_value_format(tmp_path):
     text = path.read_text().splitlines()
     i = text.index("LOOKUP_TABLE default")
     assert text[i + 1:] == [" ".join(f"{v:.10g}" for v in row) for row in arr]
+
+
+def test_csv_refuses_fields_off_the_grid(tmp_path):
+    g = build_grid((1.0, 1.0), (0.5, 0.5))
+    with pytest.raises(ValueError, match=r"^fields of 3 cells on a grid of 4$"):
+        write_csv(tmp_path / "snap.csv", g, {"a": np.zeros((2, 2)), "b": np.zeros(3)})

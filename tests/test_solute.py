@@ -12,7 +12,7 @@ import remsim
 from remsim.config import TransportCfg
 from remsim.flow import FlowField, SolverError, scatter_faces
 from remsim.grid import build_grid
-from remsim.solute import TransportKernel, dissolution_substep
+from remsim.solute import TransportKernel, dia_matvec, dissolution_substep
 
 CS = 1.27  # solubility (kg/m^3)
 
@@ -87,6 +87,53 @@ class ReferenceKernel:
         return m / self.pv, exported
 
 
+class FiveSliceKernel(TransportKernel):
+    """The stencil update that the DIA product replaced, as an oracle: the
+    stencil built as five 1-D arrays of the flat grid, and each sub-step as
+    five numpy slice updates, center first, then west, east, south and
+    north.  The bound, the export and the wells are the kernel's own."""
+
+    def __init__(self, grid, theta, flow, transport, cfl, well_sources=None):
+        super().__init__(grid, theta, flow, transport, cfl, well_sources)
+        fx, fy = flow.qx * grid.dy, flow.qy * grid.dx
+        d, alpha = transport.diffusion, transport.dispersivity
+        gx = (d + alpha * np.abs(flow.qx[:, 1:-1])) * grid.dy / grid.dx
+        gy = (d + alpha * np.abs(flow.qy[1:-1, :])) * grid.dx / grid.dy
+        lo_x, hi_x = np.maximum(fx[:, 1:-1], 0.0) + gx, np.minimum(fx[:, 1:-1], 0.0) - gx
+        lo_y, hi_y = np.maximum(fy[1:-1, :], 0.0) + gy, np.minimum(fy[1:-1, :], 0.0) - gy
+        faces = scatter_faces(np.zeros_like(self.pv), lo_x, -hi_x, lo_y, -hi_y)
+        outflow = np.zeros_like(self.pv)
+        for side, f in ((np.s_[:, 0], -fx[:, 0]), (np.s_[:, -1], fx[:, -1]),
+                        (np.s_[0, :], -fy[0, :]), (np.s_[-1, :], fy[-1, :])):
+            outflow[side] += f
+        self.diag = ((-faces - outflow) / self.pv).ravel()
+        west, east = np.zeros_like(self.pv), np.zeros_like(self.pv)
+        west[:, :-1], east[:, :-1] = lo_x / self.pv[:, 1:], -hi_x / self.pv[:, :-1]
+        self.west, self.east = west.ravel()[:-1], east.ravel()[:-1]
+        self.south, self.north = (lo_y / self.pv[1:, :]).ravel(), (-hi_y / self.pv[:-1, :]).ravel()
+
+    def step(self, c, dt, c_in=0.0):
+        n_sub = max(1, int(np.ceil(dt / self.stable_dt)))
+        sub = dt / n_sub
+        ny, nx = c.shape
+        inject = [(j * nx + i, sub * rate * c_in / self.pv[j, i])
+                  for (i, j), rate in self.well_sources.items()]
+        center, west, east, south, north = (1.0 + sub * self.diag, sub * self.west,
+                                            sub * self.east, sub * self.south, sub * self.north)
+        c, exported = c.ravel(), 0.0
+        for _ in range(n_sub):
+            exported += sub * float((self.export_weights * c[self.export_cells]).sum())
+            r = center * c
+            r[1:] += west * c[:-1]
+            r[:-1] += east * c[1:]
+            r[nx:] += south * c[:-nx]
+            r[:-nx] += north * c[nx:]
+            c = r
+            for cell, dc in inject:
+                c[cell] += dc
+        return c.reshape(ny, nx), exported
+
+
 def random_case(nx, ny, seed, decades=1.0):
     """A grid of non-square cells with random porosity and a face flow of
     random sign and magnitude (log-uniform over ``decades``), with one
@@ -125,15 +172,53 @@ class TestStencil:
             assert np.abs(c - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
             assert abs(exported - exported_ref) <= 1e-12 * abs(exported_ref)
 
+    @pytest.mark.parametrize("nx, ny", [(9, 6), (6, 9), (1, 12), (12, 1)])
+    def test_matches_five_slice_update_bitwise(self, nx, ny):
+        # several sub-steps per step, with the wells injecting; the single-row
+        # and single-column grids are where flattened offsets could wrap
+        g, theta, flow, _, rng = random_case(nx, ny, seed=nx + ny)
+        wells = {(nx // 2, ny // 2): 3e-6, (nx - 1, ny - 1): 1e-6}
+        kernel = TransportKernel(g, theta, flow, self.params, 0.9, well_sources=wells)
+        oracle = FiveSliceKernel(g, theta, flow, self.params, 0.9, well_sources=wells)
+        c = c_old = rng.uniform(0.0, 2.0, (ny, nx)) * (rng.random((ny, nx)) < 0.7)
+        for factor in (2.5, 7.0, 0.5, 7.0):
+            dt = factor * kernel.stable_dt
+            before = c.copy()
+            c_new, exported = kernel.step(c, dt, 5.0)
+            # stage snapshots alias the field a step is given
+            assert c.tobytes() == before.tobytes() and not np.shares_memory(c_new, c)
+            c_old, exported_old = oracle.step(c_old, dt, 5.0)
+            assert c_new.tobytes() == c_old.tobytes() and exported == exported_old
+            c = c_new
+
+    def test_dia_matvec_is_the_ordered_product(self):
+        # the kernel calls scipy's private compiled DIA product: if a scipy
+        # build changes its convention, or contracts y += d*x into a fused
+        # multiply-add, the kernel's bits change and this fails first
+        n, nx = 48, 6
+        offsets = np.array([0, -1, 1, -nx, nx], dtype=np.intc)
+        rng = np.random.default_rng(7)
+        data, x = rng.uniform(0.1, 1.0, (5, n)), rng.uniform(0.1, 1.0, n)
+        y = np.zeros(n)
+        dia_matvec(n, n, 5, n, offsets, data, x, y)
+        dense, ordered = np.zeros((n, n)), np.zeros(n)
+        for k, d in zip(offsets, data):
+            rows = np.arange(max(0, -k), min(n, n - k))
+            dense[rows, rows + k] = d[rows + k]
+            ordered[rows] += d[rows + k] * x[rows + k]  # a product, then a sum
+        np.testing.assert_allclose(y, dense @ x, rtol=1e-14)
+        assert y.tobytes() == ordered.tobytes()
+
     def test_stencil_is_monotone(self):
         cfl = 0.9
         g, theta, flow, wells, rng = random_case(30, 20, seed=5, decades=4.0)
         theta[0, 0] = theta[0, 1]  # let a cell without boundary inflow set the bound
         kernel = TransportKernel(g, theta, flow, self.params, cfl=cfl, well_sources=wells)
-        for w in (kernel.west, kernel.east, kernel.south, kernel.north):
+        diag, *neighbours = kernel.stencil
+        for w in neighbours:
             assert w.min() >= 0.0
         # the bound is sharp: one cell sits on it, to a few ulps of rounding
-        lowest = (1.0 + kernel.stable_dt * kernel.diag).min()
+        lowest = (1.0 + kernel.stable_dt * diag).min()
         assert lowest >= 1.0 - cfl - 4 * np.finfo(float).eps
         assert lowest <= 1.0 - cfl + 1e-12
         c = rng.uniform(0.0, 1.0, theta.shape) * (rng.random(theta.shape) < 0.3)

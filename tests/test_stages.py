@@ -58,6 +58,22 @@ def dissolution_column_text() -> str:
     return text
 
 
+def gravity_column_text(columns: int, dy: float) -> str:
+    """``default.cfg`` without its lenses, cut to a 16 m high section of
+    ``columns`` 3 m wide columns and rows ``dy`` high, of one uniform
+    lithology whose entry pressure of 1e-3 Pa leaves no capillarity to
+    speak of, with no release and a 5-day stage 1."""
+    text = re.sub(r"\[lens\.\d+\]\n[^\[]*", "", RunConfig.default().source_text)
+    for section, key, value in (
+            ("domain", "width", f"{3 * columns} m"), ("domain", "height", "16 m"),
+            ("grid", "dx", "3 m"), ("grid", "dy", f"{dy} m"),
+            ("layers", "split_elevation", "0 m"), ("randfield", "log_variance", "0"),
+            ("upper_sand", "entry_pressure", "1e-3 Pa"),
+            ("infiltration", "flux", "0 kg/m^2/s"), ("stages", "stage1_duration", "5 day")):
+        text = set_key(text, section, key, value)
+    return text
+
+
 @pytest.fixture(scope="module")
 def fast_run(tmp_path_factory):
     cfg = RunConfig.from_text(fast_config_text())
@@ -326,6 +342,69 @@ class TestDissolutionFront:
         outlet = res.checkpoint.fields["c_tce"][0, -1]
         assert outlet == pytest.approx(scn.config.solubility, rel=1e-9)
         assert res.audit["tce"] <= 1e-12
+
+
+class TestGravitySegregation:
+    """Stage 1 against the exact gravity segregation of NAPL over water
+    (ROADMAP item 14).  NAPL at ``SN0`` fills the top 8 m of a section with
+    no capillarity.  In the middle column it moves by ``s_t + G(s)_z = 0``,
+    z the depth below the interface, with ``G = k drho g lw ln / ((lw + ln)
+    phi)`` from the code's ``rel_perm``.  The entropy solution of this
+    Riemann problem at ``z/t`` is the point of the upper concave hull of G on
+    [0, SN0] whose slope is ``z/t`` (LeVeque 2002, ch. 16), the maximiser of
+    ``G(s) - s z/t``.  The lateral heads drain water sideways near the
+    sides, so the middle column is one-dimensional only on a section wide
+    enough; 7 or 13 columns are not."""
+
+    SN0, INTERFACE, WINDOW = 0.4, 8.0, 3.0
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        out = {}
+        for columns, dy in ((27, 0.2), (27, 0.1), (35, 0.2)):
+            scn = Scenario.build(RunConfig.from_text(gravity_column_text(columns, dy)), 0)
+            _, yv = scn.grid.cell_centers()
+            fields = {**initial_checkpoint(scn).fields,
+                      "sn": np.where(yv > self.INTERFACE, self.SN0, 0.0)}
+            out[columns, dy] = scn, run_stage1(scn, stages._make_checkpoint(scn, 0, 0.0, fields))
+        return out
+
+    def exact(self, scn, z):
+        """The Riemann solution at the elevations z at the end of stage 1."""
+        cfg, m = scn.config, scn.material
+        (k,), (phi,), (swr,), (snr,), (lam,) = (np.unique(a) for a in (
+            m.k, m.porosity, m.swr, m.snr, m.bc_lambda))
+        s = np.linspace(0.0, self.SN0, 40001)
+        krw, krn = twophase.rel_perm((1.0 - s - swr) / (1.0 - swr - snr), lam)
+        lw, ln = krw / cfg.mu_w, krn / cfg.mu_n
+        flux = k * (cfg.rho_n - cfg.rho_w) * cfg.gravity * lw * ln / ((lw + ln) * phi)
+        speed = (self.INTERFACE - z) / cfg.stage_durations[0]
+        return s[np.argmax(flux - speed[:, None] * s, axis=1)]
+
+    def middle(self, run):
+        scn, res = run
+        return res.checkpoint.fields["sn"][:, scn.grid.nx // 2]
+
+    def l1(self, scn, values):
+        """The L1 norm (m) of ``values`` over the rows within WINDOW of the
+        interface."""
+        g = scn.grid
+        return float(np.abs(values)[np.abs(g.yc - self.INTERFACE) <= self.WINDOW].sum() * g.dy)
+
+    def test_no_capillary_bound(self, runs):
+        for scn, res in runs.values():
+            assert res.diagnostics["limits"]["capillary"] == 0
+
+    def test_error_falls_with_dy(self, runs):
+        coarse, fine = (self.l1(runs[27, dy][0], self.middle(runs[27, dy])
+                                - self.exact(runs[27, dy][0], runs[27, dy][0].grid.yc))
+                        for dy in (0.2, 0.1))
+        # measured 0.1087 and 0.0475 m
+        assert coarse <= 0.112 and fine <= 0.050 and fine < 0.5 * coarse, (coarse, fine)
+
+    def test_middle_column_one_dimensional(self, runs):
+        scn = runs[27, 0.2][0]
+        assert self.l1(scn, self.middle(runs[27, 0.2]) - self.middle(runs[35, 0.2])) <= 1e-3
 
 
 class TestClosure:
